@@ -5,45 +5,17 @@ ODE engine whose quadrature weights are rebuilt each step from the
 actual node spacing, a quartic-derivative test problem with a
 closed-form solution, and a relativistic stellar-structure application
 (degenerate neutron gas) including a maximum-mass search.
+
+Every public name of the five modules below is re-exported here.
 """
-from .quadrature import quadrature_weights
-from .integrator import (Mode, IntegratorConfig, NodeHistory, StepRecord,
-                         Trajectory, IntegrationError, MaxStepsExceeded,
-                         NonFiniteState, CallbackFailure, ab_predict,
-                         am_correct, fractional_correction, next_step_size,
-                         integrate)
-from .poly import (poly_rhs, poly_exact, PolyCase, PolyResult, run_poly_case,
-                   fit_error_degree)
-from .eos import (PhysicalConstants, CONSTANTS, EosPoint,
-                  relativity_parameter, number_density, pressure_from_x,
-                  energy_density_from_x, eos_pressure, eos_energy_density,
-                  invert_pressure_to_x, invert_pressure, eos_point)
-from .tov import (HorizonError, StarSolution, SieveResult, SweepCell,
-                  tov_derivatives, star_config, integrate_star,
-                  stable_plateau, ternary_maximize, trinary_sieve,
-                  parameter_sweep)
+from . import eos, integrator, poly, quadrature, tov
+from .quadrature import *  # noqa: F401,F403
+from .integrator import *  # noqa: F401,F403
+from .poly import *  # noqa: F401,F403
+from .eos import *  # noqa: F401,F403
+from .tov import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # quadrature
-    "quadrature_weights",
-    # integrator
-    "Mode", "IntegratorConfig", "NodeHistory", "StepRecord", "Trajectory",
-    "IntegrationError", "MaxStepsExceeded", "NonFiniteState",
-    "CallbackFailure", "ab_predict", "am_correct", "fractional_correction",
-    "next_step_size", "integrate",
-    # poly problem
-    "poly_rhs", "poly_exact", "PolyCase", "PolyResult", "run_poly_case",
-    "fit_error_degree",
-    # equation of state
-    "PhysicalConstants", "CONSTANTS", "EosPoint", "relativity_parameter",
-    "number_density", "pressure_from_x", "energy_density_from_x",
-    "eos_pressure", "eos_energy_density", "invert_pressure_to_x",
-    "invert_pressure", "eos_point",
-    # stellar structure
-    "HorizonError", "StarSolution", "SieveResult", "SweepCell",
-    "tov_derivatives", "star_config", "integrate_star", "stable_plateau",
-    "ternary_maximize", "trinary_sieve", "parameter_sweep",
-]
+__all__ = ["__version__", *quadrature.__all__, *integrator.__all__,
+           *poly.__all__, *eos.__all__, *tov.__all__]

@@ -11,7 +11,9 @@ Without ``--out`` the data table goes to stdout and the one-line
 summary to stderr.
 
 Exit codes: 0 success, 1 integration/runtime failure (with partial
-output and a diagnostic), 2 usage error.
+output and a diagnostic), 2 usage error.  Every numeric flag is checked
+as it is parsed (finite, and positive or at least 1 where the quantity
+demands it), so a bad value exits 2 before any work starts.
 """
 from __future__ import annotations
 
@@ -20,11 +22,12 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
 from .eos import CONSTANTS
-from .integrator import IntegrationError, IntegratorConfig, Mode
+from .integrator import GROWTH_CAP, IntegrationError, IntegratorConfig, Mode
 from .poly import PolyCase, poly_exact, run_poly_case
 from .tov import HorizonError, integrate_star, parameter_sweep, star_config, \
     trinary_sieve
@@ -34,6 +37,29 @@ __all__ = ["build_parser", "main"]
 
 class _UsageError(Exception):
     """Flag validation failure after parsing; maps to exit code 2."""
+
+
+# ---------------------------------------------------------------- flag types
+
+def _flag_type(convert, accept, what: str):
+    """argparse ``type``: convert the text, then demand ``accept``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return parse
+
+
+_finite = _flag_type(float, math.isfinite, "a finite number")
+_positive = _flag_type(float, lambda value: 0.0 < value < math.inf,
+                       "a positive finite number")
+_non_negative = _flag_type(float, lambda value: 0.0 <= value < math.inf,
+                           "a non-negative finite number")
+_at_least_one = _flag_type(int, lambda value: value >= 1, "an integer >= 1")
 
 
 # ---------------------------------------------------------------- output
@@ -70,15 +96,8 @@ def _write_table(stream, fmt: str, kind: str, columns, rows, summary):
 
 
 def _config_dict(config: IntegratorConfig) -> dict:
-    return {
-        "order_ab": config.order_ab,
-        "target_correction": config.target_correction,
-        "dx_initial": config.dx_initial,
-        "dx_min": config.dx_min,
-        "growth_cap": config.growth_cap,
-        "mode": config.mode.value,
-        "max_steps": config.max_steps,
-    }
+    return {**asdict(config), "mode": config.mode.value,
+            "growth_cap": GROWTH_CAP}
 
 
 def _manifest(command: str, args, config) -> dict:
@@ -129,10 +148,6 @@ def _poly_rows(trajectory):
 def cmd_poly(args) -> int:
     if args.xend <= args.x0:
         raise _UsageError("--xend must exceed --x0")
-    if args.order < 1:
-        raise _UsageError("--order must be >= 1")
-    if args.dx <= 0 or args.tol <= 0:
-        raise _UsageError("--dx and --tol must be positive")
     case = PolyCase(mode=Mode(args.mode), order=args.order, dx=args.dx,
                     tolerance=args.tol, x0=args.x0, y0=args.y0,
                     x_end=args.xend)
@@ -188,22 +203,18 @@ def _star_rows(trajectory):
 
 
 def cmd_tov(args) -> int:
-    if not (args.pc > 0.0 and math.isfinite(args.pc)):
-        raise _UsageError("--pc must be a positive, finite pressure")
-    if args.order < 1:
-        raise _UsageError("--order must be >= 1")
-    if args.tol <= 0 or args.dx0 <= 0 or args.dxmin < 0:
-        raise _UsageError("--tol and --dx0 must be positive, --dxmin >= 0")
+    if args.dx0 < args.dxmin:
+        raise _UsageError("--dx0 must be >= --dxmin")
     config = star_config(args.order, args.tol, args.dx0, args.dxmin)
     failure = None
     star = None
     try:
         star = integrate_star(args.pc, config)
         trajectory = star.trajectory
-    except (HorizonError, IntegrationError) as exc:
+    except IntegrationError as exc:
         failure = exc
-        trajectory = getattr(exc, "trajectory", None)
-    rows = _star_rows(trajectory) if trajectory is not None else []
+        trajectory = exc.trajectory
+    rows = _star_rows(trajectory)
     if star is not None:
         summary = {
             "status": "ok",
@@ -235,16 +246,14 @@ def cmd_tov(args) -> int:
 # ---------------------------------------------------------------- sieve
 
 def cmd_sieve(args) -> int:
-    if not 0.0 < args.lo < args.hi:
-        raise _UsageError("need 0 < --lo < --hi")
-    if args.order < 1 or args.tol <= 0 or args.bracket_tol <= 0:
-        raise _UsageError("--order, --tol, --bracket-tol must be positive")
+    if not args.lo < args.hi:
+        raise _UsageError("--lo must be below --hi")
     config = star_config(args.order, args.tol)
     try:
         result = trinary_sieve(args.lo, args.hi, config,
                                bracket_tolerance=args.bracket_tol,
                                jobs=args.jobs)
-    except (HorizonError, IntegrationError) as exc:
+    except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"P_c* = {result.P_c:.17g} erg/cm^3")
@@ -285,27 +294,23 @@ def _parse_orders(text: str):
 
 def _parse_tols(text: str):
     try:
-        tols = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad --tols list {text!r}") from exc
-    if not tols or any(not tol > 0 for tol in tols):
-        raise _UsageError("--tols must be a non-empty list of positive reals")
+        tols = [_positive(part) for part in text.split(",") if part.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"bad --tols list {text!r}: {exc}") from None
+    if not tols:
+        raise _UsageError("--tols is empty")
     return tols
 
 
 def cmd_sweep(args) -> int:
     orders = _parse_orders(args.orders)
     tols = _parse_tols(args.tols)
-    if not (args.pc > 0.0 and math.isfinite(args.pc)):
-        raise _UsageError("--pc must be a positive, finite pressure")
     if (args.ref_mass is None) != (args.ref_radius is None):
         raise _UsageError("give both --ref-mass and --ref-radius or neither")
     if args.ref_mass is None:
         reference_run = integrate_star(args.pc, star_config(10, 1e-8))
         reference = (reference_run.M, reference_run.R)
     else:
-        if args.ref_mass <= 0 or args.ref_radius <= 0:
-            raise _UsageError("--ref-mass and --ref-radius must be positive")
         reference = (args.ref_mass, args.ref_radius)
     cells = parameter_sweep(orders, tols, args.pc, reference, jobs=args.jobs)
     rows = [[cell.order, cell.tolerance, cell.steps, cell.M_msun, cell.R_km,
@@ -341,55 +346,55 @@ def build_parser() -> argparse.ArgumentParser:
     poly = sub.add_parser("poly", help="quartic-derivative test problem")
     poly.add_argument("--mode", choices=[mode.value for mode in Mode],
                       default=Mode.ABM_ADAPTIVE.value)
-    poly.add_argument("--order", type=int, required=True,
+    poly.add_argument("--order", type=_at_least_one, required=True,
                       help="explicit-phase order (history nodes)")
-    poly.add_argument("--dx", type=float, default=0.25,
+    poly.add_argument("--dx", type=_positive, default=0.25,
                       help="step size (initial step size when adaptive)")
-    poly.add_argument("--tol", type=float, default=1e-8,
+    poly.add_argument("--tol", type=_positive, default=1e-8,
                       help="target fractional correction E")
-    poly.add_argument("--x0", type=float, default=0.5)
-    poly.add_argument("--y0", type=float, default=1.0)
-    poly.add_argument("--xend", type=float, default=5.0)
+    poly.add_argument("--x0", type=_finite, default=0.5)
+    poly.add_argument("--y0", type=_finite, default=1.0)
+    poly.add_argument("--xend", type=_finite, default=5.0)
     poly.add_argument("--out", default=None, help="output data file")
     poly.add_argument("--format", choices=["csv", "json"], default="csv")
     poly.set_defaults(func=cmd_poly)
 
     tov = sub.add_parser("tov", help="integrate one neutron star")
-    tov.add_argument("--pc", type=float, required=True,
+    tov.add_argument("--pc", type=_positive, required=True,
                      help="central pressure, erg/cm^3")
-    tov.add_argument("--order", type=int, required=True)
-    tov.add_argument("--tol", type=float, default=1e-8)
-    tov.add_argument("--dx0", type=float, default=10.0,
+    tov.add_argument("--order", type=_at_least_one, required=True)
+    tov.add_argument("--tol", type=_positive, default=1e-8)
+    tov.add_argument("--dx0", type=_positive, default=10.0,
                      help="initial step, cm")
-    tov.add_argument("--dxmin", type=float, default=10.0,
+    tov.add_argument("--dxmin", type=_non_negative, default=10.0,
                      help="minimum step, cm")
     tov.add_argument("--out", default=None)
     tov.add_argument("--format", choices=["csv", "json"], default="csv")
     tov.set_defaults(func=cmd_tov)
 
     sieve = sub.add_parser("sieve", help="maximum-mass central pressure")
-    sieve.add_argument("--lo", type=float, default=1e35)
-    sieve.add_argument("--hi", type=float, default=1e36)
-    sieve.add_argument("--order", type=int, default=6)
-    sieve.add_argument("--tol", type=float, default=1e-8)
-    sieve.add_argument("--bracket-tol", type=float, default=1e-3,
+    sieve.add_argument("--lo", type=_positive, default=1e35)
+    sieve.add_argument("--hi", type=_positive, default=1e36)
+    sieve.add_argument("--order", type=_at_least_one, default=6)
+    sieve.add_argument("--tol", type=_positive, default=1e-8)
+    sieve.add_argument("--bracket-tol", type=_positive, default=1e-3,
                        dest="bracket_tol",
                        help="relative bracket width at convergence")
-    sieve.add_argument("--jobs", type=int, default=1)
+    sieve.add_argument("--jobs", type=_at_least_one, default=1)
     sieve.set_defaults(func=cmd_sieve)
 
     sweep = sub.add_parser("sweep", help="order x tolerance efficiency table")
     sweep.add_argument("--orders", required=True,
                        help="range A..B or comma list")
     sweep.add_argument("--tols", required=True, help="comma list of E values")
-    sweep.add_argument("--pc", type=float, required=True)
-    sweep.add_argument("--ref-mass", type=float, default=None,
+    sweep.add_argument("--pc", type=_positive, required=True)
+    sweep.add_argument("--ref-mass", type=_positive, default=None,
                        dest="ref_mass", help="reference mass, g")
-    sweep.add_argument("--ref-radius", type=float, default=None,
+    sweep.add_argument("--ref-radius", type=_positive, default=None,
                        dest="ref_radius", help="reference radius, cm")
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    sweep.add_argument("--jobs", type=int, default=1)
+    sweep.add_argument("--jobs", type=_at_least_one, default=1)
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-__all__ = ["PhysicalConstants", "CONSTANTS", "EosPoint",
-           "relativity_parameter", "number_density", "pressure_from_x",
-           "energy_density_from_x", "eos_pressure", "eos_energy_density",
-           "invert_pressure_to_x", "invert_pressure", "eos_point"]
+__all__ = ["PhysicalConstants", "CONSTANTS", "relativity_parameter",
+           "number_density", "pressure_from_x", "energy_density_from_x",
+           "invert_pressure_to_x"]
 
 
 @dataclass(frozen=True)
@@ -62,17 +61,6 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class EosPoint:
-    """The gas state at one number density."""
-
-    n: float          # neutron number density, cm^-3
-    x: float          # relativity parameter
-    P: float          # pressure, erg/cm^3
-    rho: float        # mass-energy density, erg/cm^3
-    u_kinetic: float  # kinetic energy density, erg/cm^3
-
-
 def relativity_parameter(n: float,
                          constants: PhysicalConstants = CONSTANTS) -> float:
     """x as a function of number density; cube-root scaling in n."""
@@ -100,27 +88,14 @@ def _kinetic_bracket(x: float) -> float:
 
 def pressure_from_x(x: float,
                     constants: PhysicalConstants = CONSTANTS) -> float:
+    """Pressure at relativity parameter x."""
     return constants.pressure_scale * _pressure_bracket(x)
 
 
 def energy_density_from_x(x: float,
                           constants: PhysicalConstants = CONSTANTS) -> float:
+    """Mass-energy density (rest plus kinetic) at relativity parameter x."""
     rest = constants.m_n * constants.c ** 2 * number_density(x, constants)
-    return rest + constants.pressure_scale * _kinetic_bracket(x)
-
-
-def eos_pressure(n: float, constants: PhysicalConstants = CONSTANTS) -> float:
-    """Pressure at number density n."""
-    return pressure_from_x(relativity_parameter(n, constants), constants)
-
-
-def eos_energy_density(n: float,
-                       constants: PhysicalConstants = CONSTANTS) -> float:
-    """Mass-energy density (rest plus kinetic) at number density n."""
-    if not n >= 0.0:
-        raise ValueError("number density must be non-negative")
-    rest = constants.m_n * constants.c ** 2 * n
-    x = relativity_parameter(n, constants)
     return rest + constants.pressure_scale * _kinetic_bracket(x)
 
 
@@ -152,17 +127,3 @@ def invert_pressure_to_x(P: float,
             break
     return 0.5 * (lo + hi)
 
-
-def invert_pressure(P: float,
-                    constants: PhysicalConstants = CONSTANTS) -> float:
-    """Number density at which the gas exerts pressure P."""
-    return number_density(invert_pressure_to_x(P, constants), constants)
-
-
-def eos_point(n: float, constants: PhysicalConstants = CONSTANTS) -> EosPoint:
-    """Full gas state at number density n."""
-    x = relativity_parameter(n, constants)
-    P = pressure_from_x(x, constants)
-    rho = energy_density_from_x(x, constants)
-    return EosPoint(n=n, x=x, P=P, rho=rho,
-                    u_kinetic=rho - constants.m_n * constants.c ** 2 * n)

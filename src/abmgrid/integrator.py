@@ -13,7 +13,8 @@ Quadrature weights are rebuilt each step from the actual node
 abscissae, so the grid never needs to be uniform; the step-size
 controller exploits that freedom by scaling dx against the fractional
 correction |y_AM - y_AB| relative to a target correction E.  Growth is
-capped geometrically; shrinking is uncapped down to an optional floor.
+capped at GROWTH_CAP per step; shrinking is uncapped down to an
+optional floor.
 Steps are never rejected: the correction always ships and only the
 *next* step size responds.
 
@@ -24,8 +25,9 @@ reached, so a single initial condition suffices.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,6 +35,7 @@ import numpy as np
 from .quadrature import quadrature_weights
 
 __all__ = [
+    "GROWTH_CAP",
     "Mode",
     "IntegratorConfig",
     "NodeHistory",
@@ -48,6 +51,9 @@ __all__ = [
     "next_step_size",
     "integrate",
 ]
+
+
+GROWTH_CAP = 3.0  # largest factor by which dx may grow in one step
 
 
 class Mode(enum.Enum):
@@ -73,23 +79,20 @@ class IntegratorConfig:
     target_correction: float = 1e-8
     dx_initial: float = 0.01
     dx_min: float = 0.0
-    growth_cap: float = 3.0
     mode: Mode = Mode.ABM_ADAPTIVE
     max_steps: int = 1_000_000
 
     def __post_init__(self):
         if self.order_ab < 1:
             raise ValueError("order_ab must be >= 1")
-        if not self.target_correction > 0.0:
-            raise ValueError("target_correction must be positive")
-        if not self.dx_initial > 0.0:
-            raise ValueError("dx_initial must be positive")
-        if self.dx_min < 0.0:
-            raise ValueError("dx_min must be non-negative")
+        if not 0.0 < self.target_correction < math.inf:
+            raise ValueError("target_correction must be positive and finite")
+        if not 0.0 < self.dx_initial < math.inf:
+            raise ValueError("dx_initial must be positive and finite")
+        if not 0.0 <= self.dx_min < math.inf:
+            raise ValueError("dx_min must be non-negative and finite")
         if self.dx_initial < self.dx_min:
             raise ValueError("dx_initial must be >= dx_min")
-        if not self.growth_cap > 1.0:
-            raise ValueError("growth_cap must exceed 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -141,9 +144,9 @@ class NodeHistory:
 class StepRecord:
     """One accepted step.
 
-    ``epsilon`` is the signed per-component fractional correction;
-    ``epsilon_max`` is the magnitude of its largest component, the
-    scalar the controller acts on.  ``capped``/``floored`` report
+    ``epsilon_max`` is the largest magnitude of the per-component
+    fractional correction, the scalar the controller acts on (0 in
+    ``AB_FIXED`` mode, which never corrects).  ``capped``/``floored`` report
     whether the controller's choice of the *next* step size hit the
     growth cap or the minimum-step floor on this step.
     """
@@ -151,9 +154,7 @@ class StepRecord:
     index: int
     x_next: float
     dx: float
-    y_ab: np.ndarray
     y_am: np.ndarray
-    epsilon: np.ndarray
     epsilon_max: float
     effective_order: int
     capped: bool = False
@@ -202,23 +203,32 @@ class Trajectory:
 
 
 class IntegrationError(RuntimeError):
-    """Base failure; carries the partial trajectory accepted so far."""
+    """Base failure; carries the partial trajectory accepted so far.
 
-    def __init__(self, message: str, trajectory: Trajectory):
+    ``tag`` names the kind of failure in one short word, as a sweep cell
+    reports it.  A derivative callback may raise an IntegrationError
+    of its own; :func:`integrate` attaches the trajectory and lets it
+    through unwrapped.
+    """
+
+    tag = "failed"
+
+    def __init__(self, message: str,
+                 trajectory: Optional[Trajectory] = None):
         super().__init__(message)
         self.trajectory = trajectory
 
 
 class MaxStepsExceeded(IntegrationError):
-    pass
+    tag = "max-steps"
 
 
 class NonFiniteState(IntegrationError):
-    pass
+    tag = "non-finite"
 
 
 class CallbackFailure(IntegrationError):
-    pass
+    """The derivative callback raised or returned the wrong shape."""
 
 
 def ab_predict(abscissae: Sequence[float], derivatives: np.ndarray,
@@ -265,38 +275,32 @@ def fractional_correction(y_ab: np.ndarray, y_am: np.ndarray):
     return epsilon, float(np.max(np.abs(epsilon)))
 
 
-def _controlled_step(epsilon_max: float, config: IntegratorConfig,
-                     effective_am_order: int, dx_current: float):
-    """Next step size plus whether the cap or the floor decided it."""
-    if epsilon_max == 0.0:
-        ratio = config.growth_cap
-        capped = True
-    else:
-        raw = (config.target_correction / epsilon_max) ** (
-            1.0 / effective_am_order)
-        capped = raw >= config.growth_cap
-        ratio = min(raw, config.growth_cap)
-    dx_next = ratio * dx_current
-    floored = dx_next < config.dx_min
-    if floored:
-        dx_next = config.dx_min
-    return dx_next, capped, floored
-
-
 def next_step_size(epsilon_max: float, config: IntegratorConfig,
-                   effective_am_order: int, dx_current: float) -> float:
+                   effective_am_order: int, dx_current: float):
     """Step size the adaptive controller selects for the next step.
 
     The scaling ratio is (E / epsilon_max)^(1/effective_am_order),
-    clipped at the growth cap (taken outright when epsilon_max is 0)
-    and floored at dx_min.
+    clipped at GROWTH_CAP (taken outright when epsilon_max is 0) and
+    floored at dx_min.  Returns (dx_next, capped, floored), the flags
+    telling whether the cap or the floor decided dx_next.
     """
     if dx_current <= 0.0:
         raise ValueError("dx_current must be positive")
     if effective_am_order < 2:
         raise ValueError("effective_am_order must be >= 2")
-    return _controlled_step(epsilon_max, config, effective_am_order,
-                            dx_current)[0]
+    if epsilon_max == 0.0:
+        ratio = GROWTH_CAP
+        capped = True
+    else:
+        raw = (config.target_correction / epsilon_max) ** (
+            1.0 / effective_am_order)
+        capped = raw >= GROWTH_CAP
+        ratio = min(raw, GROWTH_CAP)
+    dx_next = ratio * dx_current
+    floored = dx_next < config.dx_min
+    if floored:
+        dx_next = config.dx_min
+    return dx_next, capped, floored
 
 
 def integrate(system: Callable[[float, np.ndarray], np.ndarray],
@@ -315,8 +319,9 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
     to ``sink`` as it happens.
 
     Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState`, or
-    :class:`CallbackFailure`; each carries the partial trajectory in
-    its ``trajectory`` attribute.
+    :class:`CallbackFailure`; an :class:`IntegrationError` raised by
+    ``system`` propagates as is.  Each carries the partial trajectory
+    in its ``trajectory`` attribute.
     """
     if x_end is None and halt is None:
         raise ValueError("provide x_end, halt, or both")
@@ -334,6 +339,9 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
     def evaluate(xq: float, yq: np.ndarray) -> np.ndarray:
         try:
             dy = system(xq, yq)
+        except IntegrationError as exc:
+            exc.trajectory = trajectory
+            raise
         except Exception as exc:
             raise CallbackFailure(
                 f"derivative callback failed at x={xq!r}: {exc}",
@@ -364,14 +372,13 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         y_ab = ab_predict(abscissae, derivatives, y, dx)
         if config.mode is Mode.AB_FIXED:
             y_am = y_ab
-            epsilon = np.zeros_like(y)
             epsilon_max = 0.0
             dy_next = evaluate(x_next, y_ab)
         else:
             dy_predicted = evaluate(x_next, y_ab)
             y_am = am_correct(abscissae, derivatives, y, dy_predicted, dx)
             dy_next = evaluate(x_next, y_am)
-            epsilon, epsilon_max = fractional_correction(y_ab, y_am)
+            epsilon_max = fractional_correction(y_ab, y_am)[1]
         if not (np.all(np.isfinite(y_am)) and np.all(np.isfinite(dy_next))):
             raise NonFiniteState(
                 f"non-finite state or derivative at x={x_next!r}", trajectory)
@@ -379,12 +386,11 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         capped = floored = False
         dx_taken = dx
         if config.mode is Mode.ABM_ADAPTIVE and not clamped:
-            dx, capped, floored = _controlled_step(
+            dx, capped, floored = next_step_size(
                 epsilon_max, config, effective_order + 1, dx)
 
         record = StepRecord(index=index, x_next=x_next, dx=dx_taken,
-                            y_ab=y_ab, y_am=y_am, epsilon=epsilon,
-                            epsilon_max=epsilon_max,
+                            y_am=y_am, epsilon_max=epsilon_max,
                             effective_order=effective_order,
                             capped=capped, floored=floored)
         trajectory.records.append(record)

@@ -30,15 +30,18 @@ import numpy as np
 from .eos import (CONSTANTS, PhysicalConstants, energy_density_from_x,
                   invert_pressure_to_x)
 from .integrator import (IntegrationError, IntegratorConfig, Mode, Trajectory,
-                         CallbackFailure, integrate)
+                         integrate)
 
 __all__ = ["HorizonError", "StarSolution", "SieveResult", "SweepCell",
            "tov_derivatives", "star_config", "integrate_star",
-           "ternary_maximize", "trinary_sieve", "parameter_sweep"]
+           "stable_plateau", "ternary_maximize", "trinary_sieve",
+           "parameter_sweep"]
 
 
-class HorizonError(RuntimeError):
+class HorizonError(IntegrationError):
     """2Gm/(c^2 r) reached 1: the configuration is inside its own horizon."""
+
+    tag = "horizon"
 
 
 def tov_derivatives(r: float, m: float, P: float,
@@ -96,9 +99,9 @@ class StarSolution:
 
 
 def star_config(order: int, tolerance: float, dx_initial: float = 10.0,
-                dx_min: float = 10.0, max_steps: int = 200_000
-                ) -> IntegratorConfig:
-    """Stellar defaults: start and floor at 10 cm, adaptive stepping.
+                dx_min: float = 10.0) -> IntegratorConfig:
+    """Stellar defaults: start and floor at 10 cm, adaptive stepping,
+    a budget of 200 000 steps.
 
     The floor guarantees termination: near the surface the pressure
     scale height collapses and the controller would otherwise shrink dx
@@ -106,7 +109,7 @@ def star_config(order: int, tolerance: float, dx_initial: float = 10.0,
     """
     return IntegratorConfig(order_ab=order, target_correction=tolerance,
                             dx_initial=dx_initial, dx_min=dx_min,
-                            mode=Mode.ABM_ADAPTIVE, max_steps=max_steps)
+                            mode=Mode.ABM_ADAPTIVE, max_steps=200_000)
 
 
 def integrate_star(P_central: float, config: IntegratorConfig,
@@ -117,7 +120,8 @@ def integrate_star(P_central: float, config: IntegratorConfig,
     The state vector is (m, P); integration halts at the first accepted
     step with P <= 0.  Raises :class:`HorizonError` if the enclosed
     mass traps the radius, or the engine's errors for step-budget and
-    non-finite failures (each carrying the partial trajectory).
+    non-finite failures; each is an :class:`IntegrationError` carrying
+    the partial trajectory.
     """
     if not (P_central > 0.0 and math.isfinite(P_central)):
         raise ValueError("central pressure must be positive and finite")
@@ -125,16 +129,8 @@ def integrate_star(P_central: float, config: IntegratorConfig,
     def system(r, state):
         return np.array(tov_derivatives(r, state[0], state[1], constants))
 
-    try:
-        trajectory = integrate(system, [0.0, P_central], 0.0, config,
-                               halt=lambda r, state: state[1] <= 0.0,
-                               sink=sink)
-    except CallbackFailure as failure:
-        cause = failure.__cause__
-        if isinstance(cause, HorizonError):
-            cause.trajectory = failure.trajectory
-            raise cause from None
-        raise
+    trajectory = integrate(system, [0.0, P_central], 0.0, config,
+                           halt=lambda r, state: state[1] <= 0.0, sink=sink)
     final = trajectory.records[-1]
     return StarSolution(P_central=P_central, M=float(final.y_am[0]),
                         R=float(final.x_next), steps=len(trajectory),
@@ -261,7 +257,7 @@ class SweepCell:
     R_km: float
     rel_dM: float
     rel_dR: float
-    status: str               # "ok" or a short failure tag
+    status: str               # "ok" or the failure's IntegrationError.tag
 
     @property
     def ok(self) -> bool:
@@ -274,15 +270,11 @@ def _sweep_cell(args) -> SweepCell:
     config = star_config(order, tolerance, dx0, dxmin)
     try:
         star = integrate_star(P_central, config, constants)
-    except (HorizonError, IntegrationError) as failure:
-        tag = {"HorizonError": "horizon",
-               "MaxStepsExceeded": "max-steps",
-               "NonFiniteState": "non-finite"}.get(
-                   type(failure).__name__, "failed")
-        steps = len(getattr(failure, "trajectory", []) or [])
-        return SweepCell(order=order, tolerance=tolerance, steps=steps,
+    except IntegrationError as failure:
+        return SweepCell(order=order, tolerance=tolerance,
+                         steps=len(failure.trajectory or ()),
                          M_msun=math.nan, R_km=math.nan, rel_dM=math.nan,
-                         rel_dR=math.nan, status=tag)
+                         rel_dR=math.nan, status=failure.tag)
     return SweepCell(order=order, tolerance=tolerance, steps=star.steps,
                      M_msun=star.M_msun, R_km=star.R_km,
                      rel_dM=abs(star.M - M_ref) / M_ref,

@@ -76,6 +76,28 @@ def test_validation_failures_exit_two(capsys):
                  "--pc", P_CENTRAL, "--ref-mass", "1e33"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    # non-finite and out-of-range numbers are refused as they are parsed
+    sweep = ["sweep", "--orders", "4", "--pc", P_CENTRAL]
+    for argv in (["poly", "--order", "4", "--tol", "nan"],
+                 ["poly", "--order", "4", "--xend", "nan"],
+                 ["poly", "--order", "4", "--dx", "inf"],
+                 ["poly", "--order", "4", "--y0", "-inf"],
+                 ["tov", "--pc", P_CENTRAL, "--order", "4", "--dx0", "nan"],
+                 ["tov", "--pc", P_CENTRAL, "--order", "4", "--tol", "inf",
+                  "--dxmin", "nan"],
+                 ["tov", "--pc", P_CENTRAL, "--order", "4", "--dx0", "1",
+                  "--dxmin", "10"],
+                 ["sieve", "--hi", "inf"],
+                 ["sieve", "--jobs", "-3"],
+                 ["sieve", "--order", "four"],
+                 sweep + ["--tols", "inf"],
+                 sweep + ["--tols", "1e-4", "--jobs", "-3"],
+                 sweep + ["--tols", "1e-4", "--ref-mass", "nan",
+                          "--ref-radius", "1e6"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error:" in err, argv
+        assert "Traceback" not in err, argv
 
 
 # --- poly --------------------------------------------------------------

@@ -15,10 +15,6 @@ from abmgrid import (
     CONSTANTS,
     PhysicalConstants,
     energy_density_from_x,
-    eos_energy_density,
-    eos_point,
-    eos_pressure,
-    invert_pressure,
     invert_pressure_to_x,
     number_density,
     pressure_from_x,
@@ -141,7 +137,7 @@ def test_density_exceeds_pressure_in_stellar_range():
 def test_pressure_inversion_matches_oracle(P, x_ref, n_ref, rho_ref):
     x = invert_pressure_to_x(P)
     assert x == pytest.approx(x_ref, rel=1e-10)
-    assert invert_pressure(P) == pytest.approx(n_ref, rel=1e-9)
+    assert number_density(x) == pytest.approx(n_ref, rel=1e-9)
     assert energy_density_from_x(x) == pytest.approx(rho_ref, rel=1e-9)
 
 
@@ -157,7 +153,7 @@ def test_inversion_roundtrip_across_twenty_decades():
 
 def test_inversion_handles_edge_inputs():
     assert invert_pressure_to_x(0.0) == 0.0
-    assert invert_pressure(0.0) == 0.0
+    assert number_density(invert_pressure_to_x(0.0)) == 0.0
     with pytest.raises(ValueError):
         invert_pressure_to_x(-1.0)
     with pytest.raises(ValueError):
@@ -172,30 +168,23 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         number_density(-0.5)
     with pytest.raises(ValueError):
-        eos_energy_density(-1e30)
+        energy_density_from_x(-1.0)
 
 
 def test_eos_point_is_self_consistent():
-    point = eos_point(N_AT_X1)
-    assert point.x == pytest.approx(1.0, rel=1e-13)
-    assert point.P == pytest.approx(pressure_from_x(point.x), rel=1e-14)
-    assert point.rho == pytest.approx(energy_density_from_x(point.x),
-                                      rel=1e-14)
-    assert point.u_kinetic == pytest.approx(
-        point.rho - CONSTANTS.m_n * CONSTANTS.c ** 2 * point.n, rel=1e-12)
-    assert point.u_kinetic > 0.0
+    # at x = 1 the density splits into rest mass m_n c^2 n plus a
+    # positive kinetic part that matches the oracle's bracket
+    x = relativity_parameter(N_AT_X1)
+    assert x == pytest.approx(1.0, rel=1e-13)
+    rest = CONSTANTS.m_n * CONSTANTS.c ** 2 * N_AT_X1
+    kinetic = energy_density_from_x(1.0) - rest
+    assert kinetic == pytest.approx(K_ORACLE * BRACKETS[4][2], rel=1e-11)
+    assert kinetic > 0.0
+    assert rest + kinetic == pytest.approx(RHO_AT_X1, rel=1e-13)
 
 
 def test_zero_density_point_is_vacuum():
-    point = eos_point(0.0)
-    assert point.x == 0.0
-    assert point.P == 0.0
-    assert point.rho == 0.0
-
-
-def test_wrapper_functions_agree_with_x_forms():
-    n = 2.5e39
-    x = relativity_parameter(n)
-    assert eos_pressure(n) == pressure_from_x(x)
-    assert eos_energy_density(n) == pytest.approx(energy_density_from_x(x),
-                                                  rel=1e-12)
+    assert relativity_parameter(0.0) == 0.0
+    assert number_density(0.0) == 0.0
+    assert pressure_from_x(0.0) == 0.0
+    assert energy_density_from_x(0.0) == 0.0

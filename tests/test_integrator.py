@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from abmgrid import (
+    GROWTH_CAP,
     CallbackFailure,
+    IntegrationError,
     IntegratorConfig,
     MaxStepsExceeded,
     Mode,
@@ -87,32 +89,41 @@ CONTROL = IntegratorConfig(order_ab=4, target_correction=1e-6)
 
 
 def test_controller_holds_when_on_target():
-    assert next_step_size(1e-6, CONTROL, 5, 0.2) == pytest.approx(0.2)
+    dx, capped, floored = next_step_size(1e-6, CONTROL, 5, 0.2)
+    assert dx == pytest.approx(0.2)
+    assert not capped and not floored
 
 
 def test_controller_halves_on_fifth_root_of_32():
     # epsilon 32x over target with a 5-node correction: (1/32)^(1/5)
-    dx = next_step_size(32e-6, CONTROL, 5, 0.2)
+    dx, capped, floored = next_step_size(32e-6, CONTROL, 5, 0.2)
     assert dx == pytest.approx(0.1, rel=1e-12)
+    assert not capped and not floored
 
 
 def test_controller_caps_growth():
-    assert next_step_size(1e-30, CONTROL, 5, 0.2) == pytest.approx(0.6)
+    assert GROWTH_CAP == 3.0
+    dx, capped, floored = next_step_size(1e-30, CONTROL, 5, 0.2)
+    assert dx == pytest.approx(0.6)
+    assert capped and not floored
 
 
 def test_controller_takes_cap_on_zero_correction():
-    assert next_step_size(0.0, CONTROL, 5, 0.2) == pytest.approx(0.6)
+    dx, capped, floored = next_step_size(0.0, CONTROL, 5, 0.2)
+    assert dx == pytest.approx(0.6)
+    assert capped and not floored
 
 
 def test_controller_shrink_is_uncapped_but_floored():
     config = IntegratorConfig(order_ab=4, target_correction=1e-6,
                               dx_initial=1.0, dx_min=1e-3)
     # enormous correction: raw ratio is tiny, floor catches it
-    assert next_step_size(1e12, config, 5, 1.0) == 1e-3
+    assert next_step_size(1e12, config, 5, 1.0) == (1e-3, False, True)
     # without a floor the shrink passes through
     unfloored = IntegratorConfig(order_ab=4, target_correction=1e-6)
-    assert next_step_size(1e6, unfloored, 5, 1.0) == pytest.approx(
-        (1e-6 / 1e6) ** 0.2, rel=1e-12)
+    dx, capped, floored = next_step_size(1e6, unfloored, 5, 1.0)
+    assert dx == pytest.approx((1e-6 / 1e6) ** 0.2, rel=1e-12)
+    assert not capped and not floored
 
 
 def test_controller_rejects_bad_arguments():
@@ -132,9 +143,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(order_ab=4, dx_initial=1e-4, dx_min=1e-3)
     with pytest.raises(ValueError):
-        IntegratorConfig(order_ab=4, growth_cap=1.0)
-    with pytest.raises(ValueError):
         IntegratorConfig(order_ab=4, max_steps=0)
+    # NaN fails every comparison and inf passes "> 0": both are refused
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            IntegratorConfig(order_ab=4, target_correction=bad)
+        with pytest.raises(ValueError):
+            IntegratorConfig(order_ab=4, dx_initial=bad)
+        with pytest.raises(ValueError):
+            IntegratorConfig(order_ab=4, dx_min=bad)
 
 
 # --- whole integrations ----------------------------------------------
@@ -208,12 +225,12 @@ def test_endpoint_clamp_lands_exactly():
 
 def test_growth_never_exceeds_the_cap():
     config = IntegratorConfig(order_ab=4, dx_initial=1e-3,
-                              target_correction=1e-6, growth_cap=3.0)
+                              target_correction=1e-6)
     trajectory = integrate(lambda x, y: np.array([np.cos(3 * x) * y[0]]),
                            [1.0], 0.0, config, x_end=4.0)
     dx = trajectory.dx
     ratios = dx[1:] / dx[:-1]
-    assert np.all(ratios <= 3.0 + 1e-12)
+    assert np.all(ratios <= GROWTH_CAP + 1e-12)
 
 
 def test_halt_predicate_stops_and_flags():
@@ -244,6 +261,7 @@ def test_max_steps_carries_partial_trajectory():
         integrate(lambda x, y: np.array([1.0]), [0.0], 0.0, config,
                   x_end=10.0)
     assert len(excinfo.value.trajectory) == 7
+    assert excinfo.value.tag == "max-steps"
 
 
 def test_non_finite_state_raises_with_context():
@@ -255,6 +273,7 @@ def test_non_finite_state_raises_with_context():
     with pytest.raises(NonFiniteState) as excinfo:
         integrate(blow_up, [0.0], 0.0, config, x_end=2.0)
     assert len(excinfo.value.trajectory) >= 1
+    assert excinfo.value.tag == "non-finite"
 
 
 def test_callback_exception_is_wrapped_with_cause():
@@ -269,6 +288,31 @@ def test_callback_exception_is_wrapped_with_cause():
         integrate(fragile, [0.0], 0.0, config, x_end=2.0)
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
     assert len(excinfo.value.trajectory) >= 1
+    assert excinfo.value.tag == "failed"
+
+
+def test_callback_integration_error_propagates_with_trajectory():
+    # a callback's own IntegrationError is not wrapped: the engine
+    # attaches the partial trajectory and re-raises the same object
+    class Trapped(IntegrationError):
+        tag = "trapped"
+
+    raised = []
+
+    def trapping(x, y):
+        if x > 0.3:
+            raised.append(Trapped("synthetic trap"))
+            raise raised[-1]
+        return np.array([1.0])
+
+    config = IntegratorConfig(order_ab=2, dx_initial=0.2,
+                              mode=Mode.ABM_FIXED)
+    with pytest.raises(Trapped) as excinfo:
+        integrate(trapping, [0.0], 0.0, config, x_end=2.0)
+    assert excinfo.value is raised[0]
+    assert excinfo.value.tag == "trapped"
+    assert len(excinfo.value.trajectory) == 1
+    assert excinfo.value.trajectory.final_x == pytest.approx(0.2)
 
 
 def test_derivative_shape_mismatch_is_a_callback_failure():

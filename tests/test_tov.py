@@ -13,6 +13,7 @@ import abmgrid.tov as tov
 from abmgrid import (
     CONSTANTS,
     HorizonError,
+    IntegrationError,
     MaxStepsExceeded,
     SieveResult,
     StarSolution,
@@ -210,6 +211,8 @@ def test_horizon_failure_carries_partial_trajectory(monkeypatch):
         integrate_star(P_CENTRAL, star_config(4, 1e-6, dx_initial=1000.0,
                                               dx_min=1000.0))
     assert len(excinfo.value.trajectory) >= 1
+    assert isinstance(excinfo.value, IntegrationError)
+    assert excinfo.value.tag == "horizon"
 
 
 # --- plateau diagnostics ----------------------------------------------
