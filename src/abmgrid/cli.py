@@ -137,9 +137,9 @@ _POLY_COLUMNS = ["i", "x", "dx", "y", "epsilon_max", "y_exact", "error"]
 
 def _poly_rows(trajectory):
     rows = []
-    for record in trajectory.records:
+    exact_values = poly_exact(trajectory.x).tolist()
+    for record, exact in zip(trajectory.records, exact_values):
         y = float(record.y_am[0])
-        exact = float(poly_exact(record.x_next))
         rows.append([record.index, record.x_next, record.dx, y,
                      record.epsilon_max, exact, y - exact])
     return rows
@@ -308,7 +308,12 @@ def cmd_sweep(args) -> int:
     if (args.ref_mass is None) != (args.ref_radius is None):
         raise _UsageError("give both --ref-mass and --ref-radius or neither")
     if args.ref_mass is None:
-        reference_run = integrate_star(args.pc, star_config(10, 1e-8))
+        try:
+            reference_run = integrate_star(args.pc, star_config(10, 1e-8))
+        except IntegrationError as failure:
+            print(f"error: reference star failed ({failure.tag}): {failure}",
+                  file=sys.stderr)
+            return 1
         reference = (reference_run.M, reference_run.R)
     else:
         reference = (args.ref_mass, args.ref_radius)

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,8 +44,7 @@ __all__ = [
     "MaxStepsExceeded",
     "NonFiniteState",
     "CallbackFailure",
-    "ab_predict",
-    "am_correct",
+    "adams_update",
     "fractional_correction",
     "next_step_size",
     "integrate",
@@ -54,6 +52,7 @@ __all__ = [
 
 
 GROWTH_CAP = 3.0  # largest factor by which dx may grow in one step
+_FLOAT = np.dtype(float)
 
 
 class Mode(enum.Enum):
@@ -98,46 +97,73 @@ class IntegratorConfig:
 
 
 class NodeHistory:
-    """Ring buffer of accepted nodes (x, y, y').
+    """The most recent ``capacity`` accepted nodes (x, y, y').
 
     Abscissae must be strictly increasing; the oldest node is evicted
     once ``capacity`` is exceeded.  Stored derivatives are the ones
     evaluated at the *corrected* states, which is what makes the PECE
     accounting exactly two evaluations per step.
+
+    Nodes live in preallocated arrays with room for several times
+    ``capacity`` rows, so the newest nodes are always one contiguous
+    run of rows; when the rows run out, the nodes still held move to
+    the front.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._nodes = deque(maxlen=capacity)
+        self._capacity = capacity
+        self._x = self._y = self._dy = None  # shaped by the first node
+        self._end = 0  # one past the newest node's row
 
     def __len__(self):
-        return len(self._nodes)
+        return min(self._end, self._capacity)
 
     @property
     def capacity(self) -> int:
-        return self._nodes.maxlen
+        return self._capacity
 
     def append(self, x: float, y: np.ndarray, dy: np.ndarray) -> None:
-        if self._nodes and x <= self._nodes[-1][0]:
+        end = self._end
+        if self._x is None:
+            rows = 4 * self._capacity
+            self._x = np.empty(rows)
+            self._y = np.empty((rows,) + np.shape(y))
+            self._dy = np.empty((rows,) + np.shape(dy))
+        elif x <= self._x[end - 1]:
             raise ValueError(
                 f"abscissae must be strictly increasing; got {x!r} after "
-                f"{self._nodes[-1][0]!r}")
-        self._nodes.append((float(x), np.array(y, dtype=float, copy=True),
-                            np.array(dy, dtype=float, copy=True)))
+                f"{float(self._x[end - 1])!r}")
+        elif end == self._x.size:
+            keep = self._capacity - 1
+            for array in (self._x, self._y, self._dy):
+                array[:keep] = array[end - keep:end]
+            end = keep
+        self._x[end] = x
+        self._y[end] = y
+        self._dy[end] = dy
+        self._end = end + 1
 
     def tail(self, n: int):
-        """Most recent ``n`` nodes as (abscissae, derivative rows)."""
-        if not 1 <= n <= len(self._nodes):
-            raise ValueError(f"cannot take {n} nodes from {len(self._nodes)}")
-        nodes = list(self._nodes)[-n:]
-        xs = np.array([node[0] for node in nodes])
-        dys = np.array([node[2] for node in nodes])
-        return xs, dys
+        """Most recent ``n`` nodes as (abscissae, derivative rows).
+
+        Both are C-contiguous views of the history's own rows: read
+        them before the next append.
+        """
+        if not 1 <= n <= len(self):
+            raise ValueError(f"cannot take {n} nodes from {len(self)}")
+        rows = slice(self._end - n, self._end)
+        return self._x[rows], self._dy[rows]
 
     @property
     def newest(self):
-        return self._nodes[-1]
+        """Copy of the newest node as (x, y, y')."""
+        if not self._end:
+            raise IndexError("the history is empty")
+        last = self._end - 1
+        return (float(self._x[last]), self._y[last].copy(),
+                self._dy[last].copy())
 
 
 @dataclass(frozen=True)
@@ -231,48 +257,41 @@ class CallbackFailure(IntegrationError):
     """The derivative callback raised or returned the wrong shape."""
 
 
-def ab_predict(abscissae: Sequence[float], derivatives: np.ndarray,
-               y: np.ndarray, dx: float) -> np.ndarray:
-    """Explicit prediction at the last abscissa + dx.
+def adams_update(y: np.ndarray, offsets: np.ndarray,
+                 derivatives: np.ndarray, dx: float,
+                 newest: Optional[np.ndarray] = None) -> np.ndarray:
+    """y plus the integral over [0, dx] of the interpolated derivative.
 
-    ``abscissae`` are the history node positions (strictly increasing,
-    most recent last) and ``derivatives`` the matching derivative rows.
-    One weight set serves every component of y.
+    ``offsets`` are the node abscissae relative to the current point,
+    strictly increasing, and ``derivatives`` holds one derivative row
+    per history node; one weight set serves every component of y.
+    Without ``newest`` this is the explicit (Adams-Bashforth)
+    prediction: one offset per row, the last at 0.  With ``newest``,
+    f evaluated at (x + dx, y_AB), ``offsets`` ends with one more node
+    at dx and this is the implicit (Adams-Moulton) correction, one
+    order higher.
     """
-    offsets = np.asarray(abscissae, dtype=float) - float(abscissae[-1])
     weights = quadrature_weights(offsets, dx)
-    return y + weights @ np.asarray(derivatives, dtype=float)
+    if newest is None:
+        return y + weights @ derivatives
+    return y + weights[:-1] @ derivatives + weights[-1] * newest
 
 
-def am_correct(abscissae: Sequence[float], derivatives: np.ndarray,
-               y: np.ndarray, predicted_derivative: np.ndarray,
-               dx: float) -> np.ndarray:
-    """Implicit correction using the history plus the predicted node.
+def fractional_correction(y_ab: np.ndarray, y_am: np.ndarray) -> float:
+    """Largest per-component |y_am - y_ab| / |y_ab|.
 
-    ``predicted_derivative`` is f evaluated at (x + dx, y_AB); it joins
-    the stencil as the node at offset +dx, raising the interpolant
-    order by one relative to the prediction.
+    A component whose predicted value is exactly zero falls back to the
+    absolute difference so the controller always sees a finite number;
+    a NaN in any component makes the result NaN.
     """
-    offsets = np.asarray(abscissae, dtype=float) - float(abscissae[-1])
-    offsets = np.append(offsets, dx)
-    weights = quadrature_weights(offsets, dx)
-    increment = weights[:-1] @ np.asarray(derivatives, dtype=float)
-    return y + increment + weights[-1] * np.asarray(predicted_derivative,
-                                                    dtype=float)
-
-
-def fractional_correction(y_ab: np.ndarray, y_am: np.ndarray):
-    """Signed per-component correction and its largest magnitude.
-
-    Each component is (y_am - y_ab) / |y_ab|; a component whose
-    predicted value is exactly zero falls back to the absolute
-    difference so the controller always sees a finite number.
-    """
-    y_ab = np.asarray(y_ab, dtype=float)
-    y_am = np.asarray(y_am, dtype=float)
-    denom = np.where(np.abs(y_ab) > 0.0, np.abs(y_ab), 1.0)
-    epsilon = (y_am - y_ab) / denom
-    return epsilon, float(np.max(np.abs(epsilon)))
+    largest = 0.0
+    for predicted, corrected in zip(y_ab.tolist(), y_am.tolist()):
+        difference = corrected - predicted
+        scale = abs(predicted)
+        epsilon = abs(difference / scale if scale > 0.0 else difference)
+        if epsilon > largest or epsilon != epsilon:
+            largest = epsilon
+    return largest
 
 
 def next_step_size(epsilon_max: float, config: IntegratorConfig,
@@ -346,7 +365,10 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
             raise CallbackFailure(
                 f"derivative callback failed at x={xq!r}: {exc}",
                 trajectory) from exc
-        dy = np.atleast_1d(np.asarray(dy, dtype=float))
+        # a 1-D float64 array, the usual return, needs no conversion
+        if not (type(dy) is np.ndarray and dy.dtype is _FLOAT
+                and dy.ndim == 1):
+            dy = np.atleast_1d(np.asarray(dy, dtype=float))
         if dy.shape != y.shape:
             raise CallbackFailure(
                 f"derivative shape {dy.shape} != state shape {y.shape}",
@@ -366,20 +388,25 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         if clamped:
             dx = x_end - x
         effective_order = min(len(history), config.order_ab)
-        abscissae, derivatives = history.tail(effective_order)
+        nodes, derivatives = history.tail(effective_order)
         x_next = x_end if clamped else x + dx
+        # node offsets from the current point: the predictor's stencil,
+        # then the corrector's extra node at +dx
+        offsets = np.empty(effective_order + 1)
+        np.subtract(nodes, nodes[-1], out=offsets[:-1])
+        offsets[-1] = dx
 
-        y_ab = ab_predict(abscissae, derivatives, y, dx)
+        y_ab = adams_update(y, offsets[:-1], derivatives, dx)
         if config.mode is Mode.AB_FIXED:
             y_am = y_ab
             epsilon_max = 0.0
             dy_next = evaluate(x_next, y_ab)
         else:
             dy_predicted = evaluate(x_next, y_ab)
-            y_am = am_correct(abscissae, derivatives, y, dy_predicted, dx)
+            y_am = adams_update(y, offsets, derivatives, dx, dy_predicted)
             dy_next = evaluate(x_next, y_am)
-            epsilon_max = fractional_correction(y_ab, y_am)[1]
-        if not (np.all(np.isfinite(y_am)) and np.all(np.isfinite(dy_next))):
+            epsilon_max = fractional_correction(y_ab, y_am)
+        if not all(map(math.isfinite, y_am.tolist() + dy_next.tolist())):
             raise NonFiniteState(
                 f"non-finite state or derivative at x={x_next!r}", trajectory)
 

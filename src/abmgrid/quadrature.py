@@ -65,15 +65,17 @@ def quadrature_weights(offsets, dx):
     offsets = np.asarray(offsets, dtype=float)
     if offsets.ndim != 1 or offsets.size == 0:
         raise ValueError("offsets must be a non-empty 1-D array")
-    if np.any(np.diff(offsets) <= 0.0):
+    if (offsets[1:] <= offsets[:-1]).any():
         raise ValueError("offsets must be strictly increasing")
     count = offsets.size
     points, gauss_weights = _gauss_legendre_unit((count + 1) // 2)
     # ratios[i, j, k] = (g_i - t_k) / (t_j - t_k) at the Gauss point
-    # g_i = dx * points[i]; the k = j factor is replaced by 1, so nothing
-    # divides by zero
-    own = np.eye(count, dtype=bool)
-    gaps = np.where(own, 1.0, offsets[:, None] - offsets[None, :])
+    # g_i = dx * points[i]; the k = j factor is set to 1 (its gap too,
+    # before dividing), so nothing divides by zero.  Both arrays are
+    # fresh and C-ordered, so the flat and reshaped views write in place.
+    diagonal = slice(None, None, count + 1)
+    gaps = offsets[:, None] - offsets
+    gaps.flat[diagonal] = 1.0
     ratios = (dx * points[:, None, None] - offsets) / gaps
-    basis = np.where(own, 1.0, ratios).prod(axis=2)
-    return dx * (gauss_weights @ basis)
+    ratios.reshape(points.size, -1)[:, diagonal] = 1.0
+    return dx * (gauss_weights @ ratios.prod(axis=2))

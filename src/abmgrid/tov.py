@@ -62,7 +62,7 @@ def tov_derivatives(r: float, m: float, P: float,
     metric = 1.0 - 2.0 * constants.G * m / (c2 * r)
     if metric <= 0.0:
         raise HorizonError(
-            f"2Gm/(c^2 r) >= 1 at r={r!r} cm, m={m!r} g")
+            f"2Gm/(c^2 r) >= 1 at r={float(r)!r} cm, m={float(m)!r} g")
     x = invert_pressure_to_x(P, constants)
     rho = energy_density_from_x(x, constants)
     four_pi_c2 = 4.0 * math.pi / c2
@@ -127,7 +127,10 @@ def integrate_star(P_central: float, config: IntegratorConfig,
         raise ValueError("central pressure must be positive and finite")
 
     def system(r, state):
-        return np.array(tov_derivatives(r, state[0], state[1], constants))
+        # Python floats: scalar arithmetic on them is cheaper than on
+        # numpy scalars, and rounds the same
+        m, P = state.tolist()
+        return np.array(tov_derivatives(r, m, P, constants))
 
     trajectory = integrate(system, [0.0, P_central], 0.0, config,
                            halt=lambda r, state: state[1] <= 0.0, sink=sink)

@@ -253,6 +253,13 @@ def test_tov_integration_failure_exits_one(capsys):
 
 # --- sieve -------------------------------------------------------------
 
+def test_sieve_horizon_failure_reports_plain_numbers(capsys):
+    assert main(["sieve", "--lo", "1e44", "--hi", "1e46"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2Gm/(c^2 r) >= 1 at r=10.0 cm, m=")
+    assert "np.float64" not in err
+
+
 def test_sieve_reports_peak(capsys):
     assert main(["sieve", "--lo", "2e35", "--hi", "6e35", "--order", "4",
                  "--tol", "1e-6", "--bracket-tol", "0.02"]) == 0
@@ -321,6 +328,17 @@ def test_sweep_failure_cells_are_null_in_json_and_exit_one(capsys):
     assert row[-1] == "non-finite"
     assert row[3] is None  # NaN mass serialized as null
     assert payload["summary"]["status"] == "all cells failed"
+
+
+def test_sweep_reference_star_failure_exits_one(capsys):
+    # without --ref-mass/--ref-radius the order-10 reference star runs
+    # first; at 1e300 erg/cm^3 it goes non-finite on its first step
+    assert main(["sweep", "--orders", "3", "--tols", "1e-2",
+                 "--pc", "1e300"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: reference star failed (non-finite): ")
+    assert "Traceback" not in err
 
 
 # --- installed entry point ----------------------------------------------

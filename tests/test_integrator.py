@@ -1,4 +1,6 @@
 """Unit tests for the predictor-corrector engine and its controller."""
+import math
+
 import numpy as np
 import pytest
 
@@ -12,26 +14,31 @@ from abmgrid import (
     NodeHistory,
     NonFiniteState,
     Trajectory,
-    ab_predict,
-    am_correct,
+    PolyCase,
+    adams_update,
     fractional_correction,
     integrate,
     next_step_size,
+    poly_rhs,
+    quadrature_weights,
+    star_config,
+    tov_derivatives,
 )
 
 
 # --- building blocks -------------------------------------------------
 
 def test_ab_predict_single_node_is_euler():
-    y_next = ab_predict([0.5], np.array([[6.5625]]), np.array([1.0]), 0.25)
+    y_next = adams_update(np.array([1.0]), np.array([0.0]),
+                          np.array([[6.5625]]), 0.25)
     assert y_next[0] == 1.0 + 0.25 * 6.5625  # 2.640625 exactly
 
 
 def test_ab_predict_weights_shared_across_components():
     # two components, derivative rows constant per component
-    abscissae = [0.0, 1.0, 2.0]
+    offsets = np.array([-2.0, -1.0, 0.0])
     derivatives = np.array([[1.0, -2.0]] * 3)
-    y_next = ab_predict(abscissae, derivatives, np.array([0.0, 0.0]), 1.0)
+    y_next = adams_update(np.array([0.0, 0.0]), offsets, derivatives, 1.0)
     np.testing.assert_allclose(y_next, [1.0, -2.0], rtol=1e-14)
 
 
@@ -39,25 +46,31 @@ def test_am_correct_trapezoid_exact_for_linear_derivative():
     # y' = x from x=1 with one history node: correction is the
     # trapezoid rule, exact for a linear integrand
     y = np.array([0.5])  # x^2/2 at x=1
-    corrected = am_correct([1.0], np.array([[1.0]]), y,
-                           np.array([1.5]), 0.5)
+    corrected = adams_update(y, np.array([0.0, 0.5]), np.array([[1.0]]),
+                             0.5, np.array([1.5]))
     assert corrected[0] == pytest.approx(1.5 ** 2 / 2, rel=1e-15)
 
 
-def test_fractional_correction_signed_and_scaled():
-    epsilon, eps_max = fractional_correction(np.array([2.0, -4.0]),
-                                             np.array([2.1, -4.4]))
-    np.testing.assert_allclose(epsilon, [0.05, -0.1], rtol=1e-14)
+def test_fractional_correction_is_the_largest_scaled_magnitude():
+    eps_max = fractional_correction(np.array([2.0, -4.0]),
+                                    np.array([2.1, -4.4]))
     assert eps_max == pytest.approx(0.1, rel=1e-14)
 
 
 def test_fractional_correction_zero_prediction_uses_absolute():
     # a zero predicted component cannot divide; the correction falls
     # back to the absolute difference for that component
-    epsilon, eps_max = fractional_correction(np.array([0.0, 2.0]),
-                                             np.array([0.3, 2.2]))
-    np.testing.assert_allclose(epsilon, [0.3, 0.1], rtol=1e-14)
+    eps_max = fractional_correction(np.array([0.0, 2.0]),
+                                    np.array([0.3, 2.2]))
     assert eps_max == pytest.approx(0.3, rel=1e-14)
+
+
+def test_fractional_correction_propagates_nan():
+    # like a NaN-propagating maximum, wherever the NaN sits
+    for predicted in ([np.nan, 1.0, 2.0], [1.0, np.inf, 2.0],
+                      [1.0, 2.0, np.nan]):
+        assert math.isnan(fractional_correction(
+            np.array(predicted), np.array([1.5, 2.5, 3.5])))
 
 
 def test_node_history_orders_and_evicts():
@@ -81,6 +94,42 @@ def test_node_history_copies_arrays():
     history.append(0.0, y, y)
     y[0] = 99.0
     assert history.newest[1][0] == 1.0
+    # newest hands out copies too
+    x, y_newest, dy_newest = history.newest
+    y_newest[0] = dy_newest[0] = -1.0
+    assert history.newest[1][0] == history.newest[2][0] == 1.0
+    assert type(x) is float
+
+
+def test_node_history_keeps_the_newest_nodes_across_many_appends():
+    capacity = 3
+    history = NodeHistory(capacity)
+    for i in range(10 * capacity + 1):
+        history.append(float(i), [i, -i], [0.5 * i, 2.0 * i])
+        assert len(history) == min(i + 1, capacity)
+        xs, dys = history.tail(len(history))
+        kept = np.arange(max(0, i + 1 - capacity), i + 1, dtype=float)
+        np.testing.assert_array_equal(xs, kept)
+        np.testing.assert_array_equal(dys, np.column_stack([0.5 * kept,
+                                                            2.0 * kept]))
+        for stale in (float(i), float(i) - 0.5):
+            with pytest.raises(ValueError):
+                history.append(stale, [0.0, 0.0], [0.0, 0.0])
+    assert history.newest[0] == 10 * capacity
+    np.testing.assert_array_equal(history.newest[1], [30.0, -30.0])
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_node_history_tail_rows_are_contiguous_float64(width):
+    history = NodeHistory(4)
+    for i in range(20):
+        history.append(i, np.full(width, i), np.full(width, -i))
+        for n in range(1, len(history) + 1):
+            xs, dys = history.tail(n)
+            assert xs.dtype == dys.dtype == np.float64
+            assert xs.flags.c_contiguous and dys.flags.c_contiguous
+            assert xs.shape == (n,) and dys.shape == (n, width)
+            assert xs[-1] == i and dys[-1, 0] == -i
 
 
 # --- step-size controller --------------------------------------------
@@ -366,3 +415,125 @@ def test_empty_trajectory_reports_initial_point():
     assert trajectory.final_x == 1.5
     np.testing.assert_array_equal(trajectory.final_y, [2.0, 3.0])
     assert len(trajectory) == 0
+
+
+# --- the engine against a plain PECE loop -------------------------------
+
+def reference_pece(system, y0, x0, config, x_end=None, halt=None):
+    """integrate() written out plainly, on lists and whole-array numpy.
+
+    Returns (records, n_evals, failed); a record is (x_next, dx, y_am,
+    epsilon_max, effective_order, capped, floored), and ``failed`` is
+    True when a non-finite state stopped the run.
+    """
+    x, y, dx = x0, np.array(y0, dtype=float), config.dx_initial
+    xs, dys, records, n_evals = [x], [system(x, y)], [], 1
+    end = math.inf if x_end is None else x_end - 1e-14 * max(1.0, x_end)
+    while x < end:
+        n = min(len(xs), config.order_ab)
+        clamped = x_end is not None and x + dx >= x_end
+        dx = x_end - x if clamped else dx
+        x_next = x_end if clamped else x + dx
+        offsets, history = np.array(xs[-n:]) - xs[-1], np.array(dys[-n:])
+        y_ab = y + quadrature_weights(offsets, dx) @ history
+        y_am, dy, eps = y_ab, system(x_next, y_ab), 0.0
+        n_evals += 1
+        if config.mode is not Mode.AB_FIXED:
+            weights = quadrature_weights(np.append(offsets, dx), dx)
+            y_am = y + weights[:-1] @ history + weights[-1] * dy
+            dy, n_evals = system(x_next, y_am), n_evals + 1
+            scale = np.where(np.abs(y_ab) > 0.0, np.abs(y_ab), 1.0)
+            eps = float(np.max(np.abs((y_am - y_ab) / scale)))
+        if not (np.all(np.isfinite(y_am)) and np.all(np.isfinite(dy))):
+            return records, n_evals, True
+        dx_taken, capped, floored = dx, False, False
+        if config.mode is Mode.ABM_ADAPTIVE and not clamped:
+            dx, capped, floored = next_step_size(eps, config, n + 1, dx)
+        records.append((x_next, dx_taken, y_am, eps, n, capped, floored))
+        xs.append(x_next)
+        dys.append(dy)
+        x, y = x_next, y_am
+        if halt is not None and halt(x, y):
+            break
+    return records, n_evals, False
+
+
+def assert_same_run(trajectory, expected):
+    records, n_evals, _ = expected
+    assert len(trajectory) == len(records)
+    for record, (x_next, dx, y_am, eps, order, capped, floored) in zip(
+            trajectory, records):
+        assert record.x_next == x_next
+        assert record.dx == dx
+        assert (record.y_am == y_am).all()
+        assert record.epsilon_max == eps or (math.isnan(record.epsilon_max)
+                                             and math.isnan(eps))
+        assert record.effective_order == order
+        assert (record.capped, record.floored) == (capped, floored)
+    assert trajectory.n_evals == n_evals
+
+
+def quartic(x, y):
+    return np.array([poly_rhs(x)])
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("order", [1, 4, 8])
+def test_quartic_run_matches_the_plain_loop_bit_for_bit(mode, order):
+    case = PolyCase(mode=mode, order=order)
+    expected = reference_pece(quartic, [case.y0], case.x0, case.config(),
+                              x_end=case.x_end)
+    assert not expected[2]
+    trajectory = integrate(quartic, [case.y0], case.x0, case.config(),
+                           x_end=case.x_end)
+    assert_same_run(trajectory, expected)
+
+
+def test_star_run_matches_the_plain_loop_bit_for_bit():
+    def star(r, state):
+        return np.array(tov_derivatives(r, *state.tolist()))
+
+    def surface(r, state):
+        return state[1] <= 0.0
+
+    config = star_config(6, 1e-8)
+    expected = reference_pece(star, [0.0, 3.631382e35], 0.0, config,
+                              halt=surface)
+    trajectory = integrate(star, [0.0, 3.631382e35], 0.0, config,
+                           halt=surface)
+    assert trajectory.halted and not expected[2]
+    assert_same_run(trajectory, expected)
+    assert any(record.floored for record in trajectory)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_non_finite_state_stops_where_the_plain_loop_does(mode):
+    # y' = 1/(1 - x) overflows to inf once x reaches 1
+    def pole(x, y):
+        return np.array([1.0 / (1.0 - x) if x < 1.0 else np.inf,
+                         np.cos(x)])
+
+    config = IntegratorConfig(order_ab=3, dx_initial=0.05, dx_min=1e-3,
+                              mode=mode)
+    expected = reference_pece(pole, [0.0, 0.0], 0.0, config, x_end=2.0)
+    assert expected[2]
+    with pytest.raises(NonFiniteState) as excinfo:
+        integrate(pole, [0.0, 0.0], 0.0, config, x_end=2.0)
+    assert_same_run(excinfo.value.trajectory, expected)
+
+
+def test_nan_correction_on_a_finite_state_matches_the_plain_loop():
+    # on the second step the predictor overflows to inf while the
+    # corrector stays finite: epsilon_max is NaN, the state is not
+    derivative = {0.0: -1.7e308, 1.0: 1.7e308}
+
+    def swing(x, y):
+        return np.array([derivative.get(x, 0.0), 1.0])
+
+    config = IntegratorConfig(order_ab=2, dx_initial=1.0,
+                              mode=Mode.ABM_FIXED)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_pece(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
+        trajectory = integrate(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
+    assert math.isnan(trajectory.records[1].epsilon_max)
+    assert_same_run(trajectory, expected)

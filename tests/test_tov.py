@@ -67,6 +67,10 @@ def test_trapped_configuration_raises():
     # 2Gm/(c^2 r) > 1 for m = 1e33 g inside r = 1e5 cm
     with pytest.raises(HorizonError):
         tov_derivatives(1e5, 1e33, 1e30)
+    # numpy scalars are reported as plain numbers
+    with pytest.raises(HorizonError) as excinfo:
+        tov_derivatives(np.float64(1e5), np.float64(1e33), np.float64(1e30))
+    assert str(excinfo.value) == "2Gm/(c^2 r) >= 1 at r=100000.0 cm, m=1e+33 g"
 
 
 def test_mass_gradient_matches_oracle_density():
