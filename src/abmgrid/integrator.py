@@ -339,7 +339,10 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
 
     Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState`, or
     :class:`CallbackFailure`; an :class:`IntegrationError` raised by
-    ``system`` propagates as is.  Each carries the partial trajectory
+    ``system`` propagates as is.  A plain :class:`IntegrationError` is
+    raised before evaluating a step that would not advance x, as when
+    the controller shrinks dx below the spacing of floats at x with no
+    ``dx_min`` to stop it.  Each carries the partial trajectory
     in its ``trajectory`` attribute.
     """
     if x_end is None and halt is None:
@@ -390,6 +393,9 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         effective_order = min(len(history), config.order_ab)
         nodes, derivatives = history.tail(effective_order)
         x_next = x_end if clamped else x + dx
+        if not x_next > x:
+            raise IntegrationError(
+                f"step dx={dx!r} does not advance x={x!r}", trajectory)
         # node offsets from the current point: the predictor's stencil,
         # then the corrector's extra node at +dx
         offsets = np.empty(effective_order + 1)

@@ -2,7 +2,9 @@
 
 Evaluates the pressure and kinetic-energy brackets, the pressure scale
 K = pi m_n^4 c^5 / 3 h^3, and selected inversions at 50 significant
-digits with mpmath, independently of the package implementation.
+digits with mpmath, independently of the package implementation.  The
+brackets are the closed forms, which cancel as x -> 0 (about 4 log10(1/x)
+digits are lost), so they are evaluated with 40 extra digits.
 
 Run:  python tests/oracles/gen_eos_oracle.py
 """
@@ -19,10 +21,12 @@ K = mp.pi * M_N ** 4 * C ** 5 / (3 * H ** 3)
 X_OF_N = (H / (2 * M_N * C))  # times (3n/pi)^(1/3)
 
 
+@mp.extradps(40)
 def pressure_bracket(x):
     return x * (2 * x ** 2 - 3) * mp.sqrt(x ** 2 + 1) + 3 * mp.asinh(x)
 
 
+@mp.extradps(40)
 def kinetic_bracket(x):
     return 3 * x * (2 * x ** 2 + 1) * mp.sqrt(x ** 2 + 1) - 8 * x ** 3 - 3 * mp.asinh(x)
 
@@ -37,6 +41,17 @@ def pressure(x):
 
 def rho(x):
     return M_N * C ** 2 * n_of_x(x) + K * kinetic_bracket(x)
+
+
+def invert(p):
+    """x at which pressure(x) = p: Newton in log x on log(pressure / p),
+    from the larger of the low- and high-density roots (5P/8K)^(1/5) and
+    (P/2K)^(1/4)."""
+    t = p / K
+    x0 = max((5 * t / 8) ** (mp.mpf(1) / 5), (t / 2) ** (mp.mpf(1) / 4))
+    u = mp.findroot(lambda u: mp.log(pressure(mp.exp(u)) / p), mp.log(x0),
+                    solver="newton")
+    return mp.exp(u)
 
 
 if __name__ == "__main__":
@@ -66,6 +81,16 @@ if __name__ == "__main__":
         x = mp.findroot(lambda x: pressure(x) / p - 1, mp.mpf(x0))
         print(f"P={p_str}: x={mp.nstr(x, 20)} n={mp.nstr(n_of_x(x), 20)} "
               f"rho={mp.nstr(rho(x), 20)}")
+    print()
+    # the pressure bracket at small x and on both sides of the package's
+    # series cutoff x = 0.3
+    for xs in ("1e-6", "1e-4", "0.2999999", "0.3000001"):
+        print(f"x={xs}: P-bracket={mp.nstr(pressure_bracket(mp.mpf(xs)), 20)}")
+    print()
+    # inversions over the whole double range of P
+    for p_str in ("1e-10", "1", "1e5", "1e10", "1e20", "1e30", "1e33",
+                  "1e36", "1e40", "1e100", "1e200", "1e300", "1.7e308"):
+        print(f"P={p_str}: x={mp.nstr(invert(mp.mpf(p_str)), 20)}")
     print()
     # Newtonian-limit test point: x = 1e-3, r = 1e5 cm, m = 1e30 g
     x = mp.mpf("1e-3")

@@ -1,10 +1,13 @@
 """Degenerate-neutron-gas EOS against a 50-digit reference.
 
 Frozen values come from tests/oracles/gen_eos_oracle.py (mpmath at 50
-significant digits).  The closed-form brackets cancel catastrophically
-as x -> 0 in double precision (relative error ~2e-16 / x^4), so the
-comparison tolerances widen at small x by exactly that law; the stellar
-regime (x > 0.05) is clean to ~1e-11.
+significant digits).  The pressure bracket is summed from its series
+where its closed form would cancel, so pressure and the inverted x are
+checked at 1e-13 for every x and P.  The kinetic bracket keeps its
+closed form, which cancels catastrophically as x -> 0 in double
+precision (relative error ~2e-16 / x^4), so its tolerances widen at
+small x by exactly that law; the stellar regime (x > 0.05) is clean to
+~1e-11.
 """
 import math
 
@@ -26,8 +29,10 @@ N_AT_X1 = 3.6458656708489567942e+39       # number density at x = 1
 P_AT_X1 = 8.4376292458112350572e+35       # pressure at x = 1
 RHO_AT_X1 = 6.9178696450664859339e+36     # mass-energy density at x = 1
 
-# (x, pressure bracket, kinetic bracket, relative tolerance); the
-# tolerance tracks the measured double-precision cancellation loss
+# (x, pressure bracket, kinetic bracket, kinetic tolerance); the
+# tolerance tracks the measured double-precision cancellation loss of
+# the kinetic closed form, the pressure is held to PRESSURE_REL
+PRESSURE_REL = 1e-13
 BRACKETS = [
     (1e-3, 1.5999994285717619045e-15, 2.3999995714287380952e-15, 5e-3),
     (1e-2, 1.5999428604759632203e-10, 2.3999571445237243016e-10, 1e-6),
@@ -38,6 +43,32 @@ BRACKETS = [
     (10.0, 19807.249642459047742, 52591.75532650807442, 1e-11),
     (100.0, 199980014.14507709418, 592059984.8549729027, 1e-11),
     (1000.0, 1999998000021.0527086, 5992005999977.9472919, 1e-11),
+]
+
+# pressure bracket where its closed form cancels, and on both sides of
+# the x = 0.3 switch from the series to the closed form
+SMALL_X_BRACKETS = [
+    (1e-6, 1.5999999999994285714e-30),
+    (1e-4, 1.599999994285714319e-20),
+    (0.2999999, 0.0037692058297244962623),
+    (0.3000001, 0.003769218243153152731),
+]
+
+# pressure -> x over the whole double range
+WIDE_INVERSIONS = [
+    (1e-10, 6.1930756419575331427e-10),
+    (1.0, 6.1930756419575348392e-8),
+    (1e5, 6.1930756419577028071e-7),
+    (1e10, 6.1930756419744995979e-6),
+    (1e20, 0.00061930758116220716434),
+    (1e30, 0.061947708173645998612),
+    (1e33, 0.24760684968401057896),
+    (1e36, 1.0376974483879562568),
+    (1e40, 9.2656360592845838888),
+    (1e100, 9239649085340589.2136),
+    (1e200, 9.2396490853405892136e+40),
+    (1e300, 9.2396490853405892136e+65),
+    (1.7e308, 1.0550370416990956831e+68),
 ]
 
 # pressure -> (x, number density, mass-energy density)
@@ -91,10 +122,16 @@ def test_state_at_unit_x():
 @pytest.mark.parametrize("x,p_bracket,u_bracket,rel", BRACKETS)
 def test_closed_form_matches_oracle(x, p_bracket, u_bracket, rel):
     assert pressure_from_x(x) == pytest.approx(K_ORACLE * p_bracket,
-                                               rel=rel)
+                                               rel=PRESSURE_REL)
     kinetic = energy_density_from_x(x) - (
         CONSTANTS.m_n * CONSTANTS.c ** 2 * number_density(x))
     assert kinetic == pytest.approx(K_ORACLE * u_bracket, rel=rel)
+
+
+@pytest.mark.parametrize("x,p_bracket", SMALL_X_BRACKETS)
+def test_pressure_bracket_does_not_cancel_at_small_x(x, p_bracket):
+    assert pressure_from_x(x) == pytest.approx(K_ORACLE * p_bracket,
+                                               rel=PRESSURE_REL)
 
 
 def test_nonrelativistic_limit():
@@ -139,6 +176,35 @@ def test_pressure_inversion_matches_oracle(P, x_ref, n_ref, rho_ref):
     assert x == pytest.approx(x_ref, rel=1e-10)
     assert number_density(x) == pytest.approx(n_ref, rel=1e-9)
     assert energy_density_from_x(x) == pytest.approx(rho_ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("P,x_ref", WIDE_INVERSIONS)
+def test_inversion_matches_oracle_over_the_double_range(P, x_ref):
+    assert invert_pressure_to_x(P) == pytest.approx(x_ref, rel=1e-13,
+                                                    abs=0.0)
+
+
+def test_inversion_is_monotone():
+    rng = np.random.default_rng(20)
+    pressures = np.sort(10.0 ** rng.uniform(-10.0, math.log10(1.7e308),
+                                             100_000))
+    xs = np.array([invert_pressure_to_x(float(P)) for P in pressures])
+    assert np.all(np.diff(xs) >= 0.0)
+
+
+def test_inversion_is_finite_at_extreme_pressures():
+    # P / K underflows at 5e-324 and 1e-300, where x is the
+    # non-relativistic root (5P / 8K)^(1/5); 1e300 and 1.7e308 would
+    # overflow a Newton step written as excess * sqrt(1 + x^2)
+    for P in (5e-324, 1e-300):
+        x = invert_pressure_to_x(P)
+        assert math.isfinite(x) and x > 0.0
+        assert x == pytest.approx((0.625 / K_ORACLE) ** 0.2 * P ** 0.2,
+                                  rel=1e-13, abs=0.0)
+    for P in (1e300, 1.7e308):
+        x = invert_pressure_to_x(P)
+        assert math.isfinite(x) and x > 0.0
+        assert pressure_from_x(x) == pytest.approx(P, rel=1e-13)
 
 
 def test_inversion_roundtrip_across_twenty_decades():

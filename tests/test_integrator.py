@@ -364,6 +364,28 @@ def test_callback_integration_error_propagates_with_trajectory():
     assert excinfo.value.trajectory.final_x == pytest.approx(0.2)
 
 
+def test_step_that_does_not_advance_x_is_an_integration_error():
+    # without a floor the controller shrinks dx toward the pole at x = 1
+    # until x + dx == x; the engine stops before evaluating that step
+    calls = []
+
+    def pole(x, y):
+        calls.append(x)
+        return np.array([1.0 / (1.0 - x), math.cos(x)])
+
+    config = IntegratorConfig(order_ab=3, dx_initial=0.05)
+    with pytest.raises(IntegrationError) as excinfo:
+        integrate(pole, [0.0, 0.0], 0.0, config, x_end=2.0)
+    failure = excinfo.value
+    assert type(failure) is IntegrationError and failure.tag == "failed"
+    assert "does not advance" in str(failure)
+    trajectory = failure.trajectory
+    assert len(trajectory) > 0
+    assert calls[-1] == trajectory.final_x < 1.0
+    assert trajectory.n_evals == len(calls) == 2 * len(trajectory) + 1
+    assert np.all(np.diff(trajectory.x) > 0.0)
+
+
 def test_derivative_shape_mismatch_is_a_callback_failure():
     config = IntegratorConfig(order_ab=2, dx_initial=0.2)
     with pytest.raises(CallbackFailure):

@@ -130,12 +130,15 @@ def test_reference_star_regression(reference_star):
     # frozen from this package: the half-solar-mass-scale star at the
     # maximum-mass central pressure.  R and the step count were frozen
     # with weights accurate to roundoff (checked against exact-rational
-    # weights in test_quadrature.py); R is the end of the first 10 cm
-    # floor step past the surface, so it moves with any change in the
-    # weights' last bits
+    # weights in test_quadrature.py) and x(P) within ~1e-14 (checked
+    # against the mpmath inversions in test_eos.py), under the SkylakeX
+    # OpenBLAS kernel that carries the weights' dot products; R is the
+    # end of the first 10 cm floor step past the surface, so it moves
+    # with any change in the last bits of the weights or of x.  With x
+    # correctly rounded the star gives R = 9.16154760541504 km.
     star = reference_star
     assert star.M_msun == pytest.approx(0.7099981422145849, rel=1e-10)
-    assert star.R_km == pytest.approx(9.161553368811543, rel=1e-10)
+    assert star.R_km == pytest.approx(9.161547605103879, rel=1e-10)
     assert star.steps == 519
     assert star.P_central == P_CENTRAL
     assert star.R == star.trajectory.final_x
@@ -169,7 +172,8 @@ def test_star_stays_outside_its_horizon(reference_star):
     assert np.max(compactness) < 1.0
     # the profile peaks in the interior, then relaxes to the surface value
     assert np.max(compactness) == pytest.approx(0.2848, rel=1e-2)
-    assert compactness[-1] == pytest.approx(0.22892842737085667, rel=1e-9)
+    # frozen with the reference star's R, under the same kernel
+    assert compactness[-1] == pytest.approx(0.2289285713941696, rel=1e-9)
 
 
 def test_first_step_hits_the_floor(reference_star):
