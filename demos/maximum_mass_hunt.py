@@ -1,9 +1,10 @@
 """Hunt the maximum gravitational mass over central pressure.
 
 First maps the mass curve M(P_central) on a coarse logarithmic grid to
-show the single hump, then runs the trinary sieve — a bracketing search
-that probes the two interior third-points each iteration and discards
-the outer third on the losing side — to locate the peak.
+show the single hump, then runs the trinary sieve — a golden-section
+search that probes the bracket at its two 1/phi points, discards the
+outer part on the losing side, and reuses the surviving probe — to
+locate the peak.
 """
 import numpy as np
 

@@ -251,8 +251,7 @@ def cmd_sieve(args) -> int:
     config = star_config(args.order, args.tol)
     try:
         result = trinary_sieve(args.lo, args.hi, config,
-                               bracket_tolerance=args.bracket_tol,
-                               jobs=args.jobs)
+                               bracket_tolerance=args.bracket_tol)
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -385,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sieve.add_argument("--bracket-tol", type=_positive, default=1e-3,
                        dest="bracket_tol",
                        help="relative bracket width at convergence")
-    sieve.add_argument("--jobs", type=_at_least_one, default=1)
     sieve.set_defaults(func=cmd_sieve)
 
     sweep = sub.add_parser("sweep", help="order x tolerance efficiency table")

@@ -57,11 +57,10 @@ class PolyCase:
         if not self.x_end > self.x0:
             raise ValueError("x_end must exceed x0")
 
-    def config(self, max_steps: int = 1_000_000) -> IntegratorConfig:
+    def config(self) -> IntegratorConfig:
         return IntegratorConfig(order_ab=self.order,
                                 target_correction=self.tolerance,
-                                dx_initial=self.dx, mode=self.mode,
-                                max_steps=max_steps)
+                                dx_initial=self.dx, mode=self.mode)
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ first accepted step whose pressure is zero or below: that step's mass
 and radius ARE the star's M and R, with no surface interpolation.
 
 The maximum-mass hunt exploits that M(P_central) is unimodal over the
-physical range: a ternary search (two interior probes per iteration,
-discarding the outer third on the losing side) narrows the central
-pressure bracket geometrically.
+physical range: a golden-section search (two interior probes at the
+1/phi points, discarding the outer part on the losing side) narrows the
+central pressure bracket geometrically, and the surviving probe is
+reused, so each iteration integrates one new star.
 """
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from .integrator import (IntegrationError, IntegratorConfig, Mode, Trajectory,
 
 __all__ = ["HorizonError", "StarSolution", "SieveResult", "SweepCell",
            "tov_derivatives", "star_config", "integrate_star",
-           "stable_plateau", "ternary_maximize", "trinary_sieve",
+           "stable_plateau", "golden_maximize", "trinary_sieve",
            "parameter_sweep"]
 
 
@@ -140,34 +140,39 @@ def integrate_star(P_central: float, config: IntegratorConfig,
                         trajectory=trajectory, constants=constants)
 
 
-def ternary_maximize(f, lo: float, hi: float, rel_tol: float = 1e-3,
-                     map_fn=map):
-    """Maximum of a unimodal function by interior-third probing.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-    Each iteration evaluates the two points one third in from either
-    end and discards the outer third on the side of the smaller value,
-    shrinking the bracket by 2/3 per iteration.  Stops when the bracket
-    width falls below ``rel_tol`` of its midpoint; returns (x_star,
-    iterations, evaluations) with x_star the final midpoint.
-    Evaluations are memoized; the not-yet-known probes of an iteration
-    are computed through ``map_fn``, so a pool's map lets the two
-    probes run concurrently.
+
+def golden_maximize(f, lo: float, hi: float, rel_tol: float = 1e-3):
+    """Maximum of a unimodal function by golden-section search.
+
+    The two probes sit at the 1/phi points of the bracket; each
+    iteration discards the outer part on the side of the smaller value,
+    shrinking the bracket by 1/phi.  The surviving probe keeps its
+    point and value and is the other probe of the new bracket, so an
+    iteration evaluates one new point, and only when the loop needs it.
+    Stops when the bracket width falls below ``rel_tol`` of its
+    midpoint; returns (x_star, iterations, evaluations) with x_star the
+    final midpoint.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    memo = {}
-    iterations = 0
+    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fa = fb = None
+    iterations = evaluations = 0
     while (hi - lo) > rel_tol * abs(0.5 * (lo + hi)):
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        missing = [p for p in (a, b) if p not in memo]
-        memo.update(zip(missing, map_fn(f, missing)))
-        if memo[a] < memo[b]:
-            lo = a
+        if fa is None:
+            fa, evaluations = f(a), evaluations + 1
+        if fb is None:
+            fb, evaluations = f(b), evaluations + 1
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b, fb = lo + _INV_PHI * (hi - lo), None
         else:
-            hi = b
+            hi, b, fb = b, a, fa
+            a, fa = hi - _INV_PHI * (hi - lo), None
         iterations += 1
-    return 0.5 * (lo + hi), iterations, len(memo)
+    return 0.5 * (lo + hi), iterations, evaluations
 
 
 def stable_plateau(trajectory: Trajectory, tolerance: float,
@@ -217,12 +222,6 @@ class SieveResult:
         return self.star.R_km
 
 
-def _star_mass(P_c: float, config: IntegratorConfig,
-               constants: PhysicalConstants) -> float:
-    """Worker for sieve probes; top-level so process pools can pickle it."""
-    return integrate_star(P_c, config, constants).M
-
-
 def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
                   constants: PhysicalConstants = CONSTANTS,
                   bracket_tolerance: float = 1e-3,
@@ -231,19 +230,19 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
 
     Assumes M(P_central) is unimodal on the bracket, which holds for
     this gas over the physical range.  The returned star is integrated
-    at the converged bracket midpoint.  With ``jobs`` > 1 the two
-    probes of each iteration run in parallel worker processes.
+    at the converged bracket midpoint.  The search is serial: ``jobs``
+    accepts only 1.
     """
     if not 0.0 < P_lo < P_hi:
         raise ValueError("need 0 < P_lo < P_hi")
-    mass = functools.partial(_star_mass, config=config, constants=constants)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, 2)) as pool:
-            P_star, iterations, evaluations = ternary_maximize(
-                mass, P_lo, P_hi, bracket_tolerance, map_fn=pool.map)
-    else:
-        P_star, iterations, evaluations = ternary_maximize(
-            mass, P_lo, P_hi, bracket_tolerance)
+    if jobs != 1:
+        raise ValueError("the sieve runs serially; jobs must be 1")
+
+    def mass(P_c: float) -> float:
+        return integrate_star(P_c, config, constants).M
+
+    P_star, iterations, evaluations = golden_maximize(
+        mass, P_lo, P_hi, bracket_tolerance)
     star = integrate_star(P_star, config, constants)
     return SieveResult(P_c=P_star, star=star, iterations=iterations,
                        evaluations=evaluations + 1)
@@ -303,7 +302,8 @@ def parameter_sweep(orders, tolerances, P_central: float,
              for order in orders for tolerance in tolerances]
     if not tasks:
         raise ValueError("sweep grid is empty")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_cell, tasks))
     return [_sweep_cell(task) for task in tasks]

@@ -62,11 +62,11 @@ def test_exact_solution_differentiates_to_rhs():
 def test_case_validation_and_config():
     with pytest.raises(ValueError):
         PolyCase(x_end=0.5)
-    config = PolyCase(order=3, tolerance=1e-6, dx=0.125).config(max_steps=99)
+    config = PolyCase(order=3, tolerance=1e-6, dx=0.125).config()
     assert config.order_ab == 3
     assert config.target_correction == 1e-6
     assert config.dx_initial == 0.125
-    assert config.max_steps == 99
+    assert config.max_steps == 1_000_000
 
 
 def test_result_carries_pointwise_error():

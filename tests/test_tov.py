@@ -18,11 +18,11 @@ from abmgrid import (
     SieveResult,
     StarSolution,
     Trajectory,
+    golden_maximize,
     integrate_star,
     parameter_sweep,
     stable_plateau,
     star_config,
-    ternary_maximize,
     tov_derivatives,
     trinary_sieve,
 )
@@ -256,43 +256,44 @@ def test_plateau_is_empty_when_target_is_never_approached():
 
 # --- maximum-mass sieve -----------------------------------------------
 
-def test_ternary_maximize_on_a_quadratic():
-    x_star, iterations, evaluations = ternary_maximize(
+def test_golden_maximize_on_a_quadratic():
+    x_star, iterations, evaluations = golden_maximize(
         lambda x: -(x - 2.0) ** 2, 0.0, 5.0)
     assert abs(x_star - 2.0) <= 2e-3
-    assert iterations == 20   # 5 * (2/3)^k <= 1e-3 * midpoint
-    assert evaluations == 40  # two fresh probes per iteration
+    assert iterations == 17   # 5 / phi^k <= 1e-3 * midpoint
+    assert evaluations == 18  # 2 in the first iteration, then 1 each
 
 
-def test_ternary_maximize_evaluation_accounting():
+def test_golden_maximize_evaluates_each_probe_once():
     calls = []
 
     def probe(x):
         calls.append(x)
         return -(x - 2.0) ** 2
 
-    _, iterations, evaluations = ternary_maximize(probe, 0.0, 5.0)
-    assert evaluations == len(calls)
-    assert len(set(calls)) == len(calls)  # memo never recomputes
+    _, iterations, evaluations = golden_maximize(probe, 0.0, 5.0)
+    assert len(set(calls)) == len(calls)
+    assert evaluations == len(calls) == iterations + 1
 
 
-def test_ternary_maximize_batches_probes_through_map_fn():
-    batches = []
-
-    def batch_map(f, xs):
-        xs = list(xs)
-        batches.append(len(xs))
-        return [f(x) for x in xs]
-
-    _, iterations, _ = ternary_maximize(lambda x: -(x - 2.0) ** 2,
-                                        0.0, 5.0, map_fn=batch_map)
-    assert len(batches) == iterations
-    assert all(1 <= size <= 2 for size in batches)
+@pytest.mark.parametrize("f, lo, hi, end", [
+    (lambda x: x, 0.0, 5.0, 5.0),
+    (lambda x: -x, 1.0, 5.0, 1.0),
+])
+def test_golden_maximize_finds_a_maximum_at_an_end(f, lo, hi, end):
+    rel_tol = 1e-3
+    x_star, _, _ = golden_maximize(f, lo, hi, rel_tol)
+    assert abs(x_star - end) <= rel_tol * end
 
 
-def test_ternary_maximize_rejects_bad_bracket():
+def test_golden_maximize_on_a_narrow_bracket_evaluates_nothing():
+    _, iterations, evaluations = golden_maximize(lambda x: x, 1.0, 1.0005)
+    assert (iterations, evaluations) == (0, 0)
+
+
+def test_golden_maximize_rejects_bad_bracket():
     with pytest.raises(ValueError):
-        ternary_maximize(lambda x: x, 1.0, 1.0)
+        golden_maximize(lambda x: x, 1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -303,21 +304,16 @@ def fast_sieve():
 
 def test_sieve_finds_the_mass_peak(fast_sieve):
     result = fast_sieve
-    assert result.P_c == pytest.approx(3.624278e35, rel=1e-6)
     assert abs(result.P_c / P_CENTRAL - 1.0) < 2.5e-3
     assert result.M_msun == pytest.approx(0.70999813, rel=1e-6)
-    assert result.iterations == 10
-    assert result.evaluations == 21  # 2 per iteration + the final star
+    assert result.iterations == 9
+    assert result.evaluations == 11  # 10 probes + the final star
     assert result.star.P_central == result.P_c
 
 
-def test_sieve_parallel_probes_match_serial(fast_sieve):
-    config = star_config(4, 1e-6, dx_initial=1000.0, dx_min=1000.0)
-    parallel = trinary_sieve(2e35, 6e35, config, bracket_tolerance=0.02,
-                             jobs=2)
-    assert parallel.P_c == fast_sieve.P_c
-    assert parallel.star.M == fast_sieve.star.M
-    assert parallel.evaluations == fast_sieve.evaluations
+def test_sieve_runs_serially():
+    with pytest.raises(ValueError):
+        trinary_sieve(1e35, 1e36, star_config(4, 1e-6), jobs=2)
 
 
 def test_sieve_rejects_bad_bracket():
@@ -385,3 +381,32 @@ def test_sweep_parallel_matches_serial(reference_star):
                                dx_initial=1000.0, dx_min=1000.0, jobs=2)
     assert [(c.order, c.steps, c.M_msun) for c in serial] == [
         (c.order, c.steps, c.M_msun) for c in parallel]
+
+
+def test_sweep_pool_never_outnumbers_its_cells(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(tov, "ProcessPoolExecutor", SerialPool)
+    cells = parameter_sweep([3, 4], [1e-4], P_CENTRAL, (1.0, 1.0),
+                            dx_initial=1000.0, dx_min=1000.0, jobs=10**6)
+    assert sizes == [2]
+    assert [cell.order for cell in cells] == [3, 4]
+    # a one-cell grid needs no pool at all
+    parameter_sweep([4], [1e-4], P_CENTRAL, (1.0, 1.0),
+                    dx_initial=1000.0, dx_min=1000.0, jobs=10**6)
+    assert sizes == [2]
