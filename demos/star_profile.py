@@ -11,7 +11,7 @@ the floor.
 """
 import numpy as np
 
-from abmgrid import integrate_star, stable_plateau, star_config
+from abmgrid import CONSTANTS, integrate_star, stable_plateau, star_config
 
 P_CENTRAL = 3.631382e35   # erg/cm^3: the maximum-mass configuration
 ORDER = 4
@@ -29,7 +29,7 @@ def main() -> None:
     stride = max(len(trajectory) // 20, 1)
     picks = sorted(set(range(0, len(trajectory), stride))
                    | {len(trajectory) - 1})
-    M_sun = star.constants.M_sun
+    M_sun = CONSTANTS.M_sun
     for i in picks:
         record = trajectory.records[i]
         print(f"{i:>5} {record.x_next / 1e5:>10.4f} {record.dx:>12.4e} "
@@ -40,8 +40,7 @@ def main() -> None:
     eps = trajectory.epsilon_max[window]
     m = trajectory.y[:, 0]
     r = trajectory.x
-    constants = star.constants
-    compactness = 2.0 * constants.G * m / (constants.c ** 2 * r)
+    compactness = 2.0 * CONSTANTS.G * m / (CONSTANTS.c ** 2 * r)
     print(f"M = {star.M_msun:.6f} M_sun   R = {star.R_km:.4f} km   "
           f"steps = {star.steps}   evaluations = {trajectory.n_evals}")
     print(f"controller plateau: records {window.start}..{window.stop - 1}, "

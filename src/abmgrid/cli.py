@@ -29,8 +29,7 @@ from . import __version__
 from .eos import CONSTANTS
 from .integrator import GROWTH_CAP, IntegrationError, IntegratorConfig, Mode
 from .poly import PolyCase, poly_exact, run_poly_case
-from .tov import HorizonError, integrate_star, parameter_sweep, star_config, \
-    trinary_sieve
+from .tov import integrate_star, parameter_sweep, star_config, trinary_sieve
 
 __all__ = ["build_parser", "main"]
 
@@ -229,16 +228,14 @@ def cmd_tov(args) -> int:
         line = (f"M = {star.M_msun:.8f} M_sun  R = {star.R_km:.5f} km  "
                 f"steps = {star.steps}")
     else:
-        kind = ("horizon formation" if isinstance(failure, HorizonError)
-                else "integration failure")
-        summary = {"status": f"failed ({kind}): {failure}",
+        summary = {"status": f"failed ({failure.tag}): {failure}",
                    "P_central": args.pc,
                    "steps": len(rows)}
-        line = f"failed ({kind}) after {len(rows)} accepted steps"
+        line = f"failed ({failure.tag}) after {len(rows)} accepted steps"
     _emit(args, "tov", "star", _STAR_COLUMNS, rows, summary,
           _config_dict(config), line)
     if failure is not None:
-        print(f"error ({kind}): {failure}", file=sys.stderr)
+        print(f"error ({failure.tag}): {failure}", file=sys.stderr)
         return 1
     return 0
 

@@ -31,9 +31,8 @@ import math
 import sys
 from dataclasses import dataclass, field, asdict
 
-__all__ = ["PhysicalConstants", "CONSTANTS", "relativity_parameter",
-           "number_density", "pressure_from_x", "energy_density_from_x",
-           "invert_pressure_to_x"]
+__all__ = ["PhysicalConstants", "CONSTANTS", "number_density",
+           "pressure_from_x", "energy_density_from_x", "invert_pressure_to_x"]
 
 
 @dataclass(frozen=True)
@@ -68,20 +67,11 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-def relativity_parameter(n: float,
-                         constants: PhysicalConstants = CONSTANTS) -> float:
-    """x as a function of number density; cube-root scaling in n."""
-    if not n >= 0.0:
-        raise ValueError("number density must be non-negative")
-    return constants.x_coefficient * n ** (1.0 / 3.0)
-
-
-def number_density(x: float,
-                   constants: PhysicalConstants = CONSTANTS) -> float:
-    """Inverse of relativity_parameter."""
+def number_density(x: float) -> float:
+    """Number density at relativity parameter x."""
     if not x >= 0.0:
         raise ValueError("relativity parameter must be non-negative")
-    return (x / constants.x_coefficient) ** 3
+    return (x / CONSTANTS.x_coefficient) ** 3
 
 
 # Below _SERIES_CUTOFF the closed form of the pressure bracket cancels
@@ -110,21 +100,18 @@ def _kinetic_bracket(x: float) -> float:
             - 8.0 * x ** 3 - 3.0 * math.asinh(x))
 
 
-def pressure_from_x(x: float,
-                    constants: PhysicalConstants = CONSTANTS) -> float:
+def pressure_from_x(x: float) -> float:
     """Pressure at relativity parameter x."""
-    return constants.pressure_scale * _pressure_bracket(x)
+    return CONSTANTS.pressure_scale * _pressure_bracket(x)
 
 
-def energy_density_from_x(x: float,
-                          constants: PhysicalConstants = CONSTANTS) -> float:
+def energy_density_from_x(x: float) -> float:
     """Mass-energy density (rest plus kinetic) at relativity parameter x."""
-    rest = constants.m_n * constants.c ** 2 * number_density(x, constants)
-    return rest + constants.pressure_scale * _kinetic_bracket(x)
+    rest = CONSTANTS.m_n * CONSTANTS.c ** 2 * number_density(x)
+    return rest + CONSTANTS.pressure_scale * _kinetic_bracket(x)
 
 
-def invert_pressure_to_x(P: float,
-                         constants: PhysicalConstants = CONSTANTS) -> float:
+def invert_pressure_to_x(P: float) -> float:
     """x at which the gas exerts pressure P.
 
     Newton's method on F(x) = P / K, F the pressure bracket, with the
@@ -142,11 +129,11 @@ def invert_pressure_to_x(P: float,
         raise ValueError("pressure must be finite and non-negative")
     if P == 0.0:
         return 0.0
-    target = P / constants.pressure_scale
+    target = P / CONSTANTS.pressure_scale
     if target < sys.float_info.min:
         # P / K underflows for x below ~1e-61, where F = 8x^5/5 to far
         # below an ulp, so x(P) = x(2^500 P) / 2^100 exactly
-        return invert_pressure_to_x(P * 2.0 ** 500, constants) * 2.0 ** -100
+        return invert_pressure_to_x(P * 2.0 ** 500) * 2.0 ** -100
     x = max((0.625 * target) ** 0.2, (0.5 * target) ** 0.25)
     upper = math.inf
     sqrt = math.sqrt

@@ -97,7 +97,7 @@ class IntegratorConfig:
 
 
 class NodeHistory:
-    """The most recent ``capacity`` accepted nodes (x, y, y').
+    """The most recent ``capacity`` accepted nodes (x, y').
 
     Abscissae must be strictly increasing; the oldest node is evicted
     once ``capacity`` is exceeded.  Stored derivatives are the ones
@@ -114,22 +114,17 @@ class NodeHistory:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._capacity = capacity
-        self._x = self._y = self._dy = None  # shaped by the first node
+        self._x = self._dy = None  # shaped by the first node
         self._end = 0  # one past the newest node's row
 
     def __len__(self):
         return min(self._end, self._capacity)
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def append(self, x: float, y: np.ndarray, dy: np.ndarray) -> None:
+    def append(self, x: float, dy: np.ndarray) -> None:
         end = self._end
         if self._x is None:
             rows = 4 * self._capacity
             self._x = np.empty(rows)
-            self._y = np.empty((rows,) + np.shape(y))
             self._dy = np.empty((rows,) + np.shape(dy))
         elif x <= self._x[end - 1]:
             raise ValueError(
@@ -137,11 +132,10 @@ class NodeHistory:
                 f"{float(self._x[end - 1])!r}")
         elif end == self._x.size:
             keep = self._capacity - 1
-            for array in (self._x, self._y, self._dy):
+            for array in (self._x, self._dy):
                 array[:keep] = array[end - keep:end]
             end = keep
         self._x[end] = x
-        self._y[end] = y
         self._dy[end] = dy
         self._end = end + 1
 
@@ -155,15 +149,6 @@ class NodeHistory:
             raise ValueError(f"cannot take {n} nodes from {len(self)}")
         rows = slice(self._end - n, self._end)
         return self._x[rows], self._dy[rows]
-
-    @property
-    def newest(self):
-        """Copy of the newest node as (x, y, y')."""
-        if not self._end:
-            raise IndexError("the history is empty")
-        last = self._end - 1
-        return (float(self._x[last]), self._y[last].copy(),
-                self._dy[last].copy())
 
 
 @dataclass(frozen=True)
@@ -330,12 +315,12 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
               ) -> Trajectory:
     """Integrate y' = system(x, y) from (x0, y0).
 
-    Exactly one stop condition is required: ``x_end`` clamps the final
+    At least one stop condition is required: ``x_end`` clamps the final
     step so the trajectory lands on the endpoint without overshooting;
     ``halt`` stops after the first accepted step whose corrected state
-    satisfies the predicate.  Both may be given, in which case
-    whichever fires first ends the run.  Each accepted step is passed
-    to ``sink`` as it happens.
+    satisfies the predicate.  When both are given, whichever fires
+    first ends the run.  Each accepted step is passed to ``sink`` as
+    it happens.
 
     Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState`, or
     :class:`CallbackFailure`; an :class:`IntegrationError` raised by
@@ -380,7 +365,7 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         return dy
 
     history = NodeHistory(config.order_ab + 1)
-    history.append(x, y, evaluate(x, y))
+    history.append(x, evaluate(x, y))
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(1.0, abs(x_end))
 
@@ -429,7 +414,7 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         trajectory.records.append(record)
         if sink is not None:
             sink(record)
-        history.append(x_next, y_am, dy_next)
+        history.append(x_next, dy_next)
         x, y = x_next, y_am
 
         if halt is not None and halt(x, y):

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import (CONSTANTS, PhysicalConstants, energy_density_from_x,
-                  invert_pressure_to_x)
+from .eos import CONSTANTS, energy_density_from_x, invert_pressure_to_x
 from .integrator import (IntegrationError, IntegratorConfig, Mode, Trajectory,
                          integrate)
 
@@ -44,8 +43,7 @@ class HorizonError(IntegrationError):
     tag = "horizon"
 
 
-def tov_derivatives(r: float, m: float, P: float,
-                    constants: PhysicalConstants = CONSTANTS):
+def tov_derivatives(r: float, m: float, P: float):
     """(dm/dr, dP/dr) at one point of the stellar interior.
 
     At the regular center r = 0 both derivatives vanish.  At or below
@@ -58,16 +56,16 @@ def tov_derivatives(r: float, m: float, P: float,
         raise ValueError("radius must be non-negative")
     if r == 0.0 or P <= 0.0:
         return 0.0, 0.0
-    c2 = constants.c ** 2
-    metric = 1.0 - 2.0 * constants.G * m / (c2 * r)
+    c2 = CONSTANTS.c ** 2
+    metric = 1.0 - 2.0 * CONSTANTS.G * m / (c2 * r)
     if metric <= 0.0:
         raise HorizonError(
             f"2Gm/(c^2 r) >= 1 at r={float(r)!r} cm, m={float(m)!r} g")
-    x = invert_pressure_to_x(P, constants)
-    rho = energy_density_from_x(x, constants)
+    x = invert_pressure_to_x(P)
+    rho = energy_density_from_x(x)
     four_pi_c2 = 4.0 * math.pi / c2
     dm_dr = four_pi_c2 * r * r * rho
-    dP_dr = (-(constants.G / (c2 * r * r)) * (rho + P)
+    dP_dr = (-(CONSTANTS.G / (c2 * r * r)) * (rho + P)
              * (m + four_pi_c2 * r ** 3 * P) / metric)
     return dm_dr, dP_dr
 
@@ -87,11 +85,10 @@ class StarSolution:
     R: float                  # cm
     steps: int
     trajectory: Trajectory
-    constants: PhysicalConstants
 
     @property
     def M_msun(self) -> float:
-        return self.M / self.constants.M_sun
+        return self.M / CONSTANTS.M_sun
 
     @property
     def R_km(self) -> float:
@@ -113,7 +110,6 @@ def star_config(order: int, tolerance: float, dx_initial: float = 10.0,
 
 
 def integrate_star(P_central: float, config: IntegratorConfig,
-                   constants: PhysicalConstants = CONSTANTS,
                    sink=None) -> StarSolution:
     """Integrate one star outward from its center.
 
@@ -130,14 +126,14 @@ def integrate_star(P_central: float, config: IntegratorConfig,
         # Python floats: scalar arithmetic on them is cheaper than on
         # numpy scalars, and rounds the same
         m, P = state.tolist()
-        return np.array(tov_derivatives(r, m, P, constants))
+        return np.array(tov_derivatives(r, m, P))
 
     trajectory = integrate(system, [0.0, P_central], 0.0, config,
                            halt=lambda r, state: state[1] <= 0.0, sink=sink)
     final = trajectory.records[-1]
     return StarSolution(P_central=P_central, M=float(final.y_am[0]),
                         R=float(final.x_next), steps=len(trajectory),
-                        trajectory=trajectory, constants=constants)
+                        trajectory=trajectory)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -223,7 +219,6 @@ class SieveResult:
 
 
 def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
-                  constants: PhysicalConstants = CONSTANTS,
                   bracket_tolerance: float = 1e-3,
                   jobs: int = 1) -> SieveResult:
     """Central pressure of the maximum-mass star on [P_lo, P_hi].
@@ -239,11 +234,11 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
         raise ValueError("the sieve runs serially; jobs must be 1")
 
     def mass(P_c: float) -> float:
-        return integrate_star(P_c, config, constants).M
+        return integrate_star(P_c, config).M
 
     P_star, iterations, evaluations = golden_maximize(
         mass, P_lo, P_hi, bracket_tolerance)
-    star = integrate_star(P_star, config, constants)
+    star = integrate_star(P_star, config)
     return SieveResult(P_c=P_star, star=star, iterations=iterations,
                        evaluations=evaluations + 1)
 
@@ -268,10 +263,9 @@ class SweepCell:
 
 def _sweep_cell(args) -> SweepCell:
     """Worker for one sweep cell; top-level so process pools can pickle it."""
-    order, tolerance, P_central, M_ref, R_ref, constants, dx0, dxmin = args
-    config = star_config(order, tolerance, dx0, dxmin)
+    order, tolerance, P_central, M_ref, R_ref = args
     try:
-        star = integrate_star(P_central, config, constants)
+        star = integrate_star(P_central, star_config(order, tolerance))
     except IntegrationError as failure:
         return SweepCell(order=order, tolerance=tolerance,
                          steps=len(failure.trajectory or ()),
@@ -284,9 +278,7 @@ def _sweep_cell(args) -> SweepCell:
                      status="ok")
 
 
-def parameter_sweep(orders, tolerances, P_central: float,
-                    reference, constants: PhysicalConstants = CONSTANTS,
-                    dx_initial: float = 10.0, dx_min: float = 10.0,
+def parameter_sweep(orders, tolerances, P_central: float, reference,
                     jobs: int = 1) -> list[SweepCell]:
     """Steps-and-accuracy table over an order x tolerance grid.
 
@@ -297,8 +289,7 @@ def parameter_sweep(orders, tolerances, P_central: float,
     M_ref, R_ref = reference
     if not (M_ref > 0.0 and R_ref > 0.0):
         raise ValueError("reference mass and radius must be positive")
-    tasks = [(order, tolerance, P_central, M_ref, R_ref, constants,
-              dx_initial, dx_min)
+    tasks = [(order, tolerance, P_central, M_ref, R_ref)
              for order in orders for tolerance in tolerances]
     if not tasks:
         raise ValueError("sweep grid is empty")

@@ -12,9 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from abmgrid import (Mode, PolyCase, integrate_star, invert_pressure_to_x,
-                     pressure_from_x, quadrature_weights, run_poly_case,
-                     stable_plateau, star_config, trinary_sieve)
+from abmgrid import (CONSTANTS, Mode, PolyCase, integrate_star,
+                     invert_pressure_to_x, pressure_from_x,
+                     quadrature_weights, run_poly_case, stable_plateau,
+                     star_config, trinary_sieve)
 
 # central pressure of the maximum-mass configuration for this gas, and
 # the mass/radius it must reproduce
@@ -231,8 +232,7 @@ def test_criterion_8_mass_monotone_and_subhorizon(max_mass_run):
     m = star.trajectory.y[:, 0]
     r = star.trajectory.x
     assert np.all(np.diff(m) >= 0.0) and m[-1] > 0.0
-    constants = star.constants
-    compactness = 2.0 * constants.G * m / (constants.c ** 2 * r)
+    compactness = 2.0 * CONSTANTS.G * m / (CONSTANTS.c ** 2 * r)
     assert float(compactness.max()) < 1.0
 
 

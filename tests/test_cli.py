@@ -248,7 +248,7 @@ def test_tov_integration_failure_exits_one(capsys):
     out, err = capsys.readouterr()
     assert out.splitlines()[0].startswith("i,")
     assert len(out.splitlines()) == 1  # no accepted steps to report
-    assert "integration failure" in err
+    assert "non-finite" in err
 
 
 # --- sieve -------------------------------------------------------------

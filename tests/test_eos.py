@@ -21,7 +21,6 @@ from abmgrid import (
     invert_pressure_to_x,
     number_density,
     pressure_from_x,
-    relativity_parameter,
 )
 
 K_ORACLE = 6.8603787788452409455e+35      # pressure scale, erg/cm^3
@@ -106,12 +105,6 @@ def test_constants_must_be_positive():
 
 def test_number_density_at_unit_x():
     assert number_density(1.0) == pytest.approx(N_AT_X1, rel=1e-13)
-
-
-def test_density_parameter_roundtrip():
-    for x in np.logspace(-3, 3, 25):
-        n = number_density(float(x))
-        assert relativity_parameter(n) == pytest.approx(x, rel=1e-13)
 
 
 def test_state_at_unit_x():
@@ -230,8 +223,6 @@ def test_inversion_handles_edge_inputs():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        relativity_parameter(-1.0)
-    with pytest.raises(ValueError):
         number_density(-0.5)
     with pytest.raises(ValueError):
         energy_density_from_x(-1.0)
@@ -240,8 +231,6 @@ def test_parameter_validation():
 def test_eos_point_is_self_consistent():
     # at x = 1 the density splits into rest mass m_n c^2 n plus a
     # positive kinetic part that matches the oracle's bracket
-    x = relativity_parameter(N_AT_X1)
-    assert x == pytest.approx(1.0, rel=1e-13)
     rest = CONSTANTS.m_n * CONSTANTS.c ** 2 * N_AT_X1
     kinetic = energy_density_from_x(1.0) - rest
     assert kinetic == pytest.approx(K_ORACLE * BRACKETS[4][2], rel=1e-11)
@@ -250,7 +239,6 @@ def test_eos_point_is_self_consistent():
 
 
 def test_zero_density_point_is_vacuum():
-    assert relativity_parameter(0.0) == 0.0
     assert number_density(0.0) == 0.0
     assert pressure_from_x(0.0) == 0.0
     assert energy_density_from_x(0.0) == 0.0

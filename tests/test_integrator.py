@@ -75,37 +75,33 @@ def test_fractional_correction_propagates_nan():
 
 def test_node_history_orders_and_evicts():
     history = NodeHistory(2)
-    history.append(0.0, [1.0], [0.1])
-    history.append(1.0, [2.0], [0.2])
-    history.append(2.0, [3.0], [0.3])  # evicts x=0
+    history.append(0.0, [0.1])
+    history.append(1.0, [0.2])
+    history.append(2.0, [0.3])  # evicts x=0
     assert len(history) == 2
     xs, dys = history.tail(2)
     np.testing.assert_allclose(xs, [1.0, 2.0])
     np.testing.assert_allclose(dys[:, 0], [0.2, 0.3])
     with pytest.raises(ValueError):
-        history.append(2.0, [4.0], [0.4])  # not strictly increasing
+        history.append(2.0, [0.4])  # not strictly increasing
     with pytest.raises(ValueError):
         history.tail(3)
 
 
 def test_node_history_copies_arrays():
     history = NodeHistory(2)
-    y = np.array([1.0])
-    history.append(0.0, y, y)
-    y[0] = 99.0
-    assert history.newest[1][0] == 1.0
-    # newest hands out copies too
-    x, y_newest, dy_newest = history.newest
-    y_newest[0] = dy_newest[0] = -1.0
-    assert history.newest[1][0] == history.newest[2][0] == 1.0
-    assert type(x) is float
+    dy = np.array([1.0])
+    history.append(0.0, dy)
+    dy[0] = 99.0
+    xs, dys = history.tail(1)
+    assert xs[0] == 0.0 and dys[0, 0] == 1.0
 
 
 def test_node_history_keeps_the_newest_nodes_across_many_appends():
     capacity = 3
     history = NodeHistory(capacity)
     for i in range(10 * capacity + 1):
-        history.append(float(i), [i, -i], [0.5 * i, 2.0 * i])
+        history.append(float(i), [0.5 * i, 2.0 * i])
         assert len(history) == min(i + 1, capacity)
         xs, dys = history.tail(len(history))
         kept = np.arange(max(0, i + 1 - capacity), i + 1, dtype=float)
@@ -114,16 +110,17 @@ def test_node_history_keeps_the_newest_nodes_across_many_appends():
                                                             2.0 * kept]))
         for stale in (float(i), float(i) - 0.5):
             with pytest.raises(ValueError):
-                history.append(stale, [0.0, 0.0], [0.0, 0.0])
-    assert history.newest[0] == 10 * capacity
-    np.testing.assert_array_equal(history.newest[1], [30.0, -30.0])
+                history.append(stale, [0.0, 0.0])
+    xs, dys = history.tail(1)
+    assert xs[0] == 10 * capacity
+    np.testing.assert_array_equal(dys[0], [15.0, 60.0])
 
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_node_history_tail_rows_are_contiguous_float64(width):
     history = NodeHistory(4)
     for i in range(20):
-        history.append(i, np.full(width, i), np.full(width, -i))
+        history.append(i, np.full(width, -i))
         for n in range(1, len(history) + 1):
             xs, dys = history.tail(n)
             assert xs.dtype == dys.dtype == np.float64

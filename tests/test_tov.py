@@ -213,10 +213,10 @@ def test_extreme_pressure_star_is_one_step():
 def test_horizon_failure_carries_partial_trajectory(monkeypatch):
     real = tov.tov_derivatives
 
-    def trapped(r, m, P, constants=CONSTANTS):
+    def trapped(r, m, P):
         if r > 5000.0:
             raise HorizonError("synthetic horizon")
-        return real(r, m, P, constants)
+        return real(r, m, P)
 
     monkeypatch.setattr(tov, "tov_derivatives", trapped)
     with pytest.raises(HorizonError) as excinfo:
@@ -328,8 +328,7 @@ def test_sieve_rejects_bad_bracket():
 
 def test_sweep_reports_steps_and_agreement(reference_star):
     reference = (reference_star.M, reference_star.R)
-    cells = parameter_sweep([4], [1e-4, 1e-6], P_CENTRAL, reference,
-                            dx_initial=1000.0, dx_min=1000.0)
+    cells = parameter_sweep([4], [1e-4, 1e-6], P_CENTRAL, reference)
     assert [(cell.order, cell.tolerance) for cell in cells] == [
         (4, 1e-4), (4, 1e-6)]
     for cell in cells:
@@ -342,8 +341,7 @@ def test_sweep_reports_steps_and_agreement(reference_star):
 def test_sweep_continues_past_failed_cells():
     # a central pressure beyond float range for the EOS overflows the
     # density on the first evaluation and is reported, not raised
-    cells = parameter_sweep([4], [1e-6], 1e308, (1.0, 1.0),
-                            dx_initial=1000.0, dx_min=1000.0)
+    cells = parameter_sweep([4], [1e-6], 1e308, (1.0, 1.0))
     assert cells[0].status == "non-finite"
     assert not cells[0].ok
     assert math.isnan(cells[0].M_msun)
@@ -351,14 +349,14 @@ def test_sweep_continues_past_failed_cells():
 
 
 def test_sweep_tags_horizon_and_step_budget(monkeypatch):
-    def claustrophobic(P_c, config, constants, sink=None):
+    def claustrophobic(P_c, config, sink=None):
         raise HorizonError("synthetic")
 
     monkeypatch.setattr(tov, "integrate_star", claustrophobic)
     cells = parameter_sweep([4], [1e-6], P_CENTRAL, (1.0, 1.0))
     assert cells[0].status == "horizon"
 
-    def exhausted(P_c, config, constants, sink=None):
+    def exhausted(P_c, config, sink=None):
         raise MaxStepsExceeded("synthetic", Trajectory(0.0, np.zeros(2)))
 
     monkeypatch.setattr(tov, "integrate_star", exhausted)
@@ -375,10 +373,8 @@ def test_sweep_validates_inputs():
 
 def test_sweep_parallel_matches_serial(reference_star):
     reference = (reference_star.M, reference_star.R)
-    serial = parameter_sweep([3, 4], [1e-4], P_CENTRAL, reference,
-                             dx_initial=1000.0, dx_min=1000.0)
-    parallel = parameter_sweep([3, 4], [1e-4], P_CENTRAL, reference,
-                               dx_initial=1000.0, dx_min=1000.0, jobs=2)
+    serial = parameter_sweep([3, 4], [1e-4], P_CENTRAL, reference)
+    parallel = parameter_sweep([3, 4], [1e-4], P_CENTRAL, reference, jobs=2)
     assert [(c.order, c.steps, c.M_msun) for c in serial] == [
         (c.order, c.steps, c.M_msun) for c in parallel]
 
@@ -403,10 +399,9 @@ def test_sweep_pool_never_outnumbers_its_cells(monkeypatch):
 
     monkeypatch.setattr(tov, "ProcessPoolExecutor", SerialPool)
     cells = parameter_sweep([3, 4], [1e-4], P_CENTRAL, (1.0, 1.0),
-                            dx_initial=1000.0, dx_min=1000.0, jobs=10**6)
+                            jobs=10**6)
     assert sizes == [2]
     assert [cell.order for cell in cells] == [3, 4]
     # a one-cell grid needs no pool at all
-    parameter_sweep([4], [1e-4], P_CENTRAL, (1.0, 1.0),
-                    dx_initial=1000.0, dx_min=1000.0, jobs=10**6)
+    parameter_sweep([4], [1e-4], P_CENTRAL, (1.0, 1.0), jobs=10**6)
     assert sizes == [2]
