@@ -30,16 +30,14 @@ def main() -> None:
     picks = sorted(set(range(0, len(trajectory), stride))
                    | {len(trajectory) - 1})
     M_sun = CONSTANTS.M_sun
+    r, dr, epsilon = trajectory.x, trajectory.dx, trajectory.epsilon_max
+    m, P = trajectory.y.T
     for i in picks:
-        record = trajectory.records[i]
-        print(f"{i:>5} {record.x_next / 1e5:>10.4f} {record.dx:>12.4e} "
-              f"{record.y_am[0] / M_sun:>12.6f} {record.y_am[1]:>14.4e} "
-              f"{record.epsilon_max:>10.2e}")
+        print(f"{i:>5} {r[i] / 1e5:>10.4f} {dr[i]:>12.4e} "
+              f"{m[i] / M_sun:>12.6f} {P[i]:>14.4e} {epsilon[i]:>10.2e}")
     print()
     window = stable_plateau(trajectory, TOLERANCE, ORDER)
-    eps = trajectory.epsilon_max[window]
-    m = trajectory.y[:, 0]
-    r = trajectory.x
+    eps = epsilon[window]
     compactness = 2.0 * CONSTANTS.G * m / (CONSTANTS.c ** 2 * r)
     print(f"M = {star.M_msun:.6f} M_sun   R = {star.R_km:.4f} km   "
           f"steps = {star.steps}   evaluations = {trajectory.n_evals}")

@@ -135,13 +135,11 @@ _POLY_COLUMNS = ["i", "x", "dx", "y", "epsilon_max", "y_exact", "error"]
 
 
 def _poly_rows(trajectory):
-    rows = []
-    exact_values = poly_exact(trajectory.x).tolist()
-    for record, exact in zip(trajectory.records, exact_values):
-        y = float(record.y_am[0])
-        rows.append([record.index, record.x_next, record.dx, y,
-                     record.epsilon_max, exact, y - exact])
-    return rows
+    x, y = trajectory.x, trajectory.y[:, 0]
+    exact = poly_exact(x)
+    columns = (x, trajectory.dx, y, trajectory.epsilon_max, exact, y - exact)
+    return [[index, *row] for index, row in
+            enumerate(zip(*(column.tolist() for column in columns)))]
 
 
 def cmd_poly(args) -> int:
@@ -185,8 +183,8 @@ _STAR_COLUMNS = ["i", "r_cm", "dr_cm", "m_g", "P_erg_cm3", "epsilon_max",
 
 def _star_rows(trajectory):
     rows = []
-    last = len(trajectory.records) - 1
-    for record in trajectory.records:
+    last = len(trajectory) - 1
+    for record in trajectory:
         flags = []
         if record.capped:
             flags.append("cap")

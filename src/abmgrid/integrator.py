@@ -7,10 +7,12 @@ The engine advances an ODE system y' = f(x, y) with explicit
     Predict   y_AB at x + dx from the last N stored derivatives,
     Evaluate  f(x + dx, y_AB),
     Correct   y_AM from those derivatives plus the new one (N+1 nodes),
-    Evaluate  f(x + dx, y_AM), which is what enters the history.
+    Evaluate  f(x + dx, y_AM), which is what enters the stencil.
 
-Quadrature weights are rebuilt each step from the actual node
-abscissae, so the grid never needs to be uniform; the step-size
+Every accepted step lands in the :class:`Trajectory`'s columns, and the
+stencil is the newest N rows of its x and y' columns.  Quadrature
+weights are rebuilt each step from those actual node abscissae, so the
+grid never needs to be uniform; the step-size
 controller exploits that freedom by scaling dx against the fractional
 correction |y_AM - y_AB| relative to a target correction E.  Growth is
 capped at GROWTH_CAP per step; shrinking is uncapped down to an
@@ -18,7 +20,7 @@ optional floor.
 Steps are never rejected: the correction always ships and only the
 *next* step size responds.
 
-Bootstrapping: the first step has a one-node history and runs at order
+Bootstrapping: the first step has a one-node stencil and runs at order
 1, the second at order 2, and so on until the configured order is
 reached, so a single initial condition suffices.
 """
@@ -37,7 +39,6 @@ __all__ = [
     "GROWTH_CAP",
     "Mode",
     "IntegratorConfig",
-    "NodeHistory",
     "StepRecord",
     "Trajectory",
     "IntegrationError",
@@ -52,6 +53,7 @@ __all__ = [
 
 
 GROWTH_CAP = 3.0  # largest factor by which dx may grow in one step
+_START_ROWS = 64  # rows a trajectory's columns start with
 _FLOAT = np.dtype(float)
 
 
@@ -96,64 +98,9 @@ class IntegratorConfig:
             raise ValueError("max_steps must be >= 1")
 
 
-class NodeHistory:
-    """The most recent ``capacity`` accepted nodes (x, y').
-
-    Abscissae must be strictly increasing; the oldest node is evicted
-    once ``capacity`` is exceeded.  Stored derivatives are the ones
-    evaluated at the *corrected* states, which is what makes the PECE
-    accounting exactly two evaluations per step.
-
-    Nodes live in preallocated arrays with room for several times
-    ``capacity`` rows, so the newest nodes are always one contiguous
-    run of rows; when the rows run out, the nodes still held move to
-    the front.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._capacity = capacity
-        self._x = self._dy = None  # shaped by the first node
-        self._end = 0  # one past the newest node's row
-
-    def __len__(self):
-        return min(self._end, self._capacity)
-
-    def append(self, x: float, dy: np.ndarray) -> None:
-        end = self._end
-        if self._x is None:
-            rows = 4 * self._capacity
-            self._x = np.empty(rows)
-            self._dy = np.empty((rows,) + np.shape(dy))
-        elif x <= self._x[end - 1]:
-            raise ValueError(
-                f"abscissae must be strictly increasing; got {x!r} after "
-                f"{float(self._x[end - 1])!r}")
-        elif end == self._x.size:
-            keep = self._capacity - 1
-            for array in (self._x, self._dy):
-                array[:keep] = array[end - keep:end]
-            end = keep
-        self._x[end] = x
-        self._dy[end] = dy
-        self._end = end + 1
-
-    def tail(self, n: int):
-        """Most recent ``n`` nodes as (abscissae, derivative rows).
-
-        Both are C-contiguous views of the history's own rows: read
-        them before the next append.
-        """
-        if not 1 <= n <= len(self):
-            raise ValueError(f"cannot take {n} nodes from {len(self)}")
-        rows = slice(self._end - n, self._end)
-        return self._x[rows], self._dy[rows]
-
-
 @dataclass(frozen=True)
 class StepRecord:
-    """One accepted step.
+    """One accepted step, as iterating a :class:`Trajectory` yields it.
 
     ``epsilon_max`` is the largest magnitude of the per-component
     fractional correction, the scalar the controller acts on (0 in
@@ -173,44 +120,84 @@ class StepRecord:
 
 
 class Trajectory:
-    """Accepted steps of one integration plus bookkeeping totals."""
+    """Accepted steps of one integration, one column per quantity.
+
+    Row 0 is the start point: x0, y0 and, once the engine has evaluated
+    it, f(x0, y0).  Row i + 1 is step i: its abscissa, step size,
+    corrected state, the derivative there (the one that enters the
+    stencil, which makes the PECE accounting exactly two evaluations per
+    step), epsilon_max, effective order and controller flags.  The
+    engine reads its stencil as views of the newest rows of the x and
+    y' columns.  The columns double in length when they fill.
+
+    ``x``, ``dx``, ``y`` and ``epsilon_max`` return copies, one entry
+    per step; iteration yields a :class:`StepRecord` per step.
+    """
 
     def __init__(self, x0: float, y0: np.ndarray):
-        self.x0 = float(x0)
-        self.y0 = np.array(y0, dtype=float, copy=True)
-        self.records: list[StepRecord] = []
+        y0 = np.array(y0, dtype=float)
+        rows = _START_ROWS
+        self._x, self._dx, self._eps = (np.empty(rows) for _ in range(3))
+        self._y, self._dy = (np.empty((rows,) + y0.shape) for _ in range(2))
+        self._order = np.empty(rows, dtype=int)
+        self._capped, self._floored = (np.empty(rows, dtype=bool)
+                                       for _ in range(2))
+        self._x[0], self._y[0] = x0, y0
+        self._steps = 0
         self.n_evals = 0
         self.halted = False  # True when a state predicate stopped the run
 
+    def _append(self, x, dx, y, dy, epsilon_max, order, capped, floored):
+        row = self._steps + 1
+        if row == self._x.size:
+            for name in ("_x", "_dx", "_y", "_dy", "_eps", "_order",
+                         "_capped", "_floored"):
+                column = getattr(self, name)
+                grown = np.empty((2 * row,) + column.shape[1:], column.dtype)
+                grown[:row] = column
+                setattr(self, name, grown)
+        self._x[row], self._dx[row], self._eps[row] = x, dx, epsilon_max
+        self._y[row], self._dy[row] = y, dy
+        self._order[row] = order
+        self._capped[row], self._floored[row] = capped, floored
+        self._steps = row
+
     def __len__(self):
-        return len(self.records)
+        return self._steps
 
     def __iter__(self):
-        return iter(self.records)
+        steps = slice(1, self._steps + 1)
+        columns = zip(self._x[steps].tolist(), self._dx[steps].tolist(),
+                      self._y[steps].copy(), self._eps[steps].tolist(),
+                      self._order[steps].tolist(),
+                      self._capped[steps].tolist(),
+                      self._floored[steps].tolist())
+        for index, fields in enumerate(columns):
+            yield StepRecord(index, *fields)
 
     @property
     def x(self) -> np.ndarray:
-        return np.array([r.x_next for r in self.records])
+        return self._x[1:self._steps + 1].copy()
 
     @property
     def y(self) -> np.ndarray:
-        return np.array([r.y_am for r in self.records])
+        return self._y[1:self._steps + 1].copy()
 
     @property
     def dx(self) -> np.ndarray:
-        return np.array([r.dx for r in self.records])
+        return self._dx[1:self._steps + 1].copy()
 
     @property
     def epsilon_max(self) -> np.ndarray:
-        return np.array([r.epsilon_max for r in self.records])
+        return self._eps[1:self._steps + 1].copy()
 
     @property
     def final_x(self) -> float:
-        return self.records[-1].x_next if self.records else self.x0
+        return float(self._x[self._steps])
 
     @property
     def final_y(self) -> np.ndarray:
-        return self.records[-1].y_am if self.records else self.y0
+        return self._y[self._steps].copy()
 
 
 class IntegrationError(RuntimeError):
@@ -310,8 +297,7 @@ def next_step_size(epsilon_max: float, config: IntegratorConfig,
 def integrate(system: Callable[[float, np.ndarray], np.ndarray],
               y0, x0: float, config: IntegratorConfig, *,
               x_end: Optional[float] = None,
-              halt: Optional[Callable[[float, np.ndarray], bool]] = None,
-              sink: Optional[Callable[[StepRecord], None]] = None
+              halt: Optional[Callable[[float, np.ndarray], bool]] = None
               ) -> Trajectory:
     """Integrate y' = system(x, y) from (x0, y0).
 
@@ -319,8 +305,7 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
     step so the trajectory lands on the endpoint without overshooting;
     ``halt`` stops after the first accepted step whose corrected state
     satisfies the predicate.  When both are given, whichever fires
-    first ends the run.  Each accepted step is passed to ``sink`` as
-    it happens.
+    first ends the run.
 
     Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState`, or
     :class:`CallbackFailure`; an :class:`IntegrationError` raised by
@@ -364,19 +349,21 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         trajectory.n_evals += 1
         return dy
 
-    history = NodeHistory(config.order_ab + 1)
-    history.append(x, evaluate(x, y))
+    trajectory._dy[0] = evaluate(x, y)
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(1.0, abs(x_end))
 
-    for index in range(config.max_steps):
+    for _ in range(config.max_steps):
         if x_end is not None and x >= x_end - end_tol:
             return trajectory
         clamped = x_end is not None and x + dx >= x_end
         if clamped:
             dx = x_end - x
-        effective_order = min(len(history), config.order_ab)
-        nodes, derivatives = history.tail(effective_order)
+        # the stencil: the newest rows of the x and y' columns
+        rows = len(trajectory) + 1
+        effective_order = min(rows, config.order_ab)
+        nodes = trajectory._x[rows - effective_order:rows]
+        derivatives = trajectory._dy[rows - effective_order:rows]
         x_next = x_end if clamped else x + dx
         if not x_next > x:
             raise IntegrationError(
@@ -407,14 +394,8 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
             dx, capped, floored = next_step_size(
                 epsilon_max, config, effective_order + 1, dx)
 
-        record = StepRecord(index=index, x_next=x_next, dx=dx_taken,
-                            y_am=y_am, epsilon_max=epsilon_max,
-                            effective_order=effective_order,
-                            capped=capped, floored=floored)
-        trajectory.records.append(record)
-        if sink is not None:
-            sink(record)
-        history.append(x_next, dy_next)
+        trajectory._append(x_next, dx_taken, y_am, dy_next, epsilon_max,
+                           effective_order, capped, floored)
         x, y = x_next, y_am
 
         if halt is not None and halt(x, y):

@@ -77,14 +77,14 @@ class PolyResult:
         return float(self.error[-1])
 
 
-def run_poly_case(case: PolyCase, sink=None) -> PolyResult:
+def run_poly_case(case: PolyCase) -> PolyResult:
     """Integrate the test problem and attach the accumulated error."""
 
     def system(x, y):
         return np.array([poly_rhs(x)])
 
     trajectory = integrate(system, [case.y0], case.x0, case.config(),
-                           x_end=case.x_end, sink=sink)
+                           x_end=case.x_end)
     exact = poly_exact(trajectory.x)
     error = trajectory.y[:, 0] - exact
     return PolyResult(case=case, trajectory=trajectory, y_exact=exact,

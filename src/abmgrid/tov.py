@@ -109,15 +109,14 @@ def star_config(order: int, tolerance: float, dx_initial: float = 10.0,
                             mode=Mode.ABM_ADAPTIVE, max_steps=200_000)
 
 
-def integrate_star(P_central: float, config: IntegratorConfig,
-                   sink=None) -> StarSolution:
+def integrate_star(P_central: float, config: IntegratorConfig) -> StarSolution:
     """Integrate one star outward from its center.
 
     The state vector is (m, P); integration halts at the first accepted
     step with P <= 0.  Raises :class:`HorizonError` if the enclosed
-    mass traps the radius, or the engine's errors for step-budget and
-    non-finite failures; each is an :class:`IntegrationError` carrying
-    the partial trajectory.
+    mass traps the radius, inside the star or at its surface, or the
+    engine's errors for step-budget and non-finite failures; each is an
+    :class:`IntegrationError` carrying the partial trajectory.
     """
     if not (P_central > 0.0 and math.isfinite(P_central)):
         raise ValueError("central pressure must be positive and finite")
@@ -129,11 +128,15 @@ def integrate_star(P_central: float, config: IntegratorConfig,
         return np.array(tov_derivatives(r, m, P))
 
     trajectory = integrate(system, [0.0, P_central], 0.0, config,
-                           halt=lambda r, state: state[1] <= 0.0, sink=sink)
-    final = trajectory.records[-1]
-    return StarSolution(P_central=P_central, M=float(final.y_am[0]),
-                        R=float(final.x_next), steps=len(trajectory),
-                        trajectory=trajectory)
+                           halt=lambda r, state: state[1] <= 0.0)
+    M, R = float(trajectory.final_y[0]), trajectory.final_x
+    # the surface step evaluates at P <= 0, where tov_derivatives does
+    # not look at the horizon
+    if 2.0 * CONSTANTS.G * M / (CONSTANTS.c ** 2 * R) >= 1.0:
+        raise HorizonError(f"2Gm/(c^2 r) >= 1 at r={R!r} cm, m={M!r} g",
+                           trajectory)
+    return StarSolution(P_central=P_central, M=M, R=R,
+                        steps=len(trajectory), trajectory=trajectory)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -154,7 +154,7 @@ def test_poly_failure_emits_partial_rows_and_exits_one(
     partial = integrate(lambda x, y: np.array([1.0]), [1.0], 0.5, config,
                         x_end=1.5)
 
-    def blow_up(case, sink=None):
+    def blow_up(case):
         raise IntegrationError("synthetic failure", partial)
 
     monkeypatch.setattr(cli, "run_poly_case", blow_up)
@@ -240,6 +240,15 @@ def test_tov_manifest_records_stellar_config(tmp_path):
     assert manifest["config"]["dx_min"] == 1000.0
     assert manifest["config"]["max_steps"] == 200_000
     assert manifest["flags"]["pc"] == 3.631382e35
+
+
+def test_tov_star_inside_its_horizon_exits_one(capsys):
+    # the one accepted step crosses the surface at 2GM/(c^2 R) = 3.1
+    assert main(["tov", "--pc", "1e46", "--order", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 + 1
+    assert "failed (horizon) after 1 accepted steps" in err
+    assert "error (horizon): 2Gm/(c^2 r) >= 1 at r=10.0 cm" in err
 
 
 def test_tov_integration_failure_exits_one(capsys):

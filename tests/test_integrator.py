@@ -11,7 +11,6 @@ from abmgrid import (
     IntegratorConfig,
     MaxStepsExceeded,
     Mode,
-    NodeHistory,
     NonFiniteState,
     Trajectory,
     PolyCase,
@@ -71,62 +70,6 @@ def test_fractional_correction_propagates_nan():
                       [1.0, 2.0, np.nan]):
         assert math.isnan(fractional_correction(
             np.array(predicted), np.array([1.5, 2.5, 3.5])))
-
-
-def test_node_history_orders_and_evicts():
-    history = NodeHistory(2)
-    history.append(0.0, [0.1])
-    history.append(1.0, [0.2])
-    history.append(2.0, [0.3])  # evicts x=0
-    assert len(history) == 2
-    xs, dys = history.tail(2)
-    np.testing.assert_allclose(xs, [1.0, 2.0])
-    np.testing.assert_allclose(dys[:, 0], [0.2, 0.3])
-    with pytest.raises(ValueError):
-        history.append(2.0, [0.4])  # not strictly increasing
-    with pytest.raises(ValueError):
-        history.tail(3)
-
-
-def test_node_history_copies_arrays():
-    history = NodeHistory(2)
-    dy = np.array([1.0])
-    history.append(0.0, dy)
-    dy[0] = 99.0
-    xs, dys = history.tail(1)
-    assert xs[0] == 0.0 and dys[0, 0] == 1.0
-
-
-def test_node_history_keeps_the_newest_nodes_across_many_appends():
-    capacity = 3
-    history = NodeHistory(capacity)
-    for i in range(10 * capacity + 1):
-        history.append(float(i), [0.5 * i, 2.0 * i])
-        assert len(history) == min(i + 1, capacity)
-        xs, dys = history.tail(len(history))
-        kept = np.arange(max(0, i + 1 - capacity), i + 1, dtype=float)
-        np.testing.assert_array_equal(xs, kept)
-        np.testing.assert_array_equal(dys, np.column_stack([0.5 * kept,
-                                                            2.0 * kept]))
-        for stale in (float(i), float(i) - 0.5):
-            with pytest.raises(ValueError):
-                history.append(stale, [0.0, 0.0])
-    xs, dys = history.tail(1)
-    assert xs[0] == 10 * capacity
-    np.testing.assert_array_equal(dys[0], [15.0, 60.0])
-
-
-@pytest.mark.parametrize("width", [1, 2])
-def test_node_history_tail_rows_are_contiguous_float64(width):
-    history = NodeHistory(4)
-    for i in range(20):
-        history.append(i, np.full(width, -i))
-        for n in range(1, len(history) + 1):
-            xs, dys = history.tail(n)
-            assert xs.dtype == dys.dtype == np.float64
-            assert xs.flags.c_contiguous and dys.flags.c_contiguous
-            assert xs.shape == (n,) and dys.shape == (n, width)
-            assert xs[-1] == i and dys[-1, 0] == -i
 
 
 # --- step-size controller --------------------------------------------
@@ -210,7 +153,7 @@ def test_constant_derivative_is_exact_and_rides_the_cap():
     assert trajectory.final_x == 3.0
     # corrections sit at roundoff, so every unclamped step takes the cap
     assert all(r.epsilon_max < 1e-12 for r in trajectory)
-    assert all(r.capped for r in trajectory.records[:-1])
+    assert all(r.capped for r in list(trajectory)[:-1])
 
 
 def test_linear_derivative_exact_after_trapezoid_correction():
@@ -287,7 +230,7 @@ def test_halt_predicate_stops_and_flags():
     assert trajectory.halted
     assert trajectory.final_y[0] <= 0.0
     # the state crossed zero on the final accepted step only
-    assert all(r.y_am[0] > 0.0 for r in trajectory.records[:-1])
+    assert all(r.y_am[0] > 0.0 for r in list(trajectory)[:-1])
 
 
 def test_halt_beats_x_end_when_it_fires_first():
@@ -411,15 +354,6 @@ def test_bad_initial_state_rejected():
         integrate(lambda x, y: y, [np.nan], 0.0, config, x_end=1.0)
 
 
-def test_sink_sees_every_record_in_order():
-    seen = []
-    config = IntegratorConfig(order_ab=3, dx_initial=0.1,
-                              mode=Mode.ABM_FIXED)
-    trajectory = integrate(lambda x, y: np.array([np.cos(x)]), [0.0],
-                           0.0, config, x_end=1.0, sink=seen.append)
-    assert seen == trajectory.records
-
-
 def test_scalar_initial_state_promoted_to_vector():
     config = IntegratorConfig(order_ab=2, dx_initial=0.5,
                               mode=Mode.ABM_FIXED)
@@ -490,6 +424,13 @@ def assert_same_run(trajectory, expected):
         assert record.effective_order == order
         assert (record.capped, record.floored) == (capped, floored)
     assert trajectory.n_evals == n_evals
+    # the column reads carry the same bits as the records
+    x_next, dx, y_am, eps = (np.array(column) for column in
+                             list(zip(*records))[:4])
+    assert np.array_equal(trajectory.x, x_next)
+    assert np.array_equal(trajectory.dx, dx)
+    assert np.array_equal(trajectory.y, y_am)
+    assert np.array_equal(trajectory.epsilon_max, eps, equal_nan=True)
 
 
 def quartic(x, y):
@@ -499,13 +440,55 @@ def quartic(x, y):
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("order", [1, 4, 8])
 def test_quartic_run_matches_the_plain_loop_bit_for_bit(mode, order):
-    case = PolyCase(mode=mode, order=order)
-    expected = reference_pece(quartic, [case.y0], case.x0, case.config(),
-                              x_end=case.x_end)
-    assert not expected[2]
-    trajectory = integrate(quartic, [case.y0], case.x0, case.config(),
-                           x_end=case.x_end)
+    # dx = 0.01 runs for hundreds of steps, so the trajectory's columns
+    # grow several times on the way
+    for dx in (0.25, 0.01):
+        case = PolyCase(mode=mode, order=order, dx=dx)
+        expected = reference_pece(quartic, [case.y0], case.x0,
+                                  case.config(), x_end=case.x_end)
+        assert not expected[2]
+        trajectory = integrate(quartic, [case.y0], case.x0, case.config(),
+                               x_end=case.x_end)
+        assert_same_run(trajectory, expected)
+
+
+def test_callback_reusing_one_buffer_gives_the_same_run():
+    # the trajectory copies every derivative it keeps, so a callback
+    # that overwrites one output array runs like one returning fresh ones
+    buffer = np.empty(2)
+
+    def in_place(x, y):
+        buffer[0], buffer[1] = np.cos(x) * y[1], -y[0]
+        return buffer
+
+    def fresh(x, y):
+        return np.array([np.cos(x) * y[1], -y[0]])
+
+    config = IntegratorConfig(order_ab=4, dx_initial=0.01,
+                              target_correction=1e-6)
+    expected = reference_pece(fresh, [1.0, 0.5], 0.0, config, x_end=6.0)
+    trajectory = integrate(in_place, [1.0, 0.5], 0.0, config, x_end=6.0)
+    assert len(trajectory) > 64
     assert_same_run(trajectory, expected)
+
+
+def test_writing_into_column_reads_leaves_the_trajectory_unchanged():
+    config = IntegratorConfig(order_ab=3, dx_initial=0.1,
+                              mode=Mode.ABM_FIXED)
+    trajectory = integrate(lambda x, y: np.array([np.cos(x), x]),
+                           [0.0, 1.0], 0.0, config, x_end=1.0)
+
+    def reads():
+        return [trajectory.x, trajectory.dx, trajectory.y,
+                trajectory.epsilon_max, trajectory.final_y]
+
+    before = reads()
+    for column in reads():
+        column[...] = -1.0
+    for record in trajectory:
+        record.y_am[...] = -1.0
+    for old, new in zip(before, reads()):
+        assert np.array_equal(old, new)
 
 
 def test_star_run_matches_the_plain_loop_bit_for_bit():
@@ -554,5 +537,5 @@ def test_nan_correction_on_a_finite_state_matches_the_plain_loop():
     with np.errstate(over="ignore", invalid="ignore"):
         expected = reference_pece(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
         trajectory = integrate(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
-    assert math.isnan(trajectory.records[1].epsilon_max)
+    assert math.isnan(trajectory.epsilon_max[1])
     assert_same_run(trajectory, expected)

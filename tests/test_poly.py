@@ -188,7 +188,7 @@ def test_settled_controller_stops_hitting_the_cap():
     for order in (3, 4):
         result = run_poly_case(PolyCase(order=order, dx=1e-4,
                                         tolerance=1e-8))
-        records = result.trajectory.records[:-1]  # clamp step excluded
+        records = list(result.trajectory)[:-1]  # clamp step excluded
         half = records[len(records) // 2:]
         assert not any(r.capped for r in half)
         dx = np.array([r.dx for r in half])
@@ -205,7 +205,7 @@ def test_five_node_rule_is_exact_so_controller_rides_the_cap():
     assert sum(r.capped for r in trajectory) >= 5
     dx = trajectory.dx
     assert dx.max() / dx.min() > 1e3
-    assert trajectory.records[-1].epsilon_max < 1e-9
+    assert trajectory.epsilon_max[-1] < 1e-9
     ratios = dx[1:-1] / dx[:-2]
     assert ratios.max() == pytest.approx(3.0, rel=1e-12)
 
@@ -217,6 +217,6 @@ def test_first_step_correction_is_target_independent():
     for tolerance in (1e-4, 1e-8, 1e-12):
         result = run_poly_case(PolyCase(order=4, dx=0.01,
                                         tolerance=tolerance))
-        eps0.append(result.trajectory.records[0].epsilon_max)
+        eps0.append(result.trajectory.epsilon_max[0])
     assert eps0[0] == eps0[1] == eps0[2]
     assert eps0[0] == pytest.approx(1.0222075777e-3, rel=1e-6)

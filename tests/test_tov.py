@@ -180,7 +180,7 @@ def test_first_step_hits_the_floor(reference_star):
     # the m component starts at zero, so the first fractional
     # correction is measured absolutely and is enormous; the floor is
     # what keeps the controller from collapsing dx
-    first = reference_star.trajectory.records[0]
+    first = list(reference_star.trajectory)[0]
     assert first.floored
     assert first.dx == 10.0
 
@@ -202,12 +202,29 @@ def test_coarse_floor_star_regression():
 
 def test_extreme_pressure_star_is_one_step():
     # at 1e42 erg/cm^3 the pressure scale height is far below the
-    # floor, so the very first accepted step crosses the surface
-    star = integrate_star(1e42, star_config(4, 1e-6, dx_initial=1000.0,
-                                            dx_min=1000.0))
-    assert star.steps == 1
-    assert star.trajectory.halted
-    assert star.R == 1000.0
+    # floor, so the very first accepted step crosses the surface, with
+    # 2GM/(c^2 R) = 3.1 there: the star is inside its own horizon
+    with pytest.raises(HorizonError) as excinfo:
+        integrate_star(1e42, star_config(4, 1e-6, dx_initial=1000.0,
+                                         dx_min=1000.0))
+    trajectory = excinfo.value.trajectory
+    assert len(trajectory) == 1
+    assert trajectory.halted
+    assert trajectory.final_x == 1000.0
+    assert str(excinfo.value).startswith("2Gm/(c^2 r) >= 1 at r=1000.0 cm")
+
+
+@pytest.mark.parametrize("P_c, steps", [(1e45, 3), (1e46, 1)])
+def test_star_ending_inside_its_horizon_is_a_horizon_error(P_c, steps):
+    # the step that crosses the surface evaluates at P <= 0, where the
+    # derivatives skip their horizon check; the finished star is checked
+    with pytest.raises(HorizonError) as excinfo:
+        integrate_star(P_c, star_config(4, 1e-6))
+    trajectory = excinfo.value.trajectory
+    assert len(trajectory) == steps and trajectory.halted
+    M, R = trajectory.final_y[0], trajectory.final_x
+    assert 2.0 * CONSTANTS.G * M / (CONSTANTS.c ** 2 * R) > 1.0
+    assert excinfo.value.tag == "horizon"
 
 
 def test_horizon_failure_carries_partial_trajectory(monkeypatch):
@@ -349,14 +366,14 @@ def test_sweep_continues_past_failed_cells():
 
 
 def test_sweep_tags_horizon_and_step_budget(monkeypatch):
-    def claustrophobic(P_c, config, sink=None):
+    def claustrophobic(P_c, config):
         raise HorizonError("synthetic")
 
     monkeypatch.setattr(tov, "integrate_star", claustrophobic)
     cells = parameter_sweep([4], [1e-6], P_CENTRAL, (1.0, 1.0))
     assert cells[0].status == "horizon"
 
-    def exhausted(P_c, config, sink=None):
+    def exhausted(P_c, config):
         raise MaxStepsExceeded("synthetic", Trajectory(0.0, np.zeros(2)))
 
     monkeypatch.setattr(tov, "integrate_star", exhausted)

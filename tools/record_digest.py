@@ -1,0 +1,151 @@
+"""SHA-256 digests of every accepted step of a fixed set of runs.
+
+Usage:  python tools/record_digest.py <src-dir>
+
+Imports ``abmgrid`` from ``<src-dir>`` and prints one digest per group
+of runs.  Two source trees that print the same line for a group produce
+the same bits for every step of that group: abscissa, step size, state,
+fractional correction, order and controller flags, plus the evaluation
+count, the halt flag and the failure (type, tag, message) if any.
+
+Only the public API that every version of the package offers is used:
+iterating a trajectory, ``len``, ``n_evals`` and ``halted``.  So the
+script runs unchanged against an older checkout, and its output can be
+diffed line by line between two trees.
+
+Groups:
+  stars     orders {3, 6, 10} x E {1e-2, 1e-5, 1e-8} x P_c {1e34,
+            3.631382e35, 1e37}
+  failures  P_c 1e308 and 3.8e45 (order 4, E 1e-6)
+  trapped   P_c 1e45 and 1e46 (order 4, E 1e-6), stars that end inside
+            their own horizon
+  poly      3 modes x orders {1, 4, 8} x dx {0.25, 0.01}
+  sweep     orders 3..10 x E {1e-2, 1e-5, 1e-8} at 3.631382e35 against
+            the order-10, E = 1e-8 star
+  sieve     the default sieve, [1e35, 1e36] at order 6, E = 1e-8
+"""
+import hashlib
+import sys
+
+import numpy as np
+
+P_MAX = 3.631382e35
+
+
+class Digest:
+    """A SHA-256 fed with typed, delimited encodings of plain values."""
+
+    def __init__(self):
+        self._hash = hashlib.sha256()
+        self.items = 0
+
+    def feed(self, *values):
+        for value in values:
+            if isinstance(value, str):
+                self._hash.update(b"s" + value.encode() + b"\0")
+            elif isinstance(value, int):  # bool included
+                self._hash.update(b"i%d\0" % value)
+            else:
+                doubles = np.asarray(value, dtype="<f8")
+                self._hash.update(b"d%d\0" % doubles.size + doubles.tobytes())
+
+    def trajectory(self, trajectory):
+        self.feed(len(trajectory), trajectory.n_evals,
+                  bool(trajectory.halted))
+        for record in trajectory:
+            self.feed(int(record.index), float(record.x_next),
+                      float(record.dx), record.y_am,
+                      float(record.epsilon_max), int(record.effective_order),
+                      bool(record.capped), bool(record.floored))
+        self.items += 1
+
+    def outcome(self, run):
+        """Feed what ``run()`` returns, or the IntegrationError it raises."""
+        from abmgrid import IntegrationError
+        try:
+            result = run()
+        except IntegrationError as failure:
+            self.feed("failure", type(failure).__name__, failure.tag,
+                      str(failure))
+            if failure.trajectory is not None:
+                self.trajectory(failure.trajectory)
+            else:
+                self.items += 1
+            return None
+        return result
+
+    def hexdigest(self):
+        return self._hash.hexdigest()
+
+
+def star_group(digest, pressures, orders, tolerances):
+    from abmgrid import integrate_star, star_config
+    for P_c in pressures:
+        for order in orders:
+            for tolerance in tolerances:
+                star = digest.outcome(lambda: integrate_star(
+                    P_c, star_config(order, tolerance)))
+                if star is not None:
+                    digest.feed("ok", star.M, star.R, star.steps)
+                    digest.trajectory(star.trajectory)
+
+
+def poly_group(digest):
+    from abmgrid import Mode, PolyCase, run_poly_case
+    for mode in Mode:
+        for order in (1, 4, 8):
+            for dx in (0.25, 0.01):
+                result = digest.outcome(lambda: run_poly_case(
+                    PolyCase(mode=mode, order=order, dx=dx)))
+                if result is not None:
+                    digest.feed(result.y_exact, result.error)
+                    digest.trajectory(result.trajectory)
+
+
+def sweep_group(digest):
+    from abmgrid import integrate_star, parameter_sweep, star_config
+    reference = integrate_star(P_MAX, star_config(10, 1e-8))
+    cells = parameter_sweep(range(3, 11), [1e-2, 1e-5, 1e-8], P_MAX,
+                            (reference.M, reference.R))
+    for cell in cells:
+        digest.feed(cell.order, cell.tolerance, cell.steps, cell.M_msun,
+                    cell.R_km, cell.rel_dM, cell.rel_dR, cell.status)
+        digest.items += 1
+
+
+def sieve_group(digest):
+    from abmgrid import star_config, trinary_sieve
+    result = trinary_sieve(1e35, 1e36, star_config(6, 1e-8))
+    digest.feed(result.P_c, result.iterations, result.evaluations,
+                result.star.M, result.star.R)
+    digest.trajectory(result.star.trajectory)
+
+
+GROUPS = (
+    ("stars", lambda d: star_group(d, (1e34, P_MAX, 1e37), (3, 6, 10),
+                                   (1e-2, 1e-5, 1e-8))),
+    ("failures", lambda d: star_group(d, (1e308, 3.8e45), (4,), (1e-6,))),
+    ("trapped", lambda d: star_group(d, (1e45, 1e46), (4,), (1e-6,))),
+    ("poly", poly_group),
+    ("sweep", sweep_group),
+    ("sieve", sieve_group),
+)
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python tools/record_digest.py <src-dir>",
+              file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
+    import abmgrid
+    print(f"# abmgrid from {abmgrid.__file__}", file=sys.stderr)
+    for name, run in GROUPS:
+        digest = Digest()
+        run(digest)
+        print(f"{name:<9} {digest.items:>3} {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
