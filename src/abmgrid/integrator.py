@@ -10,15 +10,18 @@ The engine advances an ODE system y' = f(x, y) with explicit
     Evaluate  f(x + dx, y_AM), which is what enters the stencil.
 
 Every accepted step lands in the :class:`Trajectory`'s columns, and the
-stencil is the newest N rows of its x and y' columns.  Quadrature
-weights are rebuilt each step from those actual node abscissae, so the
-grid never needs to be uniform; the step-size
-controller exploits that freedom by scaling dx against the fractional
-correction |y_AM - y_AB| relative to a target correction E.  Growth is
-capped at GROWTH_CAP per step; shrinking is uncapped down to an
-optional floor.
-Steps are never rejected: the correction always ships and only the
-*next* step size responds.
+stencil is the newest N rows of its x and y' columns.  Each step builds
+the interpolating polynomial afresh from those actual node abscissae,
+in Newton form (divided differences of the derivatives, basis integrals
+on Gauss points; see :func:`adams_update`), so the grid never needs to
+be uniform and nothing but the columns is carried from step to step.
+It is the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
+integrate, reached on Python floats with the correction as one extra
+term.  The step-size controller exploits the free grid by scaling dx
+against the fractional correction |y_AM - y_AB| relative to a target
+correction E.  Growth is capped at GROWTH_CAP per step; shrinking is
+uncapped down to an optional floor.  Steps are never rejected: the
+correction always ships and only the *next* step size responds.
 
 Bootstrapping: the first step has a one-node stencil and runs at order
 1, the second at order 2, and so on until the configured order is
@@ -29,11 +32,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import quadrature_weights
+from .quadrature import _gauss_legendre_unit
 
 __all__ = [
     "GROWTH_CAP",
@@ -229,24 +233,90 @@ class CallbackFailure(IntegrationError):
     """The derivative callback raised or returned the wrong shape."""
 
 
-def adams_update(y: np.ndarray, offsets: np.ndarray,
-                 derivatives: np.ndarray, dx: float,
-                 newest: Optional[np.ndarray] = None) -> np.ndarray:
-    """y plus the integral over [0, dx] of the interpolated derivative.
+@lru_cache(maxsize=None)
+def _gauss_rule(count):
+    """(point, weight) pairs of the count-point Gauss rule on [0, 1]."""
+    points, weights = _gauss_legendre_unit(count)
+    return tuple(zip(points.tolist(), weights.tolist()))
 
-    ``offsets`` are the node abscissae relative to the current point,
-    strictly increasing, and ``derivatives`` holds one derivative row
-    per history node; one weight set serves every component of y.
-    Without ``newest`` this is the explicit (Adams-Bashforth)
-    prediction: one offset per row, the last at 0.  With ``newest``,
-    f evaluated at (x + dx, y_AB), ``offsets`` ends with one more node
-    at dx and this is the implicit (Adams-Moulton) correction, one
-    order higher.
+
+def adams_update(y: np.ndarray, nodes: np.ndarray, derivatives: np.ndarray,
+                 dx: float, derivative_at: Optional[Callable] = None):
+    """One Adams step of size dx from the newest node: (y_AB, y_AM).
+
+    ``nodes`` are the stencil's abscissae, strictly increasing and
+    ending at the current point x, where the state is ``y``;
+    ``derivatives`` holds one derivative row per node.  y_AB is y plus
+    the integral over [x, x + dx] of the polynomial p that interpolates
+    the derivatives.  ``derivative_at(y_AB)`` returns f(x + dx, y_AB);
+    y_AM integrates the interpolant through that point as well, one
+    order higher.  Without ``derivative_at`` nothing is corrected and
+    y_AM is y_AB.
+
+    p is built in Newton form on the node offsets s_0 = 0 > s_1 > ...,
+    newest first: p(t) = sum_i c_i prod_{k<i} (t - s_k), with c_i the
+    divided differences of each component's derivatives.  The basis
+    integrals are exact on ceil((N + 1) / 2) Gauss points.  The
+    corrector adds one term, c_N prod_{k<N} (t - s_k), with
+    c_N = (f(x + dx, y_AB) - p(dx)) / prod_k (dx - s_k), so the
+    correction is formed as its own term, not as a difference.
+
+    Everything runs on Python floats in a fixed order (``math.fsum``
+    is correctly rounded), so no BLAS kernel enters the step.  Each component's derivatives are scaled
+    by the power of two 2^-k that brings the largest |f'| into [1, 2),
+    and the increment is divided by 2^-k again.  That is exact, so no
+    bit changes, but differences of derivatives near the overflow
+    threshold stay finite, and a result beyond it becomes inf instead
+    of raising (as ``math.ldexp`` would).
     """
-    weights = quadrature_weights(offsets, dx)
-    if newest is None:
-        return y + weights @ derivatives
-    return y + weights[:-1] @ derivatives + weights[-1] * newest
+    stencil = nodes.tolist()
+    here = stencil[-1]
+    offsets = [node - here for node in reversed(stencil)]
+    count = len(offsets)
+    # integrals[i] = integral over [0, dx] of prod_{k<i} (t - s_k)
+    integrals = [0.0] * (count + 1)
+    for point, weight in _gauss_rule(count // 2 + 1):
+        t = dx * point
+        term = dx * weight
+        for i, offset in enumerate(offsets):
+            integrals[i] += term
+            term *= t - offset
+        integrals[count] += term
+
+    tables, scales = [], []
+    for column in derivatives.T.tolist():
+        largest = max(max(column), -min(column))
+        scale = 2.0 ** -max(math.frexp(largest)[1] - 1, -1022)
+        tables.append([f * scale for f in reversed(column)])
+        scales.append(scale)
+    # newest-first divided differences, in place: table[i] = c_i
+    for level in range(1, count):
+        for i in range(count - 1, level - 1, -1):
+            span = offsets[i] - offsets[i - level]
+            for table in tables:
+                table[i] = (table[i] - table[i - 1]) / span
+    start = y.tolist()
+    increments = [math.fsum([c * g for c, g in zip(table, integrals)])
+                  for table in tables]
+    y_ab = np.array([y0 + increment / scale for y0, increment, scale
+                     in zip(start, increments, scales)])
+    if derivative_at is None:
+        return y_ab, y_ab
+
+    at_new_node = 1.0  # prod_k (dx - s_k)
+    for offset in offsets:
+        at_new_node *= dx - offset
+    weight = integrals[count] / at_new_node
+    y_am = []
+    for y0, increment, scale, table, f in zip(
+            start, increments, scales, tables,
+            derivative_at(y_ab).tolist()):
+        predicted = table[-1]  # p(dx), by Horner's rule
+        for i in range(count - 2, -1, -1):
+            predicted = predicted * (dx - offsets[i]) + table[i]
+        y_am.append(
+            y0 + (increment + weight * (f * scale - predicted)) / scale)
+    return y_ab, np.array(y_am)
 
 
 def fractional_correction(y_ab: np.ndarray, y_am: np.ndarray) -> float:
@@ -349,6 +419,11 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         trajectory.n_evals += 1
         return dy
 
+    def at_next(y_ab: np.ndarray) -> np.ndarray:
+        return evaluate(x_next, y_ab)  # x_next of the step under way
+
+    # evaluates f at the prediction for the corrector; AB_FIXED has none
+    corrector = None if config.mode is Mode.AB_FIXED else at_next
     trajectory._dy[0] = evaluate(x, y)
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(1.0, abs(x_end))
@@ -359,31 +434,19 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         clamped = x_end is not None and x + dx >= x_end
         if clamped:
             dx = x_end - x
-        # the stencil: the newest rows of the x and y' columns
-        rows = len(trajectory) + 1
-        effective_order = min(rows, config.order_ab)
-        nodes = trajectory._x[rows - effective_order:rows]
-        derivatives = trajectory._dy[rows - effective_order:rows]
         x_next = x_end if clamped else x + dx
         if not x_next > x:
             raise IntegrationError(
                 f"step dx={dx!r} does not advance x={x!r}", trajectory)
-        # node offsets from the current point: the predictor's stencil,
-        # then the corrector's extra node at +dx
-        offsets = np.empty(effective_order + 1)
-        np.subtract(nodes, nodes[-1], out=offsets[:-1])
-        offsets[-1] = dx
-
-        y_ab = adams_update(y, offsets[:-1], derivatives, dx)
-        if config.mode is Mode.AB_FIXED:
-            y_am = y_ab
-            epsilon_max = 0.0
-            dy_next = evaluate(x_next, y_ab)
-        else:
-            dy_predicted = evaluate(x_next, y_ab)
-            y_am = adams_update(y, offsets, derivatives, dx, dy_predicted)
-            dy_next = evaluate(x_next, y_am)
-            epsilon_max = fractional_correction(y_ab, y_am)
+        # the stencil: the newest rows of the x and y' columns
+        rows = len(trajectory) + 1
+        effective_order = min(rows, config.order_ab)
+        stencil = slice(rows - effective_order, rows)
+        y_ab, y_am = adams_update(y, trajectory._x[stencil],
+                                  trajectory._dy[stencil], dx, corrector)
+        dy_next = evaluate(x_next, y_am)
+        epsilon_max = (0.0 if corrector is None
+                       else fractional_correction(y_ab, y_am))
         if not all(map(math.isfinite, y_am.tolist() + dy_next.tolist())):
             raise NonFiniteState(
                 f"non-finite state or derivative at x={x_next!r}", trajectory)

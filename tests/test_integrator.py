@@ -1,5 +1,9 @@
 """Unit tests for the predictor-corrector engine and its controller."""
+import functools
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,17 +23,27 @@ from abmgrid import (
     integrate,
     next_step_size,
     poly_rhs,
-    quadrature_weights,
     star_config,
     tov_derivatives,
 )
 
 
+def _load_weight_oracle():
+    path = Path(__file__).parent / "oracles" / "gen_weight_oracle.py"
+    spec = importlib.util.spec_from_file_location("gen_weight_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+exact_pece = _load_weight_oracle().exact_pece
+
+
 # --- building blocks -------------------------------------------------
 
 def test_ab_predict_single_node_is_euler():
-    y_next = adams_update(np.array([1.0]), np.array([0.0]),
-                          np.array([[6.5625]]), 0.25)
+    y_next, _ = adams_update(np.array([1.0]), np.array([0.0]),
+                             np.array([[6.5625]]), 0.25)
     assert y_next[0] == 1.0 + 0.25 * 6.5625  # 2.640625 exactly
 
 
@@ -37,7 +51,8 @@ def test_ab_predict_weights_shared_across_components():
     # two components, derivative rows constant per component
     offsets = np.array([-2.0, -1.0, 0.0])
     derivatives = np.array([[1.0, -2.0]] * 3)
-    y_next = adams_update(np.array([0.0, 0.0]), offsets, derivatives, 1.0)
+    y_next, _ = adams_update(np.array([0.0, 0.0]), offsets, derivatives,
+                             1.0)
     np.testing.assert_allclose(y_next, [1.0, -2.0], rtol=1e-14)
 
 
@@ -45,9 +60,68 @@ def test_am_correct_trapezoid_exact_for_linear_derivative():
     # y' = x from x=1 with one history node: correction is the
     # trapezoid rule, exact for a linear integrand
     y = np.array([0.5])  # x^2/2 at x=1
-    corrected = adams_update(y, np.array([0.0, 0.5]), np.array([[1.0]]),
-                             0.5, np.array([1.5]))
+    _, corrected = adams_update(y, np.array([0.0]), np.array([[1.0]]),
+                                0.5, lambda y_ab: np.array([1.5]))
     assert corrected[0] == pytest.approx(1.5 ** 2 / 2, rel=1e-15)
+
+
+def test_without_a_corrector_the_update_is_the_prediction():
+    y_ab, y_am = adams_update(np.array([1.0, 2.0]), np.array([-0.5, 0.0]),
+                              np.array([[1.0, 3.0], [2.0, 5.0]]), 0.25)
+    assert y_am is y_ab
+
+
+def _random_stencil(rng, count, dx):
+    """Offsets ending at 0 whose gaps run from dx/3 to 3 dx."""
+    gaps = dx * rng.uniform(1.0 / 3.0, 3.0, count - 1)
+    return np.append(-np.cumsum(gaps[::-1])[::-1], 0.0)
+
+
+def test_pece_pair_matches_exact_rational_arithmetic():
+    # the Newton form on floats against the Lagrange weights applied in
+    # Fraction arithmetic, on stretched stencils; the two components
+    # differ in size by up to 1e200, which the power-of-two scaling
+    # absorbs, so each is held to its own scale
+    rng = np.random.default_rng(20261018)
+    for _ in range(500):
+        count = int(rng.integers(1, 12))
+        dx = float(rng.uniform(0.01, 2.0))
+        offsets = _random_stencil(rng, count, dx)
+        size = np.array([1.0, 10.0 ** rng.uniform(-200.0, 200.0)])
+        derivatives = size * rng.uniform(-1.0, 1.0, (count, 2))
+        newest = size * rng.uniform(-1.0, 1.0, 2)
+        y_ab, y_am = adams_update(np.zeros(2), offsets, derivatives, dx,
+                                  lambda y_ab: newest)
+        exact_ab, exact_am, w_ab, w_am = exact_pece(
+            [0, 0], offsets.tolist(), derivatives.tolist(), dx,
+            newest.tolist())
+        am_rows = np.vstack([derivatives, newest])
+        for got, exact, weights, rows in ((y_ab, exact_ab, w_ab, derivatives),
+                                          (y_am, exact_am, w_am, am_rows)):
+            weight_sum = float(sum(abs(w) for w in weights))
+            for j, value in enumerate(got.tolist()):
+                budget = 1e-13 * weight_sum * np.abs(rows[:, j]).max()
+                error = abs(float(Fraction(value) - exact[j]))
+                assert error <= budget, (offsets, dx, j, error / budget)
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_scaled_derivatives_scale_the_increment_exactly(power):
+    # the update rescales each component by a power of two before the
+    # divided differences, so a stencil scaled by 2^power gives
+    # increments scaled by exactly 2^power, bit for bit
+    rng = np.random.default_rng(5)
+    factor = 2.0 ** power
+    for count in range(1, 12):
+        offsets = _random_stencil(rng, count, 0.3)
+        derivatives = rng.uniform(-1.0, 1.0, (count, 2))
+        newest = rng.uniform(-1.0, 1.0, 2)
+        plain = adams_update(np.zeros(2), offsets, derivatives, 0.3,
+                             lambda y_ab: newest)
+        scaled = adams_update(np.zeros(2), offsets, factor * derivatives,
+                              0.3, lambda y_ab: factor * newest)
+        for base, big in zip(plain, scaled):
+            assert np.array_equal(big, factor * base)
 
 
 def test_fractional_correction_is_the_largest_scaled_magnitude():
@@ -372,41 +446,93 @@ def test_empty_trajectory_reports_initial_point():
 
 # --- the engine against a plain PECE loop -------------------------------
 
-def reference_pece(system, y0, x0, config, x_end=None, halt=None):
-    """integrate() written out plainly, on lists and whole-array numpy.
+@functools.lru_cache(maxsize=None)
+def gauss_rule(count):
+    """The count-point Gauss-Legendre rule on [0, 1], as float pairs."""
+    points, weights = np.polynomial.legendre.leggauss(count)
+    return [(0.5 * (point + 1.0), 0.5 * weight)
+            for point, weight in zip(points.tolist(), weights.tolist())]
 
-    Returns (records, n_evals, failed); a record is (x_next, dx, y_am,
+
+def newton_column(column, offsets):
+    """(scale, newest-first divided differences) of one component.
+
+    ``column`` is oldest first; the scale is the power of two that
+    brings its largest magnitude into [1, 2).
+    """
+    exponent = max(math.frexp(max(abs(f) for f in column))[1] - 1, -1022)
+    scale = 2.0 ** -exponent
+    table = [f * scale for f in column[::-1]]
+    coefficients = [table[0]]
+    for level in range(1, len(table)):
+        table = [(a - b) / (s_a - s_b) for a, b, s_a, s_b
+                 in zip(table[1:], table, offsets[level:], offsets)]
+        coefficients.append(table[0])
+    return scale, coefficients
+
+
+def reference_pece(system, y0, x0, config, x_end=None, halt=None):
+    """integrate() written out plainly, on lists of Python floats.
+
+    Each step builds the Newton form afresh: newest-first divided
+    differences of the stored derivatives, basis integrals on Gauss
+    points, and the corrector as one more Newton term.  Returns
+    (records, n_evals, failed); a record is (x_next, dx, y_am,
     epsilon_max, effective_order, capped, floored), and ``failed`` is
     True when a non-finite state stopped the run.
     """
-    x, y, dx = x0, np.array(y0, dtype=float), config.dx_initial
-    xs, dys, records, n_evals = [x], [system(x, y)], [], 1
+    x, y, dx = x0, [float(v) for v in y0], config.dx_initial
+    xs, dys, records = [x], [system(x, np.array(y)).tolist()], []
+    n_evals = 1
     end = math.inf if x_end is None else x_end - 1e-14 * max(1.0, x_end)
     while x < end:
         n = min(len(xs), config.order_ab)
         clamped = x_end is not None and x + dx >= x_end
         dx = x_end - x if clamped else dx
         x_next = x_end if clamped else x + dx
-        offsets, history = np.array(xs[-n:]) - xs[-1], np.array(dys[-n:])
-        y_ab = y + quadrature_weights(offsets, dx) @ history
-        y_am, dy, eps = y_ab, system(x_next, y_ab), 0.0
+        offsets = [node - xs[-1] for node in xs[-n:][::-1]]
+        # integrals[i]: prod_{k<i} (t - s_k) over [0, dx], i = 0..n
+        integrals = [0.0] * (n + 1)
+        for point, weight in gauss_rule(n // 2 + 1):
+            term = dx * weight
+            for i in range(n + 1):
+                integrals[i] += term
+                if i < n:
+                    term *= dx * point - offsets[i]
+        columns = [newton_column([row[j] for row in dys[-n:]], offsets)
+                   for j in range(len(y))]
+        increments = [math.fsum([c * g for c, g in zip(coefficients,
+                                                         integrals)])
+                      for _, coefficients in columns]
+        y_ab = [y0 + increment / scale for y0, increment, (scale, _)
+                in zip(y, increments, columns)]
+        y_am, dy, eps = y_ab, system(x_next, np.array(y_ab)).tolist(), 0.0
         n_evals += 1
         if config.mode is not Mode.AB_FIXED:
-            weights = quadrature_weights(np.append(offsets, dx), dx)
-            y_am = y + weights[:-1] @ history + weights[-1] * dy
-            dy, n_evals = system(x_next, y_am), n_evals + 1
-            scale = np.where(np.abs(y_ab) > 0.0, np.abs(y_ab), 1.0)
-            eps = float(np.max(np.abs((y_am - y_ab) / scale)))
-        if not (np.all(np.isfinite(y_am)) and np.all(np.isfinite(dy))):
+            weight = integrals[n] / math.prod(dx - s for s in offsets)
+            y_am = []
+            for y0, increment, (scale, coefficients), f in zip(
+                    y, increments, columns, dy):
+                at_dx = coefficients[-1]  # the prediction's p(dx)
+                for c, s in zip(coefficients[-2::-1], offsets[-2::-1]):
+                    at_dx = at_dx * (dx - s) + c
+                correction = weight * (f * scale - at_dx)
+                y_am.append(y0 + (increment + correction) / scale)
+            dy, n_evals = system(x_next, np.array(y_am)).tolist(), n_evals + 1
+            predicted, corrected = np.array(y_ab), np.array(y_am)
+            scale = np.where(np.abs(predicted) > 0.0, np.abs(predicted), 1.0)
+            eps = float(np.max(np.abs((corrected - predicted) / scale)))
+        if not all(math.isfinite(v) for v in y_am + dy):
             return records, n_evals, True
         dx_taken, capped, floored = dx, False, False
         if config.mode is Mode.ABM_ADAPTIVE and not clamped:
             dx, capped, floored = next_step_size(eps, config, n + 1, dx)
-        records.append((x_next, dx_taken, y_am, eps, n, capped, floored))
+        records.append((x_next, dx_taken, np.array(y_am), eps, n, capped,
+                        floored))
         xs.append(x_next)
         dys.append(dy)
         x, y = x_next, y_am
-        if halt is not None and halt(x, y):
+        if halt is not None and halt(x, np.array(y)):
             break
     return records, n_evals, False
 

@@ -5,10 +5,15 @@ oracle (tests/oracles/gen_eos_oracle.py); star-level numbers were
 measured once with this package and frozen as regression pins.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abmgrid
 import abmgrid.tov as tov
 from abmgrid import (
     CONSTANTS,
@@ -131,11 +136,11 @@ def test_reference_star_regression(reference_star):
     # maximum-mass central pressure.  R and the step count were frozen
     # with weights accurate to roundoff (checked against exact-rational
     # weights in test_quadrature.py) and x(P) within ~1e-14 (checked
-    # against the mpmath inversions in test_eos.py), under the SkylakeX
-    # OpenBLAS kernel that carries the weights' dot products; R is the
-    # end of the first 10 cm floor step past the surface, so it moves
-    # with any change in the last bits of the weights or of x.  With x
-    # correctly rounded the star gives R = 9.16154760541504 km.
+    # against the mpmath inversions in test_eos.py); R is the end of
+    # the first 10 cm floor step past the surface, so it moves with any
+    # change in the last bits of the update or of x.  With x correctly
+    # rounded the star gives R = 9.16154760541504 km.  The update runs
+    # on Python floats, so no BLAS kernel moves these bits.
     star = reference_star
     assert star.M_msun == pytest.approx(0.7099981422145849, rel=1e-10)
     assert star.R_km == pytest.approx(9.161547605103879, rel=1e-10)
@@ -143,6 +148,26 @@ def test_reference_star_regression(reference_star):
     assert star.P_central == P_CENTRAL
     assert star.R == star.trajectory.final_x
     assert star.M == star.trajectory.final_y[0]
+
+
+def _order_10_star_under(coretype):
+    """steps, repr(R) and repr(M) of the order-10 star in a child process
+    whose OpenBLAS runs the given kernel."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(abmgrid.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    script = ("from abmgrid import integrate_star, star_config\n"
+              f"star = integrate_star({P_CENTRAL!r}, star_config(10, 1e-8))\n"
+              "print(star.steps, repr(star.R), repr(star.M))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def test_star_bits_do_not_depend_on_the_blas_kernel():
+    # with the update on numpy's dot product, this star took 169 steps
+    # under the Haswell kernel and 168 under Prescott
+    assert _order_10_star_under("Haswell") == _order_10_star_under("Prescott")
 
 
 def test_star_costs_two_evaluations_per_step(reference_star):
