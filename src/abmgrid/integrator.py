@@ -434,14 +434,14 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         clamped = x_end is not None and x + dx >= x_end
         if clamped:
             dx = x_end - x
-        x_next = x_end if clamped else x + dx
-        if not x_next > x:
-            raise IntegrationError(
-                f"step dx={dx!r} does not advance x={x!r}", trajectory)
         # the stencil: the newest rows of the x and y' columns
         rows = len(trajectory) + 1
         effective_order = min(rows, config.order_ab)
         stencil = slice(rows - effective_order, rows)
+        x_next = x_end if clamped else x + dx
+        if not x_next > x:
+            raise IntegrationError(
+                f"step dx={dx!r} does not advance x={x!r}", trajectory)
         y_ab, y_am = adams_update(y, trajectory._x[stencil],
                                   trajectory._dy[stencil], dx, corrector)
         dy_next = evaluate(x_next, y_am)
