@@ -18,7 +18,6 @@ demands it), so a bad value exits 2 before any work starts.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -63,12 +62,19 @@ _at_least_one = _flag_type(int, lambda value: value >= 1, "an integer >= 1")
 
 # ---------------------------------------------------------------- output
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return f"{float(value):.17g}"
+# The column names of each table kind, and the %-format of one of its
+# CSV lines: one conversion per column, %d for counts, %.17g for doubles
+# (17 significant digits round-trip) and %s for text.
+_POLY_COLUMNS = ["i", "x", "dx", "y", "epsilon_max", "y_exact", "error"]
+_STAR_COLUMNS = ["i", "r_cm", "dr_cm", "m_g", "P_erg_cm3", "epsilon_max",
+                 "flags"]
+_SWEEP_COLUMNS = ["order", "tol", "steps", "M_msun", "R_km", "rel_dM",
+                  "rel_dR", "status"]
+_CSV_LINE = {
+    "trajectory": "%d" + ",%.17g" * 6 + "\n",
+    "star": "%d" + ",%.17g" * 5 + ",%s\n",
+    "sweep": "%d,%.17g,%d" + ",%.17g" * 4 + ",%s\n",
+}
 
 
 def _json_cell(value):
@@ -78,11 +84,11 @@ def _json_cell(value):
 
 
 def _write_table(stream, fmt: str, kind: str, columns, rows, summary):
+    """Write ``rows``, tuples of cells, as a CSV or JSON table."""
     if fmt == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(cell) for cell in row])
+        line = _CSV_LINE[kind]
+        stream.write(",".join(columns) + "\n")
+        stream.writelines(line % row for row in rows)
     else:
         payload = {
             "kind": kind,
@@ -131,15 +137,11 @@ def _emit(args, command: str, kind: str, columns, rows, summary,
 
 # ---------------------------------------------------------------- poly
 
-_POLY_COLUMNS = ["i", "x", "dx", "y", "epsilon_max", "y_exact", "error"]
-
-
 def _poly_rows(trajectory):
     x, y = trajectory.x, trajectory.y[:, 0]
     exact = poly_exact(x)
     columns = (x, trajectory.dx, y, trajectory.epsilon_max, exact, y - exact)
-    return [[index, *row] for index, row in
-            enumerate(zip(*(column.tolist() for column in columns)))]
+    return list(zip(range(len(x)), *(column.tolist() for column in columns)))
 
 
 def cmd_poly(args) -> int:
@@ -177,10 +179,6 @@ def cmd_poly(args) -> int:
 
 # ---------------------------------------------------------------- tov
 
-_STAR_COLUMNS = ["i", "r_cm", "dr_cm", "m_g", "P_erg_cm3", "epsilon_max",
-                 "flags"]
-
-
 def _star_rows(trajectory):
     rows = []
     last = len(trajectory) - 1
@@ -193,9 +191,9 @@ def _star_rows(trajectory):
         if (record.index == last and trajectory.halted
                 and record.y_am[1] <= 0.0):
             flags.append("surface")
-        rows.append([record.index, record.x_next, record.dx,
+        rows.append((record.index, record.x_next, record.dx,
                      float(record.y_am[0]), float(record.y_am[1]),
-                     record.epsilon_max, "+".join(flags)])
+                     record.epsilon_max, "+".join(flags)))
     return rows
 
 
@@ -260,10 +258,6 @@ def cmd_sieve(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-_SWEEP_COLUMNS = ["order", "tol", "steps", "M_msun", "R_km", "rel_dM",
-                  "rel_dR", "status"]
-
-
 def _parse_orders(text: str):
     text = text.strip()
     if not text:
@@ -312,8 +306,8 @@ def cmd_sweep(args) -> int:
     else:
         reference = (args.ref_mass, args.ref_radius)
     cells = parameter_sweep(orders, tols, args.pc, reference, jobs=args.jobs)
-    rows = [[cell.order, cell.tolerance, cell.steps, cell.M_msun, cell.R_km,
-             cell.rel_dM, cell.rel_dR, cell.status] for cell in cells]
+    rows = [(cell.order, cell.tolerance, cell.steps, cell.M_msun, cell.R_km,
+             cell.rel_dM, cell.rel_dR, cell.status) for cell in cells]
     n_ok = sum(cell.ok for cell in cells)
     summary = {
         "status": "ok" if n_ok else "all cells failed",
@@ -392,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="ref_radius", help="reference radius, cm")
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    sweep.add_argument("--jobs", type=_at_least_one, default=1)
+    sweep.add_argument("--jobs", type=_at_least_one, default=1,
+                       help="worker processes, at most one per CPU")
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -9,15 +9,17 @@ The engine advances an ODE system y' = f(x, y) with explicit
     Correct   y_AM from those derivatives plus the new one (N+1 nodes),
     Evaluate  f(x + dx, y_AM), which is what enters the stencil.
 
-Every accepted step lands in the :class:`Trajectory`'s columns, and the
-stencil is the newest N rows of its x and y' columns.  Each step builds
-the interpolating polynomial afresh from those actual node abscissae,
-in Newton form (divided differences of the derivatives, basis integrals
-on Gauss points; see :func:`adams_update`), so the grid never needs to
-be uniform and nothing but the columns is carried from step to step.
-It is the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
+Every accepted step lands in a row of the :class:`Trajectory`, whose
+buffer of doubles reads back as Python floats, and the stencil is the
+newest N entries of its x and y' columns.  Each step builds the
+interpolating polynomial afresh from those actual node abscissae, in
+Newton form (divided differences of the derivatives, basis integrals on
+Gauss points; see :func:`adams_update`), so the grid never needs to be
+uniform and nothing but the columns is carried from step to step.  It is
+the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
-term.  The step-size controller exploits the free grid by scaling dx
+term.  The state becomes a numpy array only where a callback receives
+it.  The step-size controller exploits the free grid by scaling dx
 against the fractional correction |y_AM - y_AB| relative to a target
 correction E.  Growth is capped at GROWTH_CAP per step; shrinking is
 uncapped down to an optional floor.  Steps are never rejected: the
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -57,8 +60,10 @@ __all__ = [
 
 
 GROWTH_CAP = 3.0  # largest factor by which dx may grow in one step
-_START_ROWS = 64  # rows a trajectory's columns start with
 _FLOAT = np.dtype(float)
+# where a trajectory row keeps x, dx and epsilon_max; the state y starts
+# at _Y, after the order and the two flags, and y' follows it
+_X, _DX, _EPS, _Y = 0, 1, 2, 6
 
 
 class Mode(enum.Enum):
@@ -124,84 +129,75 @@ class StepRecord:
 
 
 class Trajectory:
-    """Accepted steps of one integration, one column per quantity.
+    """Accepted steps of one integration, one row per step.
 
-    Row 0 is the start point: x0, y0 and, once the engine has evaluated
-    it, f(x0, y0).  Row i + 1 is step i: its abscissa, step size,
-    corrected state, the derivative there (the one that enters the
-    stencil, which makes the PECE accounting exactly two evaluations per
-    step), epsilon_max, effective order and controller flags.  The
-    engine reads its stencil as views of the newest rows of the x and
-    y' columns.  The columns double in length when they fill.
+    A row is x, dx, epsilon_max, effective order, the capped and
+    floored flags (0.0 or 1.0), the corrected state y and the
+    derivative y' there (the one that enters the stencil, which makes
+    the PECE accounting exactly two evaluations per step).  Row 0 is
+    the start point: x0, y0 and, once the engine has evaluated it,
+    f(x0, y0).  The rows share one growing buffer of doubles
+    (``array("d")``): 8 bytes a value, read back as Python floats, and
+    no heap fragmentation from a buffer per column growing side by
+    side.  The engine slices its stencil from the x and y' columns.
 
-    ``x``, ``dx``, ``y`` and ``epsilon_max`` return copies, one entry
-    per step; iteration yields a :class:`StepRecord` per step.
+    ``x``, ``dx``, ``y`` and ``epsilon_max`` return new float64 arrays,
+    one entry (``y``: one row) per step; iteration yields a
+    :class:`StepRecord` per step.
     """
 
     def __init__(self, x0: float, y0: np.ndarray):
         y0 = np.array(y0, dtype=float)
-        rows = _START_ROWS
-        self._x, self._dx, self._eps = (np.empty(rows) for _ in range(3))
-        self._y, self._dy = (np.empty((rows,) + y0.shape) for _ in range(2))
-        self._order = np.empty(rows, dtype=int)
-        self._capped, self._floored = (np.empty(rows, dtype=bool)
-                                       for _ in range(2))
-        self._x[0], self._y[0] = x0, y0
-        self._steps = 0
+        self._shape, self._size = y0.shape, y0.size
+        self._width = _Y + 2 * y0.size
+        self._rows = array("d", [x0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        self._rows.extend(y0.ravel().tolist() + [math.nan] * y0.size)
         self.n_evals = 0
         self.halted = False  # True when a state predicate stopped the run
 
     def _append(self, x, dx, y, dy, epsilon_max, order, capped, floored):
-        row = self._steps + 1
-        if row == self._x.size:
-            for name in ("_x", "_dx", "_y", "_dy", "_eps", "_order",
-                         "_capped", "_floored"):
-                column = getattr(self, name)
-                grown = np.empty((2 * row,) + column.shape[1:], column.dtype)
-                grown[:row] = column
-                setattr(self, name, grown)
-        self._x[row], self._dx[row], self._eps[row] = x, dx, epsilon_max
-        self._y[row], self._dy[row] = y, dy
-        self._order[row] = order
-        self._capped[row], self._floored[row] = capped, floored
-        self._steps = row
+        self._rows.extend((x, dx, epsilon_max, order, capped, floored,
+                           *y, *dy))
+
+    def _table(self) -> np.ndarray:
+        """A float64 view of the rows; it pins the buffer until dropped."""
+        return np.frombuffer(self._rows).reshape(-1, self._width)
 
     def __len__(self):
-        return self._steps
+        return len(self._rows) // self._width - 1
 
     def __iter__(self):
-        steps = slice(1, self._steps + 1)
-        columns = zip(self._x[steps].tolist(), self._dx[steps].tolist(),
-                      self._y[steps].copy(), self._eps[steps].tolist(),
-                      self._order[steps].tolist(),
-                      self._capped[steps].tolist(),
-                      self._floored[steps].tolist())
-        for index, fields in enumerate(columns):
-            yield StepRecord(index, *fields)
+        steps = self._table()[1:, :_Y].tolist()
+        return (StepRecord(index, x, dx, y, epsilon, int(order),
+                           bool(capped), bool(floored))
+                for index, ((x, dx, epsilon, order, capped, floored), y)
+                in enumerate(zip(steps, self.y)))
 
     @property
     def x(self) -> np.ndarray:
-        return self._x[1:self._steps + 1].copy()
+        return self._table()[1:, _X].copy()
 
     @property
     def y(self) -> np.ndarray:
-        return self._y[1:self._steps + 1].copy()
+        states = self._table()[1:, _Y:_Y + self._size].copy()
+        return states.reshape((len(states),) + self._shape)
 
     @property
     def dx(self) -> np.ndarray:
-        return self._dx[1:self._steps + 1].copy()
+        return self._table()[1:, _DX].copy()
 
     @property
     def epsilon_max(self) -> np.ndarray:
-        return self._eps[1:self._steps + 1].copy()
+        return self._table()[1:, _EPS].copy()
 
     @property
     def final_x(self) -> float:
-        return float(self._x[self._steps])
+        return self._rows[-self._width + _X]
 
     @property
     def final_y(self) -> np.ndarray:
-        return self._y[self._steps].copy()
+        state = self._table()[-1, _Y:_Y + self._size]
+        return state.reshape(self._shape).copy()
 
 
 class IntegrationError(RuntimeError):
@@ -240,18 +236,22 @@ def _gauss_rule(count):
     return tuple(zip(points.tolist(), weights.tolist()))
 
 
-def adams_update(y: np.ndarray, nodes: np.ndarray, derivatives: np.ndarray,
-                 dx: float, derivative_at: Optional[Callable] = None):
+def adams_update(y: Sequence[float], nodes: Sequence[float],
+                 columns: Sequence[Sequence[float]], dx: float,
+                 derivative_at: Optional[Callable] = None):
     """One Adams step of size dx from the newest node: (y_AB, y_AM).
 
     ``nodes`` are the stencil's abscissae, strictly increasing and
     ending at the current point x, where the state is ``y``;
-    ``derivatives`` holds one derivative row per node.  y_AB is y plus
-    the integral over [x, x + dx] of the polynomial p that interpolates
-    the derivatives.  ``derivative_at(y_AB)`` returns f(x + dx, y_AB);
-    y_AM integrates the interpolant through that point as well, one
-    order higher.  Without ``derivative_at`` nothing is corrected and
-    y_AM is y_AB.
+    ``columns`` holds, per component, its derivatives at the nodes,
+    oldest first.  y_AB is y plus the integral over [x, x + dx]
+    of the polynomial p that interpolates the derivatives.
+    ``derivative_at(y_AB)`` returns f(x + dx, y_AB); y_AM integrates the
+    interpolant through that point as well, one order higher.  Without
+    ``derivative_at`` nothing is corrected and y_AM is y_AB.  ``y``,
+    ``nodes``, each column and what ``derivative_at`` returns are
+    sequences of Python floats (lists, or slices of the trajectory's
+    columns); y_AB and y_AM are lists.
 
     p is built in Newton form on the node offsets s_0 = 0 > s_1 > ...,
     newest first: p(t) = sum_i c_i prod_{k<i} (t - s_k), with c_i the
@@ -262,16 +262,16 @@ def adams_update(y: np.ndarray, nodes: np.ndarray, derivatives: np.ndarray,
     correction is formed as its own term, not as a difference.
 
     Everything runs on Python floats in a fixed order (``math.fsum``
-    is correctly rounded), so no BLAS kernel enters the step.  Each component's derivatives are scaled
-    by the power of two 2^-k that brings the largest |f'| into [1, 2),
-    and the increment is divided by 2^-k again.  That is exact, so no
-    bit changes, but differences of derivatives near the overflow
-    threshold stay finite, and a result beyond it becomes inf instead
-    of raising (as ``math.ldexp`` would).
+    is correctly rounded), so no BLAS kernel enters the step.  Each
+    component's derivatives are scaled by the power of two 2^-k that
+    brings the largest |f'| into [1, 2), and the increment is divided
+    by 2^-k again.  That is exact, so no bit changes, but differences
+    of derivatives near the overflow threshold stay finite, and a
+    result beyond it becomes inf instead of raising (as ``math.ldexp``
+    would).
     """
-    stencil = nodes.tolist()
-    here = stencil[-1]
-    offsets = [node - here for node in reversed(stencil)]
+    here = nodes[-1]
+    offsets = [node - here for node in reversed(nodes)]
     count = len(offsets)
     # integrals[i] = integral over [0, dx] of prod_{k<i} (t - s_k)
     integrals = [0.0] * (count + 1)
@@ -284,7 +284,7 @@ def adams_update(y: np.ndarray, nodes: np.ndarray, derivatives: np.ndarray,
         integrals[count] += term
 
     tables, scales = [], []
-    for column in derivatives.T.tolist():
+    for column in columns:
         largest = max(max(column), -min(column))
         scale = 2.0 ** -max(math.frexp(largest)[1] - 1, -1022)
         tables.append([f * scale for f in reversed(column)])
@@ -295,11 +295,10 @@ def adams_update(y: np.ndarray, nodes: np.ndarray, derivatives: np.ndarray,
             span = offsets[i] - offsets[i - level]
             for table in tables:
                 table[i] = (table[i] - table[i - 1]) / span
-    start = y.tolist()
     increments = [math.fsum([c * g for c, g in zip(table, integrals)])
                   for table in tables]
-    y_ab = np.array([y0 + increment / scale for y0, increment, scale
-                     in zip(start, increments, scales)])
+    y_ab = [y0 + increment / scale
+            for y0, increment, scale in zip(y, increments, scales)]
     if derivative_at is None:
         return y_ab, y_ab
 
@@ -309,17 +308,16 @@ def adams_update(y: np.ndarray, nodes: np.ndarray, derivatives: np.ndarray,
     weight = integrals[count] / at_new_node
     y_am = []
     for y0, increment, scale, table, f in zip(
-            start, increments, scales, tables,
-            derivative_at(y_ab).tolist()):
+            y, increments, scales, tables, derivative_at(y_ab)):
         predicted = table[-1]  # p(dx), by Horner's rule
         for i in range(count - 2, -1, -1):
             predicted = predicted * (dx - offsets[i]) + table[i]
         y_am.append(
             y0 + (increment + weight * (f * scale - predicted)) / scale)
-    return y_ab, np.array(y_am)
+    return y_ab, y_am
 
 
-def fractional_correction(y_ab: np.ndarray, y_am: np.ndarray) -> float:
+def fractional_correction(y_ab, y_am) -> float:
     """Largest per-component |y_am - y_ab| / |y_ab|.
 
     A component whose predicted value is exactly zero falls back to the
@@ -327,7 +325,7 @@ def fractional_correction(y_ab: np.ndarray, y_am: np.ndarray) -> float:
     a NaN in any component makes the result NaN.
     """
     largest = 0.0
-    for predicted, corrected in zip(y_ab.tolist(), y_am.tolist()):
+    for predicted, corrected in zip(y_ab, y_am):
         difference = corrected - predicted
         scale = abs(predicted)
         epsilon = abs(difference / scale if scale > 0.0 else difference)
@@ -397,8 +395,9 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         raise ValueError("x_end must exceed x0")
 
     trajectory = Trajectory(x, y)
+    shape = y.shape
 
-    def evaluate(xq: float, yq: np.ndarray) -> np.ndarray:
+    def evaluate(xq: float, yq: np.ndarray) -> list:
         try:
             dy = system(xq, yq)
         except IntegrationError as exc:
@@ -412,19 +411,22 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         if not (type(dy) is np.ndarray and dy.dtype is _FLOAT
                 and dy.ndim == 1):
             dy = np.atleast_1d(np.asarray(dy, dtype=float))
-        if dy.shape != y.shape:
+        if dy.shape != shape:
             raise CallbackFailure(
-                f"derivative shape {dy.shape} != state shape {y.shape}",
+                f"derivative shape {dy.shape} != state shape {shape}",
                 trajectory)
         trajectory.n_evals += 1
-        return dy
+        return dy.tolist()
 
-    def at_next(y_ab: np.ndarray) -> np.ndarray:
-        return evaluate(x_next, y_ab)  # x_next of the step under way
+    def at_next(y_ab: list) -> list:
+        return evaluate(x_next, np.array(y_ab))  # this step's x_next
 
     # evaluates f at the prediction for the corrector; AB_FIXED has none
     corrector = None if config.mode is Mode.AB_FIXED else at_next
-    trajectory._dy[0] = evaluate(x, y)
+    rows, width = trajectory._rows, trajectory._width
+    rows[_Y + y.size:] = array("d", evaluate(x, y))  # f(x0, y0) in row 0
+    derivatives = range(_Y + y.size, width)  # where a row keeps y'
+    state = y.tolist()
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(1.0, abs(x_end))
 
@@ -434,20 +436,20 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         clamped = x_end is not None and x + dx >= x_end
         if clamped:
             dx = x_end - x
-        # the stencil: the newest rows of the x and y' columns
-        rows = len(trajectory) + 1
-        effective_order = min(rows, config.order_ab)
-        stencil = slice(rows - effective_order, rows)
+        effective_order = min(len(rows) // width, config.order_ab)
+        first = len(rows) - effective_order * width  # of the stencil
         x_next = x_end if clamped else x + dx
         if not x_next > x:
             raise IntegrationError(
                 f"step dx={dx!r} does not advance x={x!r}", trajectory)
-        y_ab, y_am = adams_update(y, trajectory._x[stencil],
-                                  trajectory._dy[stencil], dx, corrector)
-        dy_next = evaluate(x_next, y_am)
+        y_ab, y_am = adams_update(
+            state, rows[first + _X::width],
+            [rows[first + k::width] for k in derivatives], dx, corrector)
+        y = np.array(y_am)
+        dy_next = evaluate(x_next, y)
         epsilon_max = (0.0 if corrector is None
                        else fractional_correction(y_ab, y_am))
-        if not all(map(math.isfinite, y_am.tolist() + dy_next.tolist())):
+        if not all(map(math.isfinite, y_am + dy_next)):
             raise NonFiniteState(
                 f"non-finite state or derivative at x={x_next!r}", trajectory)
 
@@ -459,7 +461,7 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
 
         trajectory._append(x_next, dx_taken, y_am, dy_next, epsilon_max,
                            effective_order, capped, floored)
-        x, y = x_next, y_am
+        x, state = x_next, y_am
 
         if halt is not None and halt(x, y):
             trajectory.halted = True

@@ -22,6 +22,7 @@ reused, so each iteration integrates one new star.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -287,7 +288,8 @@ def parameter_sweep(orders, tolerances, P_central: float, reference,
 
     ``reference`` is (M_ref grams, R_ref cm), normally from a
     high-order, tight-tolerance run.  Cells that fail to integrate are
-    reported with a failure status; the sweep continues.
+    reported with a failure status; the sweep continues.  The cells run
+    in min(jobs, cells, CPUs) processes.
     """
     M_ref, R_ref = reference
     if not (M_ref > 0.0 and R_ref > 0.0):
@@ -296,7 +298,7 @@ def parameter_sweep(orders, tolerances, P_central: float, reference,
              for order in orders for tolerance in tolerances]
     if not tasks:
         raise ValueError("sweep grid is empty")
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_cell, tasks))

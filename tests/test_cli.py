@@ -1,11 +1,14 @@
 """Command-line interface: formats, manifests, exit codes, schema."""
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import abmgrid
@@ -184,6 +187,52 @@ def test_poly_manifest_records_the_whole_run(tmp_path):
     assert config["order_ab"] == 3
     assert config["target_correction"] == 1e-6
     assert config["mode"] == "abm-adaptive"
+
+
+def _csv_text(kind, columns, rows):
+    stream = io.StringIO()
+    cli._write_table(stream, "csv", kind, columns, rows, {})
+    return stream.getvalue()
+
+
+def test_csv_cells_are_written_byte_for_byte():
+    # one literal expectation per table layout: counts as integers,
+    # every double in 17 significant digits (subnormal, largest finite,
+    # signed zero, the infinities and NaN included), text as it is
+    poly = _csv_text(
+        "trajectory", ["i", "x", "dx", "y", "epsilon_max", "y_exact",
+                       "error"],
+        [(0, 0.1, 5e-324, -0.0, 0.0, 1.7976931348623157e308,
+          -1.7976931348623157e308),
+         (1, math.nan, math.inf, -math.inf, np.float64(0.1),
+          np.float64(-2.5e-300), 3.0)])
+    assert poly == (
+        "i,x,dx,y,epsilon_max,y_exact,error\n"
+        "0,0.10000000000000001,4.9406564584124654e-324,-0,0,"
+        "1.7976931348623157e+308,-1.7976931348623157e+308\n"
+        "1,nan,inf,-inf,0.10000000000000001,-2.5e-300,3\n")
+    star = _csv_text(
+        "star", ["i", "r_cm", "dr_cm", "m_g", "P_erg_cm3", "epsilon_max",
+                 "flags"],
+        [(0, 10.0, 10.0, 4.2e-3, 3.631382e35, 0.0, "floor"),
+         (1, 20.0, 10.0, 1.0 / 3.0, -0.0, 1e-8, ""),
+         (2, 30.0, 10.0, 1.4e33, -2.5e20, math.nan, "cap+floor+surface")])
+    assert star == (
+        "i,r_cm,dr_cm,m_g,P_erg_cm3,epsilon_max,flags\n"
+        "0,10,10,0.0041999999999999997,3.6313819999999999e+35,0,floor\n"
+        "1,20,10,0.33333333333333331,-0,1e-08,\n"
+        "2,30,10,1.4e+33,-2.5e+20,nan,cap+floor+surface\n")
+    sweep = _csv_text(
+        "sweep", ["order", "tol", "steps", "M_msun", "R_km", "rel_dM",
+                  "rel_dR", "status"],
+        [(3, 1e-2, 120, 0.71017188, 9.16233, 1e-6, 2e-5, "ok"),
+         (4, 1e-6, 0, math.nan, math.nan, math.nan, math.nan,
+          "non-finite")])
+    assert sweep == (
+        "order,tol,steps,M_msun,R_km,rel_dM,rel_dR,status\n"
+        "3,0.01,120,0.71017187999999998,9.1623300000000008,"
+        "9.9999999999999995e-07,2.0000000000000002e-05,ok\n"
+        "4,9.9999999999999995e-07,0,nan,nan,nan,nan,non-finite\n")
 
 
 def test_reruns_are_bit_for_bit(tmp_path):

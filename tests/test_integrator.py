@@ -51,8 +51,8 @@ def test_ab_predict_weights_shared_across_components():
     # two components, derivative rows constant per component
     offsets = np.array([-2.0, -1.0, 0.0])
     derivatives = np.array([[1.0, -2.0]] * 3)
-    y_next, _ = adams_update(np.array([0.0, 0.0]), offsets, derivatives,
-                             1.0)
+    y_next, _ = adams_update([0.0, 0.0], offsets.tolist(),
+                             derivatives.T.tolist(), 1.0)
     np.testing.assert_allclose(y_next, [1.0, -2.0], rtol=1e-14)
 
 
@@ -90,8 +90,9 @@ def test_pece_pair_matches_exact_rational_arithmetic():
         size = np.array([1.0, 10.0 ** rng.uniform(-200.0, 200.0)])
         derivatives = size * rng.uniform(-1.0, 1.0, (count, 2))
         newest = size * rng.uniform(-1.0, 1.0, 2)
-        y_ab, y_am = adams_update(np.zeros(2), offsets, derivatives, dx,
-                                  lambda y_ab: newest)
+        y_ab, y_am = map(np.array, adams_update(
+            [0.0, 0.0], offsets.tolist(), derivatives.T.tolist(), dx,
+            lambda y_ab: newest.tolist()))
         exact_ab, exact_am, w_ab, w_am = exact_pece(
             [0, 0], offsets.tolist(), derivatives.tolist(), dx,
             newest.tolist())
@@ -116,10 +117,12 @@ def test_scaled_derivatives_scale_the_increment_exactly(power):
         offsets = _random_stencil(rng, count, 0.3)
         derivatives = rng.uniform(-1.0, 1.0, (count, 2))
         newest = rng.uniform(-1.0, 1.0, 2)
-        plain = adams_update(np.zeros(2), offsets, derivatives, 0.3,
-                             lambda y_ab: newest)
-        scaled = adams_update(np.zeros(2), offsets, factor * derivatives,
-                              0.3, lambda y_ab: factor * newest)
+        plain = map(np.array, adams_update(
+            [0.0, 0.0], offsets.tolist(), derivatives.T.tolist(), 0.3,
+            lambda y_ab: newest.tolist()))
+        scaled = map(np.array, adams_update(
+            [0.0, 0.0], offsets.tolist(), (factor * derivatives).T.tolist(),
+            0.3, lambda y_ab: (factor * newest).tolist()))
         for base, big in zip(plain, scaled):
             assert np.array_equal(big, factor * base)
 
@@ -442,6 +445,53 @@ def test_empty_trajectory_reports_initial_point():
     assert trajectory.final_x == 1.5
     np.testing.assert_array_equal(trajectory.final_y, [2.0, 3.0])
     assert len(trajectory) == 0
+
+
+def _is_float_array(value, shape):
+    return (type(value) is np.ndarray and value.dtype == np.float64
+            and value.shape == shape)
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("steps", [0, 1, 100])
+def test_trajectory_reads_are_fresh_float_arrays(components, steps):
+    y0 = [1.0, 0.5][:components]
+    if steps:
+        config = IntegratorConfig(order_ab=3, dx_initial=1.0 / steps,
+                                  mode=Mode.ABM_FIXED)
+        trajectory = integrate(lambda x, y: -y, y0, 0.0, config, x_end=1.0)
+    else:
+        trajectory = Trajectory(0.0, np.array(y0))
+    assert len(trajectory) == steps
+    reads = {"x": (steps,), "dx": (steps,), "y": (steps, components),
+             "epsilon_max": (steps,), "final_y": (components,)}
+    for name, shape in reads.items():
+        first, second = getattr(trajectory, name), getattr(trajectory, name)
+        assert _is_float_array(first, shape), name
+        assert not np.shares_memory(first, second), name
+    assert type(trajectory.final_x) is float
+    assert trajectory.final_x == (1.0 if steps else 0.0)
+    records = list(trajectory)
+    assert len(records) == steps
+    for index, record in enumerate(records):
+        assert record.index == index
+        assert _is_float_array(record.y_am, (components,))
+        for value in (record.x_next, record.dx, record.epsilon_max):
+            assert type(value) is float
+        assert type(record.effective_order) is int
+        assert type(record.capped) is bool and type(record.floored) is bool
+
+
+@pytest.mark.parametrize("x0, y0, shape", [
+    (1, 2.0, ()), (np.float64(1.0), [2.0, 3.0], (2,)),
+    (1.0, (2, 3), (2,)), (1.0, np.array([2.0], dtype=np.float32), (1,)),
+])
+def test_trajectory_accepts_scalars_sequences_and_arrays(x0, y0, shape):
+    trajectory = Trajectory(x0, y0)
+    assert trajectory.final_x == 1.0 and type(trajectory.final_x) is float
+    assert np.shape(trajectory.final_y) == shape
+    np.testing.assert_array_equal(trajectory.final_y, y0)
+    assert trajectory.y.shape == (0,) + shape
 
 
 # --- the engine against a plain PECE loop -------------------------------

@@ -421,12 +421,16 @@ def test_sweep_parallel_matches_serial(reference_star):
         (c.order, c.steps, c.M_msun) for c in parallel]
 
 
-def test_sweep_pool_never_outnumbers_its_cells(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the sweep's process pools, on a machine of 4 CPUs.
+
+    The pool is replaced by one that records its size and maps in this
+    process, so no worker process starts.
+    """
     sizes = []
 
     class SerialPool:
-        """Records the pool size and maps in this process."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -440,10 +444,32 @@ def test_sweep_pool_never_outnumbers_its_cells(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(tov, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return sizes
+
+
+def test_sweep_pool_never_outnumbers_its_cells(pool_sizes):
     cells = parameter_sweep([3, 4], [1e-4], P_CENTRAL, (1.0, 1.0),
                             jobs=10**6)
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert [cell.order for cell in cells] == [3, 4]
     # a one-cell grid needs no pool at all
     parameter_sweep([4], [1e-4], P_CENTRAL, (1.0, 1.0), jobs=10**6)
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+def test_sweep_pool_never_outnumbers_the_cpus(pool_sizes, monkeypatch):
+    def claustrophobic(P_c, config):
+        raise HorizonError("synthetic")
+
+    monkeypatch.setattr(tov, "integrate_star", claustrophobic)
+    cells = parameter_sweep(range(3, 11), [1e-2, 1e-5, 1e-8], P_CENTRAL,
+                            (1.0, 1.0), jobs=64)
+    assert pool_sizes == [4]
+    assert [cell.status for cell in cells] == ["horizon"] * 24
+    # one CPU, or a count the platform cannot tell, runs the cells here
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cells = parameter_sweep([3, 4], [1e-2], P_CENTRAL, (1.0, 1.0),
+                                jobs=64)
+        assert pool_sizes == [4] and len(cells) == 2
