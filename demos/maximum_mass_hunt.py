@@ -1,10 +1,11 @@
 """Hunt the maximum gravitational mass over central pressure.
 
 First maps the mass curve M(P_central) on a coarse logarithmic grid to
-show the single hump, then runs the trinary sieve — a golden-section
-search that probes the bracket at its two 1/phi points, discards the
-outer part on the losing side, and reuses the surviving probe — to
-locate the peak.
+show the single hump, then runs the trinary sieve to locate the peak.
+The sieve is Brent's method: near the smooth peak it probes the vertex
+of the parabola through the three best stars so far, and elsewhere the
+golden-section point of the bracket.  Its answer is the best probe,
+whose star it has already integrated.
 """
 import numpy as np
 

@@ -14,10 +14,11 @@ first accepted step whose pressure is zero or below: that step's mass
 and radius ARE the star's M and R, with no surface interpolation.
 
 The maximum-mass hunt exploits that M(P_central) is unimodal over the
-physical range: a golden-section search (two interior probes at the
-1/phi points, discarding the outer part on the losing side) narrows the
-central pressure bracket geometrically, and the surviving probe is
-reused, so each iteration integrates one new star.
+physical range and smooth near its peak: Brent's method probes the
+vertex of the parabola through the three best stars so far when that
+is safe, and the golden-section point of the bracket when it is not.
+Each probe integrates one star, and the answer is the best probe,
+whose star is already in hand.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .integrator import (IntegrationError, IntegratorConfig, Mode, Trajectory,
 
 __all__ = ["HorizonError", "StarSolution", "SieveResult", "SweepCell",
            "tov_derivatives", "star_config", "integrate_star",
-           "stable_plateau", "golden_maximize", "trinary_sieve",
+           "stable_plateau", "trinary_sieve",
            "parameter_sweep"]
 
 
@@ -140,39 +141,74 @@ def integrate_star(P_central: float, config: IntegratorConfig) -> StarSolution:
                         steps=len(trajectory), trajectory=trajectory)
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden section of a unit segment
 
 
-def golden_maximize(f, lo: float, hi: float, rel_tol: float = 1e-3):
-    """Maximum of a unimodal function by golden-section search.
+def _brent_maximize(f, lo: float, hi: float, rel_tol: float):
+    """Maximum of a unimodal function on [lo, hi] by Brent's method.
 
-    The two probes sit at the 1/phi points of the bracket; each
-    iteration discards the outer part on the side of the smaller value,
-    shrinking the bracket by 1/phi.  The surviving probe keeps its
-    point and value and is the other probe of the new bracket, so an
-    iteration evaluates one new point, and only when the loop needs it.
-    Stops when the bracket width falls below ``rel_tol`` of its
-    midpoint; returns (x_star, iterations, evaluations) with x_star the
-    final midpoint.
+    Brent (1973), *Algorithms for Minimization without Derivatives*,
+    ch. 5, run on -f.  The bracket [a, b] always holds the best point x
+    so far; w and v are the second and third best.  Each new probe is
+    the vertex of the parabola through x, w and v when that vertex lies
+    inside the bracket and moves less than half the step before last;
+    otherwise it is the golden-section point of the larger side of x.
+    No probe lands closer than tol = rel_tol * |x| / 4 to x, and the
+    search stops once x is within 2 tol of both ends, so the final
+    bracket is at most rel_tol * |x| wide.  As tol is relative to x,
+    the maximum must lie away from 0.
+
+    Returns (x, history): x is the best probe and history holds one
+    (point, value, "golden" or "parabolic") per probe, in order.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    fa = fb = None
-    iterations = evaluations = 0
-    while (hi - lo) > rel_tol * abs(0.5 * (lo + hi)):
-        if fa is None:
-            fa, evaluations = f(a), evaluations + 1
-        if fb is None:
-            fb, evaluations = f(b), evaluations + 1
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b, fb = lo + _INV_PHI * (hi - lo), None
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    history = [(x, fx, "golden")]
+    d = e = 0.0  # the last step and the one before it
+    while True:
+        mid = 0.5 * (a + b)
+        tol = 0.25 * rel_tol * abs(x)
+        if max(x - a, b - x) <= 2.0 * tol:
+            return x, tuple(history)
+        parabolic = False
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            parabolic = (abs(p) < abs(0.5 * q * e)
+                         and q * (a - x) < p < q * (b - x))
+        if parabolic:
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = math.copysign(tol, mid - x)
         else:
-            hi, b, fb = b, a, fa
-            a, fa = hi - _INV_PHI * (hi - lo), None
-        iterations += 1
-    return 0.5 * (lo + hi), iterations, evaluations
+            e = a - x if x >= mid else b - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        history.append((u, fu, "parabolic" if parabolic else "golden"))
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def stable_plateau(trajectory: Trajectory, tolerance: float,
@@ -208,10 +244,11 @@ def stable_plateau(trajectory: Trajectory, tolerance: float,
 class SieveResult:
     """Outcome of the maximum-mass hunt."""
 
-    P_c: float                # erg/cm^3, bracket midpoint at convergence
+    P_c: float                # erg/cm^3, the probe of largest mass
     star: StarSolution        # the star integrated at P_c
-    iterations: int
-    evaluations: int          # distinct star integrations performed
+    iterations: int           # search steps after the opening probe
+    evaluations: int          # star integrations performed, one per probe
+    history: tuple            # (P_c, M grams, "golden"/"parabolic") per probe
 
     @property
     def M_msun(self) -> float:
@@ -228,23 +265,33 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     """Central pressure of the maximum-mass star on [P_lo, P_hi].
 
     Assumes M(P_central) is unimodal on the bracket, which holds for
-    this gas over the physical range.  The returned star is integrated
-    at the converged bracket midpoint.  The search is serial: ``jobs``
-    accepts only 1.
+    this gas over the physical range.  Brent's method integrates one
+    star per probe, taking a parabolic step near the smooth peak and a
+    golden-section step where a parabola is not safe, and stops once
+    the bracket around the best probe is at most ``bracket_tolerance``
+    of it wide.  The answer is that best probe and its already
+    integrated star; nothing is integrated twice.  The search is
+    serial: ``jobs`` accepts only 1.
     """
     if not 0.0 < P_lo < P_hi:
         raise ValueError("need 0 < P_lo < P_hi")
     if jobs != 1:
         raise ValueError("the sieve runs serially; jobs must be 1")
+    # the heaviest star so far; on a tie the later probe wins, as it
+    # does for Brent's best point
+    best = None
 
     def mass(P_c: float) -> float:
-        return integrate_star(P_c, config).M
+        nonlocal best
+        star = integrate_star(P_c, config)
+        if best is None or star.M >= best.M:
+            best = star
+        return star.M
 
-    P_star, iterations, evaluations = golden_maximize(
-        mass, P_lo, P_hi, bracket_tolerance)
-    star = integrate_star(P_star, config)
-    return SieveResult(P_c=P_star, star=star, iterations=iterations,
-                       evaluations=evaluations + 1)
+    P_c, history = _brent_maximize(mass, P_lo, P_hi, bracket_tolerance)
+    return SieveResult(P_c=P_c, star=best,
+                       iterations=len(history) - 1,
+                       evaluations=len(history), history=history)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 import abmgrid
 import abmgrid.cli as cli
 from abmgrid import CONSTANTS, IntegrationError, IntegratorConfig, Mode, \
-    __version__, integrate
+    __version__, integrate, integrate_star
 from abmgrid.cli import main
 
 P_CENTRAL = "3.631382e35"
@@ -318,7 +318,14 @@ def test_sieve_horizon_failure_reports_plain_numbers(capsys):
     assert "np.float64" not in err
 
 
-def test_sieve_reports_peak(capsys):
+def test_sieve_reports_peak(capsys, monkeypatch):
+    stars = []
+
+    def counted(P_c, config):
+        stars.append(P_c)
+        return integrate_star(P_c, config)
+
+    monkeypatch.setattr(abmgrid.tov, "integrate_star", counted)
     assert main(["sieve", "--lo", "2e35", "--hi", "6e35", "--order", "4",
                  "--tol", "1e-6", "--bracket-tol", "0.02"]) == 0
     out = capsys.readouterr().out
@@ -329,7 +336,8 @@ def test_sieve_reports_peak(capsys):
     assert lines[1].startswith("M*   = 0.7099")
     # criterion 5's reference radius and bound
     assert float(lines[2].split()[2]) == pytest.approx(9.16233, rel=2e-3)
-    assert lines[3] == "iterations = 9  star evaluations = 11"
+    assert lines[3] == "iterations = 6  star evaluations = 7  parabolic = 4"
+    assert len(stars) == 7  # one star per probe, none integrated again
 
 
 # --- sweep -------------------------------------------------------------

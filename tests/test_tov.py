@@ -23,7 +23,6 @@ from abmgrid import (
     SieveResult,
     StarSolution,
     Trajectory,
-    golden_maximize,
     integrate_star,
     parameter_sweep,
     stable_plateau,
@@ -298,59 +297,111 @@ def test_plateau_is_empty_when_target_is_never_approached():
 
 # --- maximum-mass sieve -----------------------------------------------
 
-def test_golden_maximize_on_a_quadratic():
-    x_star, iterations, evaluations = golden_maximize(
-        lambda x: -(x - 2.0) ** 2, 0.0, 5.0)
-    assert abs(x_star - 2.0) <= 2e-3
-    assert iterations == 17   # 5 / phi^k <= 1e-3 * midpoint
-    assert evaluations == 18  # 2 in the first iteration, then 1 each
-
-
-def test_golden_maximize_evaluates_each_probe_once():
+def recorded(f):
+    """f, and the list of points it has been called at."""
     calls = []
 
     def probe(x):
         calls.append(x)
-        return -(x - 2.0) ** 2
+        return f(x)
 
-    _, iterations, evaluations = golden_maximize(probe, 0.0, 5.0)
+    return probe, calls
+
+
+def test_brent_maximize_on_a_quadratic():
+    x_star, history = tov._brent_maximize(
+        lambda x: -(x - 2.0) ** 2, 0.0, 5.0, 1e-3)
+    assert abs(x_star - 2.0) <= 2e-3
+    assert len(history) <= 8  # golden section alone takes 18
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: -(x - 2.0) ** 2, 0.0, 5.0),
+    (lambda x: -abs(x - 2.7), 0.0, 5.0),
+    (lambda x: x, 0.0, 5.0),
+    (lambda x: -x, 1.0, 5.0),
+    (lambda x: math.sin(x), 0.5, 3.0),
+], ids=["quadratic", "kink", "rising", "falling", "sine"])
+def test_brent_maximize_returns_its_best_distinct_probe(f, lo, hi):
+    probe, calls = recorded(f)
+    x_star, history = tov._brent_maximize(probe, lo, hi, 1e-3)
+    assert [point for point, _, _ in history] == calls
     assert len(set(calls)) == len(calls)
-    assert evaluations == len(calls) == iterations + 1
+    assert all(lo <= x <= hi for x in calls)
+    assert {kind for _, _, kind in history} <= {"golden", "parabolic"}
+    values = [value for _, value, _ in history]
+    assert x_star in calls
+    assert f(x_star) == max(values)
 
 
 @pytest.mark.parametrize("f, lo, hi, end", [
     (lambda x: x, 0.0, 5.0, 5.0),
     (lambda x: -x, 1.0, 5.0, 1.0),
 ])
-def test_golden_maximize_finds_a_maximum_at_an_end(f, lo, hi, end):
+def test_brent_maximize_finds_a_maximum_at_an_end(f, lo, hi, end):
     rel_tol = 1e-3
-    x_star, _, _ = golden_maximize(f, lo, hi, rel_tol)
+    x_star, _ = tov._brent_maximize(f, lo, hi, rel_tol)
     assert abs(x_star - end) <= rel_tol * end
 
 
-def test_golden_maximize_on_a_narrow_bracket_evaluates_nothing():
-    _, iterations, evaluations = golden_maximize(lambda x: x, 1.0, 1.0005)
-    assert (iterations, evaluations) == (0, 0)
+@pytest.mark.parametrize("peak", [0.3, 1.1, 2.7, 4.9])
+def test_brent_maximize_falls_back_to_golden_on_a_kink(peak):
+    # -|x - c| is unimodal but has no parabola to fit: the search must
+    # still converge through its golden steps
+    rel_tol = 1e-3
+    x_star, history = tov._brent_maximize(
+        lambda x: -abs(x - peak), 0.0, 5.0, rel_tol)
+    assert abs(x_star - peak) <= rel_tol * peak
+    kinds = [kind for _, _, kind in history]
+    assert "golden" in kinds[kinds.index("parabolic"):]
+    assert len(history) <= 20  # golden section alone takes 16 to 22
 
 
-def test_golden_maximize_rejects_bad_bracket():
+def test_brent_maximize_on_a_narrow_bracket_evaluates_one_point():
+    probe, calls = recorded(lambda x: x)
+    x_star, history = tov._brent_maximize(probe, 1.0, 1.0005, 1e-3)
+    assert len(calls) == len(history) == 1
+    assert x_star == calls[0]
+
+
+def test_brent_maximize_rejects_bad_bracket():
     with pytest.raises(ValueError):
-        golden_maximize(lambda x: x, 1.0, 1.0)
+        tov._brent_maximize(lambda x: x, 1.0, 1.0, 1e-3)
 
 
 @pytest.fixture(scope="module")
 def fast_sieve():
     config = star_config(4, 1e-6, dx_initial=1000.0, dx_min=1000.0)
-    return trinary_sieve(2e35, 6e35, config, bracket_tolerance=0.02)
+    stars = []
+
+    def counted(P_c, config):
+        stars.append(integrate_star(P_c, config))
+        return stars[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tov, "integrate_star", counted)
+        result = trinary_sieve(2e35, 6e35, config, bracket_tolerance=0.02)
+    return result, stars
 
 
 def test_sieve_finds_the_mass_peak(fast_sieve):
-    result = fast_sieve
+    result, stars = fast_sieve
     assert abs(result.P_c / P_CENTRAL - 1.0) < 2.5e-3
     assert result.M_msun == pytest.approx(0.70999813, rel=1e-6)
-    assert result.iterations == 9
-    assert result.evaluations == 11  # 10 probes + the final star
+    assert result.iterations == 6
+    assert result.evaluations == 7
+    # every probe is one star, and the answer is not integrated again
+    assert len(stars) == result.evaluations
     assert result.star.P_central == result.P_c
+
+
+def test_sieve_history_lists_each_probe_and_its_star(fast_sieve):
+    result, stars = fast_sieve
+    assert [(P_c, M) for P_c, M, _ in result.history] == [
+        (star.P_central, star.M) for star in stars]
+    assert result.history[0][2] == "golden"
+    assert result.star.M == max(M for _, M, _ in result.history)
+    assert result.star in stars
 
 
 def test_sieve_runs_serially():
