@@ -31,7 +31,6 @@ def main() -> None:
     result = trinary_sieve(*BRACKET, config)
     star = result.star
     print(f"sieve over [{BRACKET[0]:.1e}, {BRACKET[1]:.1e}]: "
-          f"{result.iterations} iterations, "
           f"{result.evaluations} star integrations")
     print(f"P_c* = {result.P_c:.6e} erg/cm^3")
     print(f"M*   = {star.M_msun:.6f} M_sun")

@@ -252,8 +252,7 @@ def cmd_sieve(args) -> int:
     print(f"M*   = {result.M_msun:.8f} M_sun ({result.star.M:.17g} g)")
     print(f"R*   = {result.R_km:.5f} km ({result.star.R:.17g} cm)")
     parabolic = sum(kind == "parabolic" for _, _, kind in result.history)
-    print(f"iterations = {result.iterations}  "
-          f"star evaluations = {result.evaluations}  "
+    print(f"star evaluations = {result.evaluations}  "
           f"parabolic = {parabolic}")
     return 0
 

@@ -10,12 +10,16 @@ The engine advances an ODE system y' = f(x, y) with explicit
     Evaluate  f(x + dx, y_AM), which is what enters the stencil.
 
 Every accepted step lands in a row of the :class:`Trajectory`, whose
-buffer of doubles reads back as Python floats, and the stencil is the
-newest N entries of its x and y' columns.  Each step builds the
-interpolating polynomial afresh from those actual node abscissae, in
-Newton form (divided differences of the derivatives, basis integrals on
-Gauss points; see :func:`adams_update`), so the grid never needs to be
-uniform and nothing but the columns is carried from step to step.  It is
+buffer of doubles reads back as Python floats.  Beside it the engine
+carries the stencil's interpolant in Newton form: a
+:class:`DividedDifferences` table of the newest N derivatives.  Each
+accepted step adds its node to the table at a cost of N divisions per
+component instead of rebuilding the table's N(N-1)/2 (Krogh 1974,
+"Changing stepsize in the integration of differential equations using
+modified divided differences"; Shampine & Gordon 1975, ch. 5).  The
+table is still a function of the actual node spacing and derivatives
+only, never of a nominal step, so the grid never needs to be uniform.
+:func:`adams_update` integrates it over the new step on Gauss points:
 the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
 term.  The state becomes a numpy array only where a callback receives
@@ -25,9 +29,10 @@ correction E.  Growth is capped at GROWTH_CAP per step; shrinking is
 uncapped down to an optional floor.  Steps are never rejected: the
 correction always ships and only the *next* step size responds.
 
-Bootstrapping: the first step has a one-node stencil and runs at order
-1, the second at order 2, and so on until the configured order is
-reached, so a single initial condition suffices.
+Bootstrapping: the table starts as f(x0, y0) alone and grows by one
+entry per step, so the first step runs at order 1, the second at order
+2, and so on until the configured order is reached; a single initial
+condition suffices.
 """
 from __future__ import annotations
 
@@ -48,6 +53,7 @@ __all__ = [
     "IntegratorConfig",
     "StepRecord",
     "Trajectory",
+    "DividedDifferences",
     "IntegrationError",
     "MaxStepsExceeded",
     "NonFiniteState",
@@ -62,7 +68,7 @@ __all__ = [
 GROWTH_CAP = 3.0  # largest factor by which dx may grow in one step
 _FLOAT = np.dtype(float)
 # where a trajectory row keeps x, dx and epsilon_max; the state y starts
-# at _Y, after the order and the two flags, and y' follows it
+# at _Y, after the order and the two flags, and ends the row
 _X, _DX, _EPS, _Y = 0, 1, 2, 6
 
 
@@ -132,14 +138,13 @@ class Trajectory:
     """Accepted steps of one integration, one row per step.
 
     A row is x, dx, epsilon_max, effective order, the capped and
-    floored flags (0.0 or 1.0), the corrected state y and the
-    derivative y' there (the one that enters the stencil, which makes
-    the PECE accounting exactly two evaluations per step).  Row 0 is
-    the start point: x0, y0 and, once the engine has evaluated it,
-    f(x0, y0).  The rows share one growing buffer of doubles
-    (``array("d")``): 8 bytes a value, read back as Python floats, and
-    no heap fragmentation from a buffer per column growing side by
-    side.  The engine slices its stencil from the x and y' columns.
+    floored flags (0.0 or 1.0) and the corrected state y.  Row 0 is
+    the start point: x0 and y0.  The rows share one growing buffer of
+    doubles (``array("d")``): 8 bytes a value, read back as Python
+    floats, and no heap fragmentation from a buffer per column growing
+    side by side.  The stencil's derivatives are not kept here: the
+    engine carries them as a :class:`DividedDifferences` table.
+    ``n_evals`` counts derivative evaluations, two per PECE step.
 
     ``x``, ``dx``, ``y`` and ``epsilon_max`` return new float64 arrays,
     one entry (``y``: one row) per step; iteration yields a
@@ -148,16 +153,15 @@ class Trajectory:
 
     def __init__(self, x0: float, y0: np.ndarray):
         y0 = np.array(y0, dtype=float)
-        self._shape, self._size = y0.shape, y0.size
-        self._width = _Y + 2 * y0.size
+        self._shape = y0.shape
+        self._width = _Y + y0.size
         self._rows = array("d", [x0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        self._rows.extend(y0.ravel().tolist() + [math.nan] * y0.size)
+        self._rows.extend(y0.ravel().tolist())
         self.n_evals = 0
         self.halted = False  # True when a state predicate stopped the run
 
-    def _append(self, x, dx, y, dy, epsilon_max, order, capped, floored):
-        self._rows.extend((x, dx, epsilon_max, order, capped, floored,
-                           *y, *dy))
+    def _append(self, x, dx, y, epsilon_max, order, capped, floored):
+        self._rows.extend((x, dx, epsilon_max, order, capped, floored, *y))
 
     def _table(self) -> np.ndarray:
         """A float64 view of the rows; it pins the buffer until dropped."""
@@ -179,7 +183,7 @@ class Trajectory:
 
     @property
     def y(self) -> np.ndarray:
-        states = self._table()[1:, _Y:_Y + self._size].copy()
+        states = self._table()[1:, _Y:].copy()
         return states.reshape((len(states),) + self._shape)
 
     @property
@@ -196,7 +200,7 @@ class Trajectory:
 
     @property
     def final_y(self) -> np.ndarray:
-        state = self._table()[-1, _Y:_Y + self._size]
+        state = self._table()[-1, _Y:]
         return state.reshape(self._shape).copy()
 
 
@@ -236,42 +240,100 @@ def _gauss_rule(count):
     return tuple(zip(points.tolist(), weights.tolist()))
 
 
-def adams_update(y: Sequence[float], nodes: Sequence[float],
-                 columns: Sequence[Sequence[float]], dx: float,
+def _times_power_of_two(values, shift):
+    """Each value times 2^shift, exact unless it leaves the normal range.
+
+    Two factors, each a representable power of two, so a shift beyond
+    the float range still gives inf or 0 instead of raising or NaN.
+    """
+    half = shift // 2
+    low, high = 2.0 ** half, 2.0 ** (shift - half)
+    return [value * low * high for value in values]
+
+
+class DividedDifferences:
+    """The stencil's interpolant of y' in Newton form, newest node first.
+
+    ``nodes`` are the stencil's abscissae x_0 > x_1 > ... > x_{N-1},
+    newest first.  ``columns[j]`` holds component j's divided
+    differences c_i = y'_j[x_0, ..., x_i], i = 0 .. N - 1, each times
+    ``scales[j]``: the power of two 2^-k that brings the largest |y'_j|
+    on the stencil into [1, 2).  That scaling is exact, so no bit
+    changes, but differences of derivatives near the overflow threshold
+    stay finite.
+
+    The table starts empty and grows by :meth:`push`; a table for a
+    given stencil is built by pushing its nodes from oldest to newest.
+    """
+
+    def __init__(self, size: int):
+        self.nodes = []
+        self.columns = [[] for _ in range(size)]
+        self.scales = [1.0] * size
+        self._exponents = [0] * size
+        self._magnitudes = [[] for _ in range(size)]  # |y'_j|, newest first
+
+    def push(self, x: float, derivatives: Sequence[float], keep: int):
+        """Add the node x, where y' is ``derivatives``; keep ``keep`` nodes.
+
+        x must exceed every node.  Per component, with f its y' at x
+        times its scale, the new entries are c'_0 = f and
+        c'_i = (c'_{i-1} - c_{i-1}) / (x - x_{i-1}) for
+        i = 1 .. keep - 1: N divisions, and the nodes beyond ``keep``
+        drop out.  The spans x - x_k are shared across components.  When
+        a component's largest |y'| on the new stencil lies in another
+        binade than before, its kept entries are first rescaled by the
+        exact power of two between the old scale and the new one.
+        """
+        kept = keep - 1
+        spans = [x - node for node in self.nodes[:kept]]
+        self.nodes = [x, *self.nodes[:kept]]
+        for j, f in enumerate(derivatives):
+            magnitudes = self._magnitudes[j] = [
+                abs(f), *self._magnitudes[j][:kept]]
+            exponent = max(math.frexp(max(magnitudes))[1] - 1, -1022)
+            previous = self.columns[j]  # zip below stops at the spans
+            if exponent != self._exponents[j]:
+                previous = _times_power_of_two(
+                    previous[:kept], self._exponents[j] - exponent)
+                self._exponents[j] = exponent
+                self.scales[j] = 2.0 ** -exponent
+            c = f * self.scales[j]
+            column = [c]
+            for older, span in zip(previous, spans):
+                c = (c - older) / span
+                column.append(c)
+            self.columns[j] = column
+
+
+def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
                  derivative_at: Optional[Callable] = None):
     """One Adams step of size dx from the newest node: (y_AB, y_AM).
 
-    ``nodes`` are the stencil's abscissae, strictly increasing and
-    ending at the current point x, where the state is ``y``;
-    ``columns`` holds, per component, its derivatives at the nodes,
-    oldest first.  y_AB is y plus the integral over [x, x + dx]
-    of the polynomial p that interpolates the derivatives.
-    ``derivative_at(y_AB)`` returns f(x + dx, y_AB); y_AM integrates the
-    interpolant through that point as well, one order higher.  Without
-    ``derivative_at`` nothing is corrected and y_AM is y_AB.  ``y``,
-    ``nodes``, each column and what ``derivative_at`` returns are
-    sequences of Python floats (lists, or slices of the trajectory's
-    columns); y_AB and y_AM are lists.
+    ``table`` holds the stencil, whose newest node is the current point
+    x, where the state is ``y``.  y_AB is y plus the integral over
+    [x, x + dx] of the polynomial p that interpolates the stencil's
+    derivatives.  ``derivative_at(y_AB)`` returns f(x + dx, y_AB); y_AM
+    integrates the interpolant through that point as well, one order
+    higher.  Without ``derivative_at`` nothing is corrected and y_AM is
+    y_AB.  ``y`` and what ``derivative_at`` returns are sequences of
+    Python floats; y_AB and y_AM are lists.
 
-    p is built in Newton form on the node offsets s_0 = 0 > s_1 > ...,
-    newest first: p(t) = sum_i c_i prod_{k<i} (t - s_k), with c_i the
-    divided differences of each component's derivatives.  The basis
-    integrals are exact on ceil((N + 1) / 2) Gauss points.  The
+    p is the table's Newton form on the node offsets
+    s_0 = 0 > s_1 > ...: p(t) = sum_i c_i prod_{k<i} (t - s_k).  The
+    basis integrals are exact on ceil((N + 1) / 2) Gauss points.  The
     corrector adds one term, c_N prod_{k<N} (t - s_k), with
     c_N = (f(x + dx, y_AB) - p(dx)) / prod_k (dx - s_k), so the
     correction is formed as its own term, not as a difference.
 
     Everything runs on Python floats in a fixed order (``math.fsum``
-    is correctly rounded), so no BLAS kernel enters the step.  Each
-    component's derivatives are scaled by the power of two 2^-k that
-    brings the largest |f'| into [1, 2), and the increment is divided
-    by 2^-k again.  That is exact, so no bit changes, but differences
-    of derivatives near the overflow threshold stay finite, and a
-    result beyond it becomes inf instead of raising (as ``math.ldexp``
-    would).
+    is correctly rounded), so no BLAS kernel enters the step.  The
+    increments of the table's scaled columns are divided by their
+    scales again, which is exact, and a result beyond the overflow
+    threshold becomes inf instead of raising (as ``math.ldexp`` would).
     """
-    here = nodes[-1]
-    offsets = [node - here for node in reversed(nodes)]
+    here = table.nodes[0]
+    offsets = [node - here for node in table.nodes]
     count = len(offsets)
     # integrals[i] = integral over [0, dx] of prod_{k<i} (t - s_k)
     integrals = [0.0] * (count + 1)
@@ -283,20 +345,9 @@ def adams_update(y: Sequence[float], nodes: Sequence[float],
             term *= t - offset
         integrals[count] += term
 
-    tables, scales = [], []
-    for column in columns:
-        largest = max(max(column), -min(column))
-        scale = 2.0 ** -max(math.frexp(largest)[1] - 1, -1022)
-        tables.append([f * scale for f in reversed(column)])
-        scales.append(scale)
-    # newest-first divided differences, in place: table[i] = c_i
-    for level in range(1, count):
-        for i in range(count - 1, level - 1, -1):
-            span = offsets[i] - offsets[i - level]
-            for table in tables:
-                table[i] = (table[i] - table[i - 1]) / span
-    increments = [math.fsum([c * g for c, g in zip(table, integrals)])
-                  for table in tables]
+    columns, scales = table.columns, table.scales
+    increments = [math.fsum([c * g for c, g in zip(column, integrals)])
+                  for column in columns]
     y_ab = [y0 + increment / scale
             for y0, increment, scale in zip(y, increments, scales)]
     if derivative_at is None:
@@ -307,11 +358,11 @@ def adams_update(y: Sequence[float], nodes: Sequence[float],
         at_new_node *= dx - offset
     weight = integrals[count] / at_new_node
     y_am = []
-    for y0, increment, scale, table, f in zip(
-            y, increments, scales, tables, derivative_at(y_ab)):
-        predicted = table[-1]  # p(dx), by Horner's rule
+    for y0, increment, scale, column, f in zip(
+            y, increments, scales, columns, derivative_at(y_ab)):
+        predicted = column[-1]  # p(dx), by Horner's rule
         for i in range(count - 2, -1, -1):
-            predicted = predicted * (dx - offsets[i]) + table[i]
+            predicted = predicted * (dx - offsets[i]) + column[i]
         y_am.append(
             y0 + (increment + weight * (f * scale - predicted)) / scale)
     return y_ab, y_am
@@ -423,9 +474,8 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
 
     # evaluates f at the prediction for the corrector; AB_FIXED has none
     corrector = None if config.mode is Mode.AB_FIXED else at_next
-    rows, width = trajectory._rows, trajectory._width
-    rows[_Y + y.size:] = array("d", evaluate(x, y))  # f(x0, y0) in row 0
-    derivatives = range(_Y + y.size, width)  # where a row keeps y'
+    table = DividedDifferences(y.size)
+    table.push(x, evaluate(x, y), 1)
     state = y.tolist()
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(1.0, abs(x_end))
@@ -436,15 +486,12 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         clamped = x_end is not None and x + dx >= x_end
         if clamped:
             dx = x_end - x
-        effective_order = min(len(rows) // width, config.order_ab)
-        first = len(rows) - effective_order * width  # of the stencil
+        effective_order = len(table.nodes)
         x_next = x_end if clamped else x + dx
         if not x_next > x:
             raise IntegrationError(
                 f"step dx={dx!r} does not advance x={x!r}", trajectory)
-        y_ab, y_am = adams_update(
-            state, rows[first + _X::width],
-            [rows[first + k::width] for k in derivatives], dx, corrector)
+        y_ab, y_am = adams_update(state, table, dx, corrector)
         y = np.array(y_am)
         dy_next = evaluate(x_next, y)
         epsilon_max = (0.0 if corrector is None
@@ -459,8 +506,10 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
             dx, capped, floored = next_step_size(
                 epsilon_max, config, effective_order + 1, dx)
 
-        trajectory._append(x_next, dx_taken, y_am, dy_next, epsilon_max,
+        trajectory._append(x_next, dx_taken, y_am, epsilon_max,
                            effective_order, capped, floored)
+        table.push(x_next, dy_next,
+                   min(effective_order + 1, config.order_ab))
         x, state = x_next, y_am
 
         if halt is not None and halt(x, y):

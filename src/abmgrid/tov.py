@@ -246,7 +246,6 @@ class SieveResult:
 
     P_c: float                # erg/cm^3, the probe of largest mass
     star: StarSolution        # the star integrated at P_c
-    iterations: int           # search steps after the opening probe
     evaluations: int          # star integrations performed, one per probe
     history: tuple            # (P_c, M grams, "golden"/"parabolic") per probe
 
@@ -289,9 +288,8 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
         return star.M
 
     P_c, history = _brent_maximize(mass, P_lo, P_hi, bracket_tolerance)
-    return SieveResult(P_c=P_c, star=best,
-                       iterations=len(history) - 1,
-                       evaluations=len(history), history=history)
+    return SieveResult(P_c=P_c, star=best, evaluations=len(history),
+                       history=history)
 
 
 @dataclass(frozen=True)

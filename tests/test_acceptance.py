@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from abmgrid import (CONSTANTS, Mode, PolyCase, adams_update,
-                     integrate_star, invert_pressure_to_x, pressure_from_x,
-                     run_poly_case, stable_plateau, star_config,
-                     trinary_sieve)
+from abmgrid import (CONSTANTS, DividedDifferences, Mode, PolyCase,
+                     adams_update, integrate_star, invert_pressure_to_x,
+                     pressure_from_x, run_poly_case, stable_plateau,
+                     star_config, trinary_sieve)
 
 # central pressure of the maximum-mass configuration for this gas, and
 # the mass/radius it must reproduce
@@ -49,16 +49,19 @@ def engine_weights(offsets, dx):
     ending at 0, or at dx for an implicit stencil.  Weight j is the
     increment ``adams_update`` returns from y = 0 when node j's
     derivative is 1 and every other is 0; the node at dx is the
-    corrector's, whose derivative ``derivative_at`` returns.
+    corrector's, whose derivative ``derivative_at`` returns.  The
+    table is the package's own, its nodes pushed oldest first.
     """
     offsets = [float(offset) for offset in offsets]
     implicit = offsets[-1] > 0.0
     nodes = offsets[:-1] if implicit else offsets
     weights = []
     for j in range(len(offsets)):
-        column = [float(k == j) for k in range(len(nodes))]
+        table = DividedDifferences(1)
+        for k, node in enumerate(nodes):
+            table.push(node, [float(k == j)], len(nodes))
         at_dx = [float(j == len(nodes))]
-        _, y_am = adams_update([0.0], nodes, [column], dx,
+        _, y_am = adams_update([0.0], table, dx,
                                (lambda y_ab: at_dx) if implicit else None)
         weights.append(y_am[0])
     return np.array(weights)

@@ -336,7 +336,7 @@ def test_sieve_reports_peak(capsys, monkeypatch):
     assert lines[1].startswith("M*   = 0.7099")
     # criterion 5's reference radius and bound
     assert float(lines[2].split()[2]) == pytest.approx(9.16233, rel=2e-3)
-    assert lines[3] == "iterations = 6  star evaluations = 7  parabolic = 4"
+    assert lines[3] == "star evaluations = 7  parabolic = 4"
     assert len(stars) == 7  # one star per probe, none integrated again
 
 

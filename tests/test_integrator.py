@@ -11,6 +11,7 @@ import pytest
 from abmgrid import (
     GROWTH_CAP,
     CallbackFailure,
+    DividedDifferences,
     IntegrationError,
     IntegratorConfig,
     MaxStepsExceeded,
@@ -41,9 +42,21 @@ exact_pece = _load_weight_oracle().exact_pece
 
 # --- building blocks -------------------------------------------------
 
+def pushed(nodes, columns):
+    """The package's table of a stencil, its nodes pushed oldest first.
+
+    ``nodes`` are oldest first and ``columns`` holds one sequence of
+    derivatives per component, in the same order.
+    """
+    table = DividedDifferences(len(columns))
+    for x, derivatives in zip(nodes, zip(*columns)):
+        table.push(float(x), [float(f) for f in derivatives], len(nodes))
+    return table
+
+
 def test_ab_predict_single_node_is_euler():
-    y_next, _ = adams_update(np.array([1.0]), np.array([0.0]),
-                             np.array([[6.5625]]), 0.25)
+    y_next, _ = adams_update(np.array([1.0]), pushed([0.0], [[6.5625]]),
+                             0.25)
     assert y_next[0] == 1.0 + 0.25 * 6.5625  # 2.640625 exactly
 
 
@@ -51,8 +64,8 @@ def test_ab_predict_weights_shared_across_components():
     # two components, derivative rows constant per component
     offsets = np.array([-2.0, -1.0, 0.0])
     derivatives = np.array([[1.0, -2.0]] * 3)
-    y_next, _ = adams_update([0.0, 0.0], offsets.tolist(),
-                             derivatives.T.tolist(), 1.0)
+    y_next, _ = adams_update([0.0, 0.0], pushed(offsets, derivatives.T),
+                             1.0)
     np.testing.assert_allclose(y_next, [1.0, -2.0], rtol=1e-14)
 
 
@@ -60,14 +73,15 @@ def test_am_correct_trapezoid_exact_for_linear_derivative():
     # y' = x from x=1 with one history node: correction is the
     # trapezoid rule, exact for a linear integrand
     y = np.array([0.5])  # x^2/2 at x=1
-    _, corrected = adams_update(y, np.array([0.0]), np.array([[1.0]]),
+    _, corrected = adams_update(y, pushed([0.0], [[1.0]]),
                                 0.5, lambda y_ab: np.array([1.5]))
     assert corrected[0] == pytest.approx(1.5 ** 2 / 2, rel=1e-15)
 
 
 def test_without_a_corrector_the_update_is_the_prediction():
-    y_ab, y_am = adams_update(np.array([1.0, 2.0]), np.array([-0.5, 0.0]),
-                              np.array([[1.0, 3.0], [2.0, 5.0]]), 0.25)
+    y_ab, y_am = adams_update(np.array([1.0, 2.0]),
+                              pushed([-0.5, 0.0], [[1.0, 3.0], [2.0, 5.0]]),
+                              0.25)
     assert y_am is y_ab
 
 
@@ -91,7 +105,7 @@ def test_pece_pair_matches_exact_rational_arithmetic():
         derivatives = size * rng.uniform(-1.0, 1.0, (count, 2))
         newest = size * rng.uniform(-1.0, 1.0, 2)
         y_ab, y_am = map(np.array, adams_update(
-            [0.0, 0.0], offsets.tolist(), derivatives.T.tolist(), dx,
+            [0.0, 0.0], pushed(offsets, derivatives.T), dx,
             lambda y_ab: newest.tolist()))
         exact_ab, exact_am, w_ab, w_am = exact_pece(
             [0, 0], offsets.tolist(), derivatives.tolist(), dx,
@@ -118,13 +132,55 @@ def test_scaled_derivatives_scale_the_increment_exactly(power):
         derivatives = rng.uniform(-1.0, 1.0, (count, 2))
         newest = rng.uniform(-1.0, 1.0, 2)
         plain = map(np.array, adams_update(
-            [0.0, 0.0], offsets.tolist(), derivatives.T.tolist(), 0.3,
+            [0.0, 0.0], pushed(offsets, derivatives.T), 0.3,
             lambda y_ab: newest.tolist()))
         scaled = map(np.array, adams_update(
-            [0.0, 0.0], offsets.tolist(), (factor * derivatives).T.tolist(),
+            [0.0, 0.0], pushed(offsets, (factor * derivatives).T),
             0.3, lambda y_ab: (factor * newest).tolist()))
         for base, big in zip(plain, scaled):
             assert np.array_equal(big, factor * base)
+
+
+def test_carried_table_equals_the_table_pushed_afresh():
+    # carrying the table from node to node, oldest nodes dropping out and
+    # scales changing binade on the way, gives the bits of a table built
+    # from the kept nodes alone; at the end the largest derivative drops
+    # out of the stencil, a rescale by 2^1024, which must leave zeros,
+    # not NaN
+    rng = np.random.default_rng(12)
+    order = 5
+    xs = np.cumsum(rng.uniform(0.1, 1.0, 60)).tolist()
+    binades = 2.0 ** rng.integers(-80, 80, (60, 2))
+    rows = (binades * rng.uniform(-1.0, 1.0, (60, 2))).tolist()
+    rows[-order - 3:] = [[1.7e308, 1.0]] * 3 + [[0.0, 1.0]] * order
+    carried = DividedDifferences(2)
+    rescaled = 0
+    for n, (x, row) in enumerate(zip(xs, rows)):
+        keep = min(n + 1, order)
+        before = list(carried.scales)
+        carried.push(x, row, keep)
+        rescaled += before != carried.scales
+        kept = slice(n + 1 - keep, n + 1)
+        fresh = pushed(xs[kept], list(zip(*rows[kept])))
+        assert carried.nodes == fresh.nodes == xs[kept][::-1]
+        assert carried.scales == fresh.scales
+        assert carried.columns == fresh.columns, n
+    assert rescaled > 30
+    assert carried.columns[0] == [0.0] * order
+
+
+def test_table_ramps_to_its_order_and_holds():
+    table = DividedDifferences(1)
+    lengths = []
+    for n in range(12):
+        table.push(float(n), [float(n * n)], min(len(table.nodes) + 1, 4))
+        lengths.append(len(table.columns[0]))
+    assert lengths == [1, 2, 3] + [4] * 9
+    assert table.nodes == [11.0, 10.0, 9.0, 8.0]
+    # y' = x^2 on 11, 10, 9, 8: c = [121, 11 + 10, 1, 0], each times the
+    # 2^-6 that brings 121 into [1, 2)
+    assert table.columns[0] == [121.0 / 64.0, 21.0 / 64.0, 1.0 / 64.0, 0.0]
+    assert table.scales == [1.0 / 64.0]
 
 
 def test_fractional_correction_is_the_largest_scaled_magnitude():
@@ -504,29 +560,35 @@ def gauss_rule(count):
             for point, weight in zip(points.tolist(), weights.tolist())]
 
 
-def newton_column(column, offsets):
+def newton_column(column, nodes):
     """(scale, newest-first divided differences) of one component.
 
-    ``column`` is oldest first; the scale is the power of two that
-    brings its largest magnitude into [1, 2).
+    ``column`` and ``nodes`` are oldest first; the scale is the power of
+    two that brings the largest magnitude into [1, 2).  The table is
+    built by pushing the nodes from oldest to newest: a node x with
+    derivative f turns the table c into c' with c'_0 = f and
+    c'_i = (c'_{i-1} - c_{i-1}) / (x - x_{i-1}), x_k being the node
+    behind c_k.
     """
     exponent = max(math.frexp(max(abs(f) for f in column))[1] - 1, -1022)
     scale = 2.0 ** -exponent
-    table = [f * scale for f in column[::-1]]
-    coefficients = [table[0]]
-    for level in range(1, len(table)):
-        table = [(a - b) / (s_a - s_b) for a, b, s_a, s_b
-                 in zip(table[1:], table, offsets[level:], offsets)]
-        coefficients.append(table[0])
+    coefficients, behind = [], []  # behind: the table's nodes, newest first
+    for x, f in zip(nodes, column):
+        pushed = [f * scale]
+        for c, node in zip(coefficients, behind):
+            pushed.append((pushed[-1] - c) / (x - node))
+        coefficients, behind = pushed, [x] + behind
     return scale, coefficients
 
 
 def reference_pece(system, y0, x0, config, x_end=None, halt=None):
     """integrate() written out plainly, on lists of Python floats.
 
-    Each step builds the Newton form afresh: newest-first divided
-    differences of the stored derivatives, basis integrals on Gauss
-    points, and the corrector as one more Newton term.  Returns
+    Each step builds the Newton form afresh from the stored
+    derivatives, carrying nothing from the step before: newest-first
+    divided differences pushed from the stencil's oldest node to its
+    newest, basis integrals on Gauss points, and the corrector as one
+    more Newton term.  Returns
     (records, n_evals, failed); a record is (x_next, dx, y_am,
     epsilon_max, effective_order, capped, floored), and ``failed`` is
     True when a non-finite state stopped the run.
@@ -549,7 +611,7 @@ def reference_pece(system, y0, x0, config, x_end=None, halt=None):
                 integrals[i] += term
                 if i < n:
                     term *= dx * point - offsets[i]
-        columns = [newton_column([row[j] for row in dys[-n:]], offsets)
+        columns = [newton_column([row[j] for row in dys[-n:]], xs[-n:])
                    for j in range(len(y))]
         increments = [math.fsum([c * g for c, g in zip(coefficients,
                                                          integrals)])
@@ -682,6 +744,68 @@ def test_star_run_matches_the_plain_loop_bit_for_bit():
     assert trajectory.halted and not expected[2]
     assert_same_run(trajectory, expected)
     assert any(record.floored for record in trajectory)
+
+
+def test_order_10_star_matches_the_plain_loop_bit_for_bit():
+    def star(r, state):
+        return np.array(tov_derivatives(r, *state.tolist()))
+
+    def surface(r, state):
+        return state[1] <= 0.0
+
+    config = star_config(10, 1e-8)
+    expected = reference_pece(star, [0.0, 3.631382e35], 0.0, config,
+                              halt=surface)
+    trajectory = integrate(star, [0.0, 3.631382e35], 0.0, config,
+                           halt=surface)
+    assert trajectory.halted and not expected[2]
+    assert_same_run(trajectory, expected)
+    assert max(record.effective_order for record in trajectory) == 10
+
+
+def binade_crossing(x, y):
+    # y0 grows like exp(e^{40x} / 40); y1 falls as fast, so each
+    # component's largest |y'| keeps entering and leaving the stencil
+    growth = math.exp(40.0 * x)
+    return np.array([growth * y[0], -growth * y[1]])
+
+
+@pytest.mark.parametrize("power", [600, -600])
+def test_carried_table_rescales_exactly_across_binades(power):
+    # the carried table changes scale whenever a component's largest |y'|
+    # changes binade; the run equals the rebuild-per-step plain loop, and
+    # scaling the state (and so y') by 2^power scales every state by
+    # exactly 2^power and leaves the steps alone
+    config = IntegratorConfig(order_ab=6, dx_initial=1e-3,
+                              target_correction=1e-4)
+    plain = integrate(binade_crossing, [1.0, 1.0], 0.0, config, x_end=0.2)
+    assert_same_run(plain, reference_pece(binade_crossing, [1.0, 1.0], 0.0,
+                                          config, x_end=0.2))
+    slopes = np.abs(binade_crossing(0.2, plain.final_y))
+    assert slopes[0] > 2.0 ** 40 and slopes[1] < 2.0 ** -20
+    factor = 2.0 ** power
+    scaled = integrate(binade_crossing, [factor, factor], 0.0, config,
+                       x_end=0.2)
+    assert len(scaled) == len(plain)
+    for a, b in zip(plain, scaled):
+        assert (b.x_next, b.dx, b.epsilon_max, b.effective_order,
+                b.capped, b.floored) == (a.x_next, a.dx, a.epsilon_max,
+                                         a.effective_order, a.capped,
+                                         a.floored)
+        assert np.array_equal(b.y_am, factor * a.y_am)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_effective_order_ramps_to_the_order_and_holds(mode):
+    for order in range(1, 11):
+        config = IntegratorConfig(order_ab=order, dx_initial=0.05,
+                                  target_correction=1e-6, mode=mode)
+        trajectory = integrate(lambda x, y: np.array([np.cos(x) * y[0]]),
+                               [1.0], 0.0, config, x_end=3.0)
+        orders = [record.effective_order for record in trajectory]
+        assert len(orders) > order
+        assert orders == list(range(1, order)) + [order] * (
+            len(orders) - order + 1)
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -388,7 +388,6 @@ def test_sieve_finds_the_mass_peak(fast_sieve):
     result, stars = fast_sieve
     assert abs(result.P_c / P_CENTRAL - 1.0) < 2.5e-3
     assert result.M_msun == pytest.approx(0.70999813, rel=1e-6)
-    assert result.iterations == 6
     assert result.evaluations == 7
     # every probe is one star, and the answer is not integrated again
     assert len(stars) == result.evaluations

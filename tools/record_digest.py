@@ -2,16 +2,23 @@
 
 Usage:  python tools/record_digest.py <src-dir>
 
-Imports ``abmgrid`` from ``<src-dir>`` and prints one digest per group
-of runs.  Two source trees that print the same line for a group produce
-the same bits for every step of that group: abscissa, step size, state,
-fractional correction, order and controller flags, plus the evaluation
-count, the halt flag and the failure (type, tag, message) if any.
+Imports ``abmgrid`` from ``<src-dir>`` and prints one line per group
+of runs: its name, the number of runs hashed, the total accepted steps
+and derivative evaluations of every integration the group ran (the
+sieve's probes and the sweep's reference star included), and the
+digest.  Two source trees that print the same digest for a group
+produce the same bits for every step of that group: abscissa, step
+size, state, fractional correction, order and controller flags, plus
+the evaluation count, the halt flag and the failure (type, tag,
+message) if any.  When a digest moves, the totals show at a glance
+whether any step count moved with it.
 
 Only the public API that every version of the package offers is used:
-iterating a trajectory, ``len``, ``n_evals`` and ``halted``.  So the
-script runs unchanged against an older checkout, and its output can be
-diffed line by line between two trees.
+iterating a trajectory, ``len``, ``n_evals`` and ``halted``, and the
+``integrate`` that ``abmgrid.tov`` and ``abmgrid.poly`` look up at call
+time, which the totals wrap.  So the script runs unchanged against an
+older checkout, and its output can be diffed line by line between two
+trees.
 
 Groups:
   stars     orders {3, 6, 10} x E {1e-2, 1e-5, 1e-8} x P_c {1e34,
@@ -24,6 +31,7 @@ Groups:
             the order-10, E = 1e-8 star
   sieve     the default sieve, [1e35, 1e36] at order 6, E = 1e-8
 """
+import contextlib
 import hashlib
 import sys
 
@@ -78,6 +86,43 @@ class Digest:
         return self._hash.hexdigest()
 
 
+@contextlib.contextmanager
+def counting_integrations():
+    """Yield [steps, evaluations], the totals of every integration run.
+
+    A run that fails counts the partial trajectory its error carries.
+    """
+    import abmgrid
+    from abmgrid import IntegrationError
+    totals = [0, 0]
+
+    def count(trajectory):
+        if trajectory is not None:
+            totals[0] += len(trajectory)
+            totals[1] += trajectory.n_evals
+
+    def counted(integrate):
+        def run(*args, **kwargs):
+            try:
+                trajectory = integrate(*args, **kwargs)
+            except IntegrationError as failure:
+                count(failure.trajectory)
+                raise
+            count(trajectory)
+            return trajectory
+        return run
+
+    modules = (abmgrid.tov, abmgrid.poly)
+    originals = [module.integrate for module in modules]
+    for module, integrate in zip(modules, originals):
+        module.integrate = counted(integrate)
+    try:
+        yield totals
+    finally:
+        for module, integrate in zip(modules, originals):
+            module.integrate = integrate
+
+
 def star_group(digest, pressures, orders, tolerances):
     from abmgrid import integrate_star, star_config
     for P_c in pressures:
@@ -116,7 +161,9 @@ def sweep_group(digest):
 def sieve_group(digest):
     from abmgrid import star_config, trinary_sieve
     result = trinary_sieve(1e35, 1e36, star_config(6, 1e-8))
-    digest.feed(result.P_c, result.iterations, result.evaluations,
+    # evaluations - 1 stands where the digest once fed the sieve's
+    # iteration count, so a tree that still has one hashes alike
+    digest.feed(result.P_c, result.evaluations - 1, result.evaluations,
                 result.star.M, result.star.R)
     digest.trajectory(result.star.trajectory)
 
@@ -142,8 +189,11 @@ def main(argv):
     print(f"# abmgrid from {abmgrid.__file__}", file=sys.stderr)
     for name, run in GROUPS:
         digest = Digest()
-        run(digest)
-        print(f"{name:<9} {digest.items:>3} {digest.hexdigest()}")
+        with counting_integrations() as totals:
+            run(digest)
+        steps, evals = totals
+        print(f"{name:<9} {digest.items:>3} steps {steps:>6} "
+              f"evals {evals:>6} {digest.hexdigest()}")
     return 0
 
 
