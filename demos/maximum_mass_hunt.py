@@ -2,10 +2,11 @@
 
 First maps the mass curve M(P_central) on a coarse logarithmic grid to
 show the single hump, then runs the trinary sieve to locate the peak.
-The sieve is Brent's method: near the smooth peak it probes the vertex
-of the parabola through the three best stars so far, and elsewhere the
-golden-section point of the bracket.  Its answer is the best probe,
-whose star it has already integrated.
+The sieve is Brent's method on ln P_central, where the hump is nearly
+symmetric: near the smooth peak it probes the vertex of the parabola
+through the three best stars so far, and elsewhere the golden-section
+point of the bracket.  Its answer is the best probe, whose star it has
+already integrated.
 """
 import numpy as np
 

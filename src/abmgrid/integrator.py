@@ -426,7 +426,8 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
     satisfies the predicate.  When both are given, whichever fires
     first ends the run.
 
-    Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState`, or
+    Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState` (at x0,
+    before any step, when f(x0, y0) is not finite), or
     :class:`CallbackFailure`; an :class:`IntegrationError` raised by
     ``system`` propagates as is.  A plain :class:`IntegrationError` is
     raised before evaluating a step that would not advance x, as when
@@ -474,8 +475,11 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
 
     # evaluates f at the prediction for the corrector; AB_FIXED has none
     corrector = None if config.mode is Mode.AB_FIXED else at_next
+    dy = evaluate(x, y)
+    if not all(map(math.isfinite, dy)):
+        raise NonFiniteState(f"non-finite derivative at x={x!r}", trajectory)
     table = DividedDifferences(y.size)
-    table.push(x, evaluate(x, y), 1)
+    table.push(x, dy, 1)
     state = y.tolist()
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(1.0, abs(x_end))

@@ -14,10 +14,11 @@ first accepted step whose pressure is zero or below: that step's mass
 and radius ARE the star's M and R, with no surface interpolation.
 
 The maximum-mass hunt exploits that M(P_central) is unimodal over the
-physical range and smooth near its peak: Brent's method probes the
-vertex of the parabola through the three best stars so far when that
-is safe, and the golden-section point of the bracket when it is not.
-Each probe integrates one star, and the answer is the best probe,
+physical range and smooth near its peak.  It searches u = ln P_central,
+on which M is nearly symmetric about the peak: Brent's method probes
+the vertex of the parabola through the three best stars so far when
+that is safe, and the golden-section point of the bracket when it is
+not.  Each probe integrates one star, and the answer is the best probe,
 whose star is already in hand.
 """
 from __future__ import annotations
@@ -144,7 +145,7 @@ def integrate_star(P_central: float, config: IntegratorConfig) -> StarSolution:
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden section of a unit segment
 
 
-def _brent_maximize(f, lo: float, hi: float, rel_tol: float):
+def _brent_maximize(f, lo: float, hi: float, width: float):
     """Maximum of a unimodal function on [lo, hi] by Brent's method.
 
     Brent (1973), *Algorithms for Minimization without Derivatives*,
@@ -153,24 +154,23 @@ def _brent_maximize(f, lo: float, hi: float, rel_tol: float):
     the vertex of the parabola through x, w and v when that vertex lies
     inside the bracket and moves less than half the step before last;
     otherwise it is the golden-section point of the larger side of x.
-    No probe lands closer than tol = rel_tol * |x| / 4 to x, and the
-    search stops once x is within 2 tol of both ends, so the final
-    bracket is at most rel_tol * |x| wide.  As tol is relative to x,
-    the maximum must lie away from 0.
+    No probe lands closer than tol = width / 4 to x, and the search
+    stops once x is within 2 tol of both ends, so the final bracket is
+    at most ``width`` wide.
 
     Returns (x, history): x is the best probe and history holds one
     (point, value, "golden" or "parabolic") per probe, in order.
     """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    if not (lo < hi and width > 0.0):
+        raise ValueError("need lo < hi and width > 0")
     a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
     history = [(x, fx, "golden")]
     d = e = 0.0  # the last step and the one before it
+    tol = 0.25 * width
     while True:
         mid = 0.5 * (a + b)
-        tol = 0.25 * rel_tol * abs(x)
         if max(x - a, b - x) <= 2.0 * tol:
             return x, tuple(history)
         parabolic = False
@@ -242,9 +242,13 @@ def stable_plateau(trajectory: Trajectory, tolerance: float,
 
 @dataclass(frozen=True)
 class SieveResult:
-    """Outcome of the maximum-mass hunt."""
+    """Outcome of the maximum-mass hunt.
 
-    P_c: float                # erg/cm^3, the probe of largest mass
+    The search runs on ln P_c, but P_c and the history's pressures are
+    in erg/cm^3: each is the central pressure of a star it integrated.
+    """
+
+    P_c: float                # erg/cm^3, star.P_central of the best probe
     star: StarSolution        # the star integrated at P_c
     evaluations: int          # star integrations performed, one per probe
     history: tuple            # (P_c, M grams, "golden"/"parabolic") per probe
@@ -264,11 +268,13 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     """Central pressure of the maximum-mass star on [P_lo, P_hi].
 
     Assumes M(P_central) is unimodal on the bracket, which holds for
-    this gas over the physical range.  Brent's method integrates one
-    star per probe, taking a parabolic step near the smooth peak and a
-    golden-section step where a parabola is not safe, and stops once
-    the bracket around the best probe is at most ``bracket_tolerance``
-    of it wide.  The answer is that best probe and its already
+    this gas over the physical range.  Brent's method searches u =
+    ln P_c, where M is nearly symmetric about its peak, integrating one
+    star at P_c = exp(u) per probe: a parabolic step near the smooth
+    peak and a golden-section step where a parabola is not safe.  It
+    stops once the bracket in u is at most ln(1 + bracket_tolerance)
+    wide, so the bracket in P is at most ``bracket_tolerance`` of the
+    best probe wide.  The answer is that best probe and its already
     integrated star; nothing is integrated twice.  The search is
     serial: ``jobs`` accepts only 1.
     """
@@ -280,16 +286,18 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     # does for Brent's best point
     best = None
 
-    def mass(P_c: float) -> float:
+    def mass(u: float) -> float:
         nonlocal best
-        star = integrate_star(P_c, config)
+        star = integrate_star(math.exp(u), config)
         if best is None or star.M >= best.M:
             best = star
         return star.M
 
-    P_c, history = _brent_maximize(mass, P_lo, P_hi, bracket_tolerance)
-    return SieveResult(P_c=P_c, star=best, evaluations=len(history),
-                       history=history)
+    _, probes = _brent_maximize(mass, math.log(P_lo), math.log(P_hi),
+                                math.log1p(bracket_tolerance))
+    history = tuple((math.exp(u), M, kind) for u, M, kind in probes)
+    return SieveResult(P_c=best.P_central, star=best,
+                       evaluations=len(history), history=history)
 
 
 @dataclass(frozen=True)

@@ -398,6 +398,23 @@ def test_non_finite_state_raises_with_context():
     assert excinfo.value.tag == "non-finite"
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_non_finite_first_derivative_raises_at_x0(mode):
+    # f(x0, y0) is checked before the first step is taken
+    def infinite_at_start(x, y):
+        return np.array([np.inf if x == 0.0 else 1.0])
+
+    config = IntegratorConfig(order_ab=2, dx_initial=0.1, mode=mode)
+    expected = reference_pece(infinite_at_start, [0.0], 0.0, config,
+                              x_end=1.0)
+    assert expected == ([], 1, True)
+    with pytest.raises(NonFiniteState, match=r"at x=0\.0$") as excinfo:
+        integrate(infinite_at_start, [0.0], 0.0, config, x_end=1.0)
+    assert len(excinfo.value.trajectory) == 0
+    assert excinfo.value.trajectory.n_evals == 1
+    assert excinfo.value.tag == "non-finite"
+
+
 def test_callback_exception_is_wrapped_with_cause():
     def fragile(x, y):
         if x > 0.3:
@@ -596,6 +613,8 @@ def reference_pece(system, y0, x0, config, x_end=None, halt=None):
     x, y, dx = x0, [float(v) for v in y0], config.dx_initial
     xs, dys, records = [x], [system(x, np.array(y)).tolist()], []
     n_evals = 1
+    if not all(math.isfinite(v) for v in dys[0]):
+        return records, n_evals, True
     end = math.inf if x_end is None else x_end - 1e-14 * max(1.0, x_end)
     while x < end:
         n = min(len(xs), config.order_ab)

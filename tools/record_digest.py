@@ -16,9 +16,10 @@ whether any step count moved with it.
 Only the public API that every version of the package offers is used:
 iterating a trajectory, ``len``, ``n_evals`` and ``halted``, and the
 ``integrate`` that ``abmgrid.tov`` and ``abmgrid.poly`` look up at call
-time, which the totals wrap.  So the script runs unchanged against an
-older checkout, and its output can be diffed line by line between two
-trees.
+time, which the totals wrap; the sieves group also reads
+``SieveResult.history``, which every tree with Brent's sieve has.  So
+the script runs unchanged against an older checkout, and its output
+can be diffed line by line between two trees.
 
 Groups:
   stars     orders {3, 6, 10} x E {1e-2, 1e-5, 1e-8} x P_c {1e34,
@@ -30,6 +31,10 @@ Groups:
   sweep     orders 3..10 x E {1e-2, 1e-5, 1e-8} at 3.631382e35 against
             the order-10, E = 1e-8 star
   sieve     the default sieve, [1e35, 1e36] at order 6, E = 1e-8
+  sieves    10 sieves at order 6, E = 1e-8, each end of [1e35, 1e36]
+            moved by up to +-5 % as the benchmark's sieve workload moves
+            it; hashes each sieve's ``history`` (every probe), P_c, M and
+            R, and prints the stars per sieve on stderr
 """
 import contextlib
 import hashlib
@@ -38,6 +43,10 @@ import sys
 import numpy as np
 
 P_MAX = 3.631382e35
+# the sieves group's bracket ends, moved by these multiples of 5 %
+SIEVE_SHIFTS = ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0),
+                (0.0, 0.0), (0.5, -0.5), (-0.5, 0.5), (0.3, 0.8),
+                (-0.8, -0.3), (0.9, -0.1))
 
 
 class Digest:
@@ -168,6 +177,22 @@ def sieve_group(digest):
     digest.trajectory(result.star.trajectory)
 
 
+def sieves_group(digest):
+    from abmgrid import star_config, trinary_sieve
+    stars = []
+    for low, high in SIEVE_SHIFTS:
+        result = trinary_sieve(1e35 * (1.0 + 0.05 * low),
+                               1e36 * (1.0 + 0.05 * high),
+                               star_config(6, 1e-8))
+        for P_c, M, kind in result.history:
+            digest.feed(P_c, M, kind)
+        digest.feed(result.P_c, result.star.M, result.star.R)
+        digest.items += 1
+        stars.append(result.evaluations)
+    print(f"# sieves: stars per sieve {' '.join(map(str, stars))}",
+          file=sys.stderr)
+
+
 GROUPS = (
     ("stars", lambda d: star_group(d, (1e34, P_MAX, 1e37), (3, 6, 10),
                                    (1e-2, 1e-5, 1e-8))),
@@ -176,6 +201,7 @@ GROUPS = (
     ("poly", poly_group),
     ("sweep", sweep_group),
     ("sieve", sieve_group),
+    ("sieves", sieves_group),
 )
 
 
