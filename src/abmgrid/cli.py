@@ -245,7 +245,7 @@ def cmd_sieve(args) -> int:
     try:
         result = trinary_sieve(args.lo, args.hi, config,
                                bracket_tolerance=args.bracket_tol)
-    except IntegrationError as exc:
+    except (IntegrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"P_c* = {result.P_c:.17g} erg/cm^3")
@@ -306,7 +306,7 @@ def cmd_sweep(args) -> int:
         reference = (reference_run.M, reference_run.R)
     else:
         reference = (args.ref_mass, args.ref_radius)
-    cells = parameter_sweep(orders, tols, args.pc, reference, jobs=args.jobs)
+    cells = parameter_sweep(orders, tols, args.pc, reference)
     rows = [(cell.order, cell.tolerance, cell.steps, cell.M_msun, cell.R_km,
              cell.rel_dM, cell.rel_dR, cell.status) for cell in cells]
     n_ok = sum(cell.ok for cell in cells)
@@ -387,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="ref_radius", help="reference radius, cm")
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    sweep.add_argument("--jobs", type=_at_least_one, default=1,
-                       help="worker processes, at most one per CPU")
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -24,8 +24,6 @@ whose star is already in hand.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,6 +275,10 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     best probe wide.  The answer is that best probe and its already
     integrated star; nothing is integrated twice.  The search is
     serial: ``jobs`` accepts only 1.
+
+    Raises ValueError, naming the end, when no probe lies between the
+    best probe and ``P_lo`` or ``P_hi``: the final bracket then still
+    reaches that end, so the peak may lie outside [P_lo, P_hi].
     """
     if not 0.0 < P_lo < P_hi:
         raise ValueError("need 0 < P_lo < P_hi")
@@ -296,6 +298,15 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     _, probes = _brent_maximize(mass, math.log(P_lo), math.log(P_hi),
                                 math.log1p(bracket_tolerance))
     history = tuple((math.exp(u), M, kind) for u, M, kind in probes)
+    # every end of Brent's bracket is an original end or a probe
+    pressures = [P for P, _, _ in history]
+    for name, end, nearest in (("P_lo", P_lo, min(pressures)),
+                               ("P_hi", P_hi, max(pressures))):
+        if nearest == best.P_central:
+            raise ValueError(
+                f"the mass peak is not bracketed: no probe lies between "
+                f"the heaviest star, at P_c = {best.P_central:.6g} "
+                f"erg/cm^3, and {name} = {end:.6g} erg/cm^3")
     return SieveResult(P_c=best.P_central, star=best,
                        evaluations=len(history), history=history)
 
@@ -318,9 +329,9 @@ class SweepCell:
         return self.status == "ok"
 
 
-def _sweep_cell(args) -> SweepCell:
-    """Worker for one sweep cell; top-level so process pools can pickle it."""
-    order, tolerance, P_central, M_ref, R_ref = args
+def _sweep_cell(order: int, tolerance: float, P_central: float,
+                M_ref: float, R_ref: float) -> SweepCell:
+    """One sweep cell: its star against the reference, or its failure."""
     try:
         star = integrate_star(P_central, star_config(order, tolerance))
     except IntegrationError as failure:
@@ -342,17 +353,15 @@ def parameter_sweep(orders, tolerances, P_central: float, reference,
     ``reference`` is (M_ref grams, R_ref cm), normally from a
     high-order, tight-tolerance run.  Cells that fail to integrate are
     reported with a failure status; the sweep continues.  The cells run
-    in min(jobs, cells, CPUs) processes.
+    one after another, orders outermost: ``jobs`` accepts only 1.
     """
     M_ref, R_ref = reference
     if not (M_ref > 0.0 and R_ref > 0.0):
         raise ValueError("reference mass and radius must be positive")
-    tasks = [(order, tolerance, P_central, M_ref, R_ref)
+    if jobs != 1:
+        raise ValueError("the sweep runs serially; jobs must be 1")
+    cells = [_sweep_cell(order, tolerance, P_central, M_ref, R_ref)
              for order in orders for tolerance in tolerances]
-    if not tasks:
+    if not cells:
         raise ValueError("sweep grid is empty")
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, tasks))
-    return [_sweep_cell(task) for task in tasks]
+    return cells

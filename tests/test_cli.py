@@ -97,7 +97,7 @@ def test_validation_failures_exit_two(capsys):
                  ["sieve", "--jobs", "2"],
                  ["sieve", "--order", "four"],
                  sweep + ["--tols", "inf"],
-                 sweep + ["--tols", "1e-4", "--jobs", "-3"],
+                 sweep + ["--tols", "1e-4", "--jobs", "2"],
                  sweep + ["--tols", "1e-4", "--ref-mass", "nan",
                           "--ref-radius", "1e6"]):
         assert main(argv) == 2, argv
@@ -318,6 +318,19 @@ def test_sieve_horizon_failure_reports_plain_numbers(capsys):
     assert "np.float64" not in err
 
 
+@pytest.mark.parametrize("lo, hi, end", [
+    ("1e33", "1e34", "P_hi"),
+    ("1e36", "1e37", "P_lo"),
+])
+def test_sieve_without_the_peak_in_its_bracket_exits_one(capsys, lo, hi, end):
+    assert main(["sieve", "--lo", lo, "--hi", hi]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the mass peak is not bracketed")
+    assert f"{end} = " in err
+    assert "Traceback" not in err
+
+
 def test_sieve_reports_peak(capsys, monkeypatch):
     stars = []
 
@@ -410,6 +423,13 @@ def test_sweep_reference_star_failure_exits_one(capsys):
 
 # --- installed entry point ----------------------------------------------
 
+def fresh_interpreter_env():
+    """The environment under which a new interpreter imports this abmgrid."""
+    package_root = str(Path(abmgrid.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
 def test_console_script_is_installed():
     # the console script pip generates from [project.scripts] imports
     # the target and calls sys.exit(main()); run exactly that in a
@@ -422,9 +442,7 @@ def test_console_script_is_installed():
     module, _, function = scripts["abmgrid"].partition(":")
     wrapper = (f"import sys; from {module} import {function}; "
                f"sys.exit({function}())")
-    package_root = str(Path(abmgrid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    env = fresh_interpreter_env()
     commands = [[sys.executable, "-c", wrapper, "--version"]]
     exe = shutil.which("abmgrid")
     if exe is not None:
@@ -434,3 +452,16 @@ def test_console_script_is_installed():
                                 timeout=60, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == f"abmgrid {__version__}"
+
+
+def test_import_starts_no_process_machinery():
+    # every study runs in one process, so importing the CLI loads
+    # neither process pools nor multiprocessing
+    probe = ("import sys, abmgrid.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'}"
+             " & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=60,
+                            env=fresh_interpreter_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

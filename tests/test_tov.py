@@ -455,6 +455,15 @@ def test_sieve_on_shifted_brackets(low, high):
     assert hi - lo <= 1e-3 * result.P_c
 
 
+@pytest.mark.parametrize("P_lo, P_hi, end", [
+    (1e33, 1e34, "P_hi"),   # the peak lies above the bracket
+    (1e36, 1e37, "P_lo"),   # and below this one
+])
+def test_sieve_refuses_a_peak_it_has_not_bracketed(P_lo, P_hi, end):
+    with pytest.raises(ValueError, match=f"not bracketed.*{end} = "):
+        trinary_sieve(P_lo, P_hi, star_config(6, 1e-8))
+
+
 def test_sieve_runs_serially():
     with pytest.raises(ValueError):
         trinary_sieve(1e35, 1e36, star_config(4, 1e-6), jobs=2)
@@ -517,63 +526,6 @@ def test_sweep_validates_inputs():
         parameter_sweep([], [1e-6], P_CENTRAL, (1.0, 1.0))
 
 
-def test_sweep_parallel_matches_serial(reference_star):
-    reference = (reference_star.M, reference_star.R)
-    serial = parameter_sweep([3, 4], [1e-4], P_CENTRAL, reference)
-    parallel = parameter_sweep([3, 4], [1e-4], P_CENTRAL, reference, jobs=2)
-    assert [(c.order, c.steps, c.M_msun) for c in serial] == [
-        (c.order, c.steps, c.M_msun) for c in parallel]
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Sizes of the sweep's process pools, on a machine of 4 CPUs.
-
-    The pool is replaced by one that records its size and maps in this
-    process, so no worker process starts.
-    """
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(tov, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    return sizes
-
-
-def test_sweep_pool_never_outnumbers_its_cells(pool_sizes):
-    cells = parameter_sweep([3, 4], [1e-4], P_CENTRAL, (1.0, 1.0),
-                            jobs=10**6)
-    assert pool_sizes == [2]
-    assert [cell.order for cell in cells] == [3, 4]
-    # a one-cell grid needs no pool at all
-    parameter_sweep([4], [1e-4], P_CENTRAL, (1.0, 1.0), jobs=10**6)
-    assert pool_sizes == [2]
-
-
-def test_sweep_pool_never_outnumbers_the_cpus(pool_sizes, monkeypatch):
-    def claustrophobic(P_c, config):
-        raise HorizonError("synthetic")
-
-    monkeypatch.setattr(tov, "integrate_star", claustrophobic)
-    cells = parameter_sweep(range(3, 11), [1e-2, 1e-5, 1e-8], P_CENTRAL,
-                            (1.0, 1.0), jobs=64)
-    assert pool_sizes == [4]
-    assert [cell.status for cell in cells] == ["horizon"] * 24
-    # one CPU, or a count the platform cannot tell, runs the cells here
-    for cpus in (1, None):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        cells = parameter_sweep([3, 4], [1e-2], P_CENTRAL, (1.0, 1.0),
-                                jobs=64)
-        assert pool_sizes == [4] and len(cells) == 2
+def test_sweep_runs_serially():
+    with pytest.raises(ValueError):
+        parameter_sweep([4], [1e-6], P_CENTRAL, (1.0, 1.0), jobs=2)
