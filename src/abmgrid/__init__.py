@@ -1,8 +1,8 @@
 """Adams-Bashforth-Moulton integration on non-uniform grids.
 
 The package provides a variable-step, variable-order predictor-corrector
-ODE engine whose quadrature weights are rebuilt each step from the
-actual node spacing, a quartic-derivative test problem with a
+ODE engine that carries a divided-difference table over the actual node
+spacing from step to step, a quartic-derivative test problem with a
 closed-form solution, and a relativistic stellar-structure application
 (degenerate neutron gas) including a maximum-mass search.
 

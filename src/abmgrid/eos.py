@@ -4,26 +4,25 @@ Everything is parameterized by the dimensionless relativity parameter
 
     x = (h / 2 m_n c) * (3 n / pi)^(1/3),
 
-the neutron Fermi momentum in units of m_n c.  Pressure and mass-energy
-density follow from the standard degenerate-Fermi-gas integrals:
+the neutron Fermi momentum in units of m_n c.  With the pressure scale
+K = pi m_n^4 c^5 / 3 h^3, the degenerate-Fermi-gas pressure is
 
-    P   = K * [ x (2x^2 - 3) sqrt(x^2 + 1) + 3 asinh(x) ]
-    rho = m_n c^2 n + K * [ 3x (2x^2 + 1) sqrt(x^2 + 1) - 8x^3 - 3 asinh(x) ]
+    P = K * F(x),   F(x) = x (2x^2 - 3) sqrt(x^2 + 1) + 3 asinh(x).
 
-with the pressure scale K = pi m_n^4 c^5 / 3 h^3.  The second term of
-rho is the kinetic energy density; the first is rest mass.  Low-x
-limits go as (8/5)x^5 and (12/5)x^5 (so U -> 3P/2, the nonrelativistic
-ideal gas), and the ultrarelativistic ratio U/P -> 3.
+At zero temperature rho + P = n mu with mu = m_n c^2 sqrt(1 + x^2), and
+m_n c^2 n = 8 K x^3 exactly, so the mass-energy density is
 
-Pressure inversion is done in x, the numerically tame variable (P
-spans tens of decades while x spans a few), by Newton's method started
-below the root from those two limits; x comes out within ~1e-14
-relative for every finite P.  The closed form of the pressure bracket
-cancels as x -> 0, so below x = 0.3 the bracket is summed from its
-series instead.  The kinetic bracket keeps its closed form, which
-cancels the same way: next to the rest mass m_n c^2 n that costs rho a
-relative error of ~4e-17 / x^2 (5e-5 at x = 1e-6, most of rho at
-x = 1e-8).
+    rho = K * [ 8x^3 sqrt(x^2 + 1) - F(x) ]
+
+(Shapiro & Teukolsky 1983, ch. 2): rest mass plus a kinetic part U
+that goes as (12/5) K x^5 at low x (U -> 3P/2) and tends to 3P at high
+x.  Below x = 0.3, where the closed form of F cancels, F is summed from
+its series, so neither P nor rho cancels at any x.
+
+Pressure inversion is done in x (P spans tens of decades while x spans
+a few) by Newton's method started below the root from the low- and
+high-density limits; x comes out within ~1e-14 relative for every
+finite P.
 """
 from __future__ import annotations
 
@@ -95,11 +94,6 @@ def _pressure_bracket(x: float) -> float:
             + 3.0 * math.asinh(x))
 
 
-def _kinetic_bracket(x: float) -> float:
-    return (3.0 * x * (2.0 * x * x + 1.0) * math.sqrt(x * x + 1.0)
-            - 8.0 * x ** 3 - 3.0 * math.asinh(x))
-
-
 def pressure_from_x(x: float) -> float:
     """Pressure at relativity parameter x."""
     return CONSTANTS.pressure_scale * _pressure_bracket(x)
@@ -107,8 +101,11 @@ def pressure_from_x(x: float) -> float:
 
 def energy_density_from_x(x: float) -> float:
     """Mass-energy density (rest plus kinetic) at relativity parameter x."""
-    rest = CONSTANTS.m_n * CONSTANTS.c ** 2 * number_density(x)
-    return rest + CONSTANTS.pressure_scale * _kinetic_bracket(x)
+    if not x >= 0.0:
+        raise ValueError("relativity parameter must be non-negative")
+    square = x * x
+    return CONSTANTS.pressure_scale * (
+        8.0 * x * square * math.sqrt(square + 1.0) - _pressure_bracket(x))
 
 
 def invert_pressure_to_x(P: float) -> float:

@@ -1,10 +1,12 @@
 """High-precision degenerate-neutron-gas EOS values for frozen test data.
 
 Evaluates the pressure and kinetic-energy brackets, the pressure scale
-K = pi m_n^4 c^5 / 3 h^3, and selected inversions at 50 significant
-digits with mpmath, independently of the package implementation.  The
-brackets are the closed forms, which cancel as x -> 0 (about 4 log10(1/x)
-digits are lost), so they are evaluated with 40 extra digits.
+K = pi m_n^4 c^5 / 3 h^3, the mass-energy density rho = m_n c^2 n + K *
+(kinetic bracket), and selected inversions at 50 significant digits
+with mpmath, independently of the package implementation (which takes
+rho from the pressure bracket through rho + P = n mu).  The brackets
+are the closed forms, which cancel as x -> 0 (about 4 log10(1/x) digits
+are lost), so they are evaluated with 40 extra digits.
 
 Run:  python tests/oracles/gen_eos_oracle.py
 """
@@ -91,6 +93,12 @@ if __name__ == "__main__":
     for p_str in ("1e-10", "1", "1e5", "1e10", "1e20", "1e30", "1e33",
                   "1e36", "1e40", "1e100", "1e200", "1e300", "1.7e308"):
         print(f"P={p_str}: x={mp.nstr(invert(mp.mpf(p_str)), 20)}")
+    print()
+    # mass-energy density, rest plus kinetic, from x = 1e-8, where the
+    # kinetic part is 3e-17 of the rest mass, to the ultrarelativistic gas
+    for xs in ("1e-8", "1e-7", "1e-6", "1e-4", "1e-2", "0.29", "0.31", "1",
+               "10", "1e3"):
+        print(f"x={xs}: rho={mp.nstr(rho(mp.mpf(xs)), 20)}")
     print()
     # Newtonian-limit test point: x = 1e-3, r = 1e5 cm, m = 1e30 g
     x = mp.mpf("1e-3")

@@ -2,12 +2,13 @@
 
 Frozen values come from tests/oracles/gen_eos_oracle.py (mpmath at 50
 significant digits).  The pressure bracket is summed from its series
-where its closed form would cancel, so pressure and the inverted x are
-checked at 1e-13 for every x and P.  The kinetic bracket keeps its
-closed form, which cancels catastrophically as x -> 0 in double
-precision (relative error ~2e-16 / x^4), so its tolerances widen at
-small x by exactly that law; the stellar regime (x > 0.05) is clean to
-~1e-11.
+where its closed form would cancel, and the density comes from it
+through rho + P = n mu, so pressure, density (from x = 1e-8) and the
+inverted x (over the whole double range of P) are held to 1e-13 or
+tighter.  The kinetic part of the density is read here as
+rho - m_n c^2 n, a subtraction that loses the digits the rest mass
+takes, about log10(10 / 3x^2) of them, so its tolerances widen at
+small x by that law.
 """
 import math
 
@@ -29,19 +30,36 @@ P_AT_X1 = 8.4376292458112350572e+35       # pressure at x = 1
 RHO_AT_X1 = 6.9178696450664859339e+36     # mass-energy density at x = 1
 
 # (x, pressure bracket, kinetic bracket, kinetic tolerance); the
-# tolerance tracks the measured double-precision cancellation loss of
-# the kinetic closed form, the pressure is held to PRESSURE_REL
+# kinetic part U is read as rho - m_n c^2 n, which magnifies rho's
+# rounding by rho / U ~ 10 / 3x^2 at low x, and each tolerance is about
+# ten times the error that leaves (6.4e-10, 1.3e-11 and 7.5e-14 at
+# x = 1e-3, 1e-2 and 0.1); the pressure is held to PRESSURE_REL
 PRESSURE_REL = 1e-13
 BRACKETS = [
-    (1e-3, 1.5999994285717619045e-15, 2.3999995714287380952e-15, 5e-3),
-    (1e-2, 1.5999428604759632203e-10, 2.3999571445237243016e-10, 1e-6),
-    (0.1, 1.5943188220159929375e-5, 2.39573086765522868e-5, 1e-10),
+    (1e-3, 1.5999994285717619045e-15, 2.3999995714287380952e-15, 1e-8),
+    (1e-2, 1.5999428604759632203e-10, 2.3999571445237243016e-10, 1e-10),
+    (0.1, 1.5943188220159929375e-5, 2.39573086765522868e-5, 1e-12),
     (0.5, 0.046092989241441782238, 0.071940999508453065967, 1e-11),
     (1.0, 1.2299071986855340269, 2.0838013002992263635, 1e-11),
     (2.0, 26.691586200534327992, 52.416764359452212579, 1e-11),
     (10.0, 19807.249642459047742, 52591.75532650807442, 1e-11),
     (100.0, 199980014.14507709418, 592059984.8549729027, 1e-11),
     (1000.0, 1999998000021.0527086, 5992005999977.9472919, 1e-11),
+]
+
+# mass-energy density from x = 1e-8, where the kinetic part is 3e-17
+# of the rest mass, across the x = 0.3 series cutoff to x = 1e3
+DENSITIES = [
+    (1e-8, 5488303023076.192921),
+    (1e-7, 5488303023076209.2213),
+    (1e-6, 5488303023077839247.3),
+    (1e-4, 5.4883030395411017962e+24),
+    (1e-2, 5.4884676692268370422e+30),
+    (0.29, 1.3718223780159298474e+35),
+    (0.31, 1.6813778998496359225e+35),
+    (1.0, 6.9178696450664859339e+36),
+    (10.0, 4.1568239241495908716e+40),
+    (1e3, 4.1162313835192828813e+48),
 ]
 
 # pressure bracket where its closed form cancels, and on both sides of
@@ -119,6 +137,12 @@ def test_closed_form_matches_oracle(x, p_bracket, u_bracket, rel):
     kinetic = energy_density_from_x(x) - (
         CONSTANTS.m_n * CONSTANTS.c ** 2 * number_density(x))
     assert kinetic == pytest.approx(K_ORACLE * u_bracket, rel=rel)
+
+
+@pytest.mark.parametrize("x,rho", DENSITIES)
+def test_density_matches_oracle(x, rho):
+    assert energy_density_from_x(x) == pytest.approx(rho, rel=2e-15,
+                                                     abs=0.0)
 
 
 @pytest.mark.parametrize("x,p_bracket", SMALL_X_BRACKETS)
@@ -226,6 +250,8 @@ def test_parameter_validation():
         number_density(-0.5)
     with pytest.raises(ValueError):
         energy_density_from_x(-1.0)
+    with pytest.raises(ValueError):
+        energy_density_from_x(math.nan)
 
 
 def test_eos_point_is_self_consistent():

@@ -201,8 +201,8 @@ def test_fractional_correction_propagates_nan():
     # like a NaN-propagating maximum, wherever the NaN sits
     for predicted in ([np.nan, 1.0, 2.0], [1.0, np.inf, 2.0],
                       [1.0, 2.0, np.nan]):
-        assert math.isnan(fractional_correction(
-            np.array(predicted), np.array([1.5, 2.5, 3.5])))
+        assert math.isnan(fractional_correction(predicted,
+                                                [1.5, 2.5, 3.5]))
 
 
 # --- step-size controller --------------------------------------------

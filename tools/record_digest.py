@@ -17,9 +17,13 @@ Only the public API that every version of the package offers is used:
 iterating a trajectory, ``len``, ``n_evals`` and ``halted``, and the
 ``integrate`` that ``abmgrid.tov`` and ``abmgrid.poly`` look up at call
 time, which the totals wrap; the sieves group also reads
-``SieveResult.history``, which every tree with Brent's sieve has.  So
-the script runs unchanged against an older checkout, and its output
-can be diffed line by line between two trees.
+``SieveResult.history``, which every tree with Brent's sieve has, and
+the gas groups call only ``pressure_from_x``, ``energy_density_from_x``
+and ``invert_pressure_to_x``.  So the script runs unchanged against an
+older checkout, and its output can be diffed line by line between two
+trees.  The gas groups integrate nothing: their count is the number of
+values hashed and their totals read 0.  They show which gas function a
+change moved when the star groups move.
 
 Groups:
   stars     orders {3, 6, 10} x E {1e-2, 1e-5, 1e-8} x P_c {1e34,
@@ -35,6 +39,9 @@ Groups:
             moved by up to +-5 % as the benchmark's sieve workload moves
             it; hashes each sieve's ``history`` (every probe), P_c, M and
             R, and prints the stars per sieve on stderr
+  pressure  P(x) at x = 10^(k/100), k = -800..300 (1e-8 to 1e3)
+  density   rho(x) on the same grid of x
+  inversion x(P) at P = 10^(k/10), k = -3230..3080 (1e-323 to 1e308)
 """
 import contextlib
 import hashlib
@@ -193,6 +200,19 @@ def sieves_group(digest):
           file=sys.stderr)
 
 
+# the gas groups' grids: 100 values of x per decade over the star's
+# range and beyond, 10 values of P per decade over the double range
+GAS_X = [10.0 ** (k / 100) for k in range(-800, 301)]
+GAS_P = [10.0 ** (k / 10) for k in range(-3230, 3081)]
+
+
+def gas_group(digest, name, arguments):
+    import abmgrid
+    function = getattr(abmgrid, name)
+    digest.feed([function(argument) for argument in arguments])
+    digest.items += len(arguments)
+
+
 GROUPS = (
     ("stars", lambda d: star_group(d, (1e34, P_MAX, 1e37), (3, 6, 10),
                                    (1e-2, 1e-5, 1e-8))),
@@ -202,6 +222,9 @@ GROUPS = (
     ("sweep", sweep_group),
     ("sieve", sieve_group),
     ("sieves", sieves_group),
+    ("pressure", lambda d: gas_group(d, "pressure_from_x", GAS_X)),
+    ("density", lambda d: gas_group(d, "energy_density_from_x", GAS_X)),
+    ("inversion", lambda d: gas_group(d, "invert_pressure_to_x", GAS_P)),
 )
 
 
