@@ -30,8 +30,8 @@ import math
 import sys
 from dataclasses import dataclass, field, asdict
 
-__all__ = ["PhysicalConstants", "CONSTANTS", "number_density",
-           "pressure_from_x", "energy_density_from_x", "invert_pressure_to_x"]
+__all__ = ["PhysicalConstants", "CONSTANTS", "pressure_from_x",
+           "energy_density_from_x", "invert_pressure_to_x"]
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
-
-
-def number_density(x: float) -> float:
-    """Number density at relativity parameter x."""
-    if not x >= 0.0:
-        raise ValueError("relativity parameter must be non-negative")
-    return (x / CONSTANTS.x_coefficient) ** 3
 
 
 # Below _SERIES_CUTOFF the closed form of the pressure bracket cancels

@@ -23,11 +23,12 @@ only, never of a nominal step, so the grid never needs to be uniform.
 the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
 term.  The state becomes a numpy array only where a callback receives
-it.  The step-size controller exploits the free grid by scaling dx
-against the fractional correction |y_AM - y_AB| relative to a target
-correction E.  Growth is capped at GROWTH_CAP per step; shrinking is
-uncapped down to an optional floor.  Steps are never rejected: the
-correction always ships and only the *next* step size responds.
+it; what the callback returns is read as a list of ``float``.  The
+step-size controller exploits the free grid by scaling dx against the
+fractional correction |y_AM - y_AB| relative to a target correction E.
+Growth is capped at GROWTH_CAP per step; shrinking is uncapped down to
+an optional floor.  Steps are never rejected: the correction always
+ships and only the *next* step size responds.
 
 Bootstrapping: the table starts as f(x0, y0) alone and grows by one
 entry per step, so the first step runs at order 1, the second at order
@@ -66,7 +67,6 @@ __all__ = [
 
 
 GROWTH_CAP = 3.0  # largest factor by which dx may grow in one step
-_FLOAT = np.dtype(float)
 # where a trajectory row keeps x, dx and epsilon_max; the state y starts
 # at _Y, after the order and the two flags, and ends the row
 _X, _DX, _EPS, _Y = 0, 1, 2, 6
@@ -230,7 +230,7 @@ class NonFiniteState(IntegrationError):
 
 
 class CallbackFailure(IntegrationError):
-    """The derivative callback raised or returned the wrong shape."""
+    """The derivative callback raised or returned a malformed derivative."""
 
 
 @lru_cache(maxsize=None)
@@ -413,27 +413,30 @@ def next_step_size(epsilon_max: float, config: IntegratorConfig,
     return dx_next, capped, floored
 
 
-def integrate(system: Callable[[float, np.ndarray], np.ndarray],
+def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
               y0, x0: float, config: IntegratorConfig, *,
               x_end: Optional[float] = None,
               halt: Optional[Callable[[float, np.ndarray], bool]] = None
               ) -> Trajectory:
     """Integrate y' = system(x, y) from (x0, y0).
 
-    At least one stop condition is required: ``x_end`` clamps the final
-    step so the trajectory lands on the endpoint without overshooting;
-    ``halt`` stops after the first accepted step whose corrected state
-    satisfies the predicate.  When both are given, whichever fires
-    first ends the run.
+    ``system`` and ``halt`` receive the state y as a float64 array;
+    ``system`` returns a sequence of len(y0) real numbers.  At least
+    one stop condition is required: ``x_end`` clamps the final step so
+    the trajectory lands on the endpoint without overshooting (x within
+    1e-14 max(|x0|, |x_end|) of it counts as there); ``halt`` stops
+    after the first accepted step whose corrected state satisfies the
+    predicate.  When both are given, whichever fires first ends the run.
 
     Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState` (at x0,
     before any step, when f(x0, y0) is not finite), or
-    :class:`CallbackFailure`; an :class:`IntegrationError` raised by
-    ``system`` propagates as is.  A plain :class:`IntegrationError` is
-    raised before evaluating a step that would not advance x, as when
-    the controller shrinks dx below the spacing of floats at x with no
-    ``dx_min`` to stop it.  Each carries the partial trajectory
-    in its ``trajectory`` attribute.
+    :class:`CallbackFailure` (``system`` raised or returned anything
+    else); an :class:`IntegrationError` raised by ``system`` propagates
+    as is.  A plain :class:`IntegrationError` is raised before
+    evaluating a step that would not advance x, as when the controller
+    shrinks dx below the spacing of floats at x with no ``dx_min`` to
+    stop it.  Each carries the partial trajectory in its
+    ``trajectory`` attribute.
     """
     if x_end is None and halt is None:
         raise ValueError("provide x_end, halt, or both")
@@ -447,11 +450,11 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
         raise ValueError("x_end must exceed x0")
 
     trajectory = Trajectory(x, y)
-    shape = y.shape
+    size = y.size
 
     def evaluate(xq: float, yq: np.ndarray) -> list:
         try:
-            dy = system(xq, yq)
+            dy = [float(v) for v in system(xq, yq)]
         except IntegrationError as exc:
             exc.trajectory = trajectory
             raise
@@ -459,16 +462,12 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
             raise CallbackFailure(
                 f"derivative callback failed at x={xq!r}: {exc}",
                 trajectory) from exc
-        # a 1-D float64 array, the usual return, needs no conversion
-        if not (type(dy) is np.ndarray and dy.dtype is _FLOAT
-                and dy.ndim == 1):
-            dy = np.atleast_1d(np.asarray(dy, dtype=float))
-        if dy.shape != shape:
+        if len(dy) != size:
             raise CallbackFailure(
-                f"derivative shape {dy.shape} != state shape {shape}",
+                f"derivative has {len(dy)} components, state has {size}",
                 trajectory)
         trajectory.n_evals += 1
-        return dy.tolist()
+        return dy
 
     def at_next(y_ab: list) -> list:
         return evaluate(x_next, np.array(y_ab))  # this step's x_next
@@ -482,7 +481,7 @@ def integrate(system: Callable[[float, np.ndarray], np.ndarray],
     table.push(x, dy, 1)
     state = y.tolist()
     dx = config.dx_initial
-    end_tol = 0.0 if x_end is None else 1e-14 * max(1.0, abs(x_end))
+    end_tol = 0.0 if x_end is None else 1e-14 * max(abs(x), abs(x_end))
 
     for _ in range(config.max_steps):
         if x_end is not None and x >= x_end - end_tol:

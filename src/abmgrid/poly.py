@@ -22,7 +22,7 @@ import numpy as np
 from .integrator import IntegratorConfig, Mode, Trajectory, integrate
 
 __all__ = ["poly_rhs", "poly_exact", "PolyCase", "PolyResult",
-           "run_poly_case", "fit_error_degree"]
+           "run_poly_case"]
 
 
 def poly_rhs(x: float) -> float:
@@ -81,7 +81,7 @@ def run_poly_case(case: PolyCase) -> PolyResult:
     """Integrate the test problem and attach the accumulated error."""
 
     def system(x, y):
-        return np.array([poly_rhs(x)])
+        return (poly_rhs(x),)
 
     trajectory = integrate(system, [case.y0], case.x0, case.config(),
                            x_end=case.x_end)
@@ -89,34 +89,3 @@ def run_poly_case(case: PolyCase) -> PolyResult:
     error = trajectory.y[:, 0] - exact
     return PolyResult(case=case, trajectory=trajectory, y_exact=exact,
                       error=error)
-
-
-def fit_error_degree(x, error, *, skip: int = 0, max_degree: int = 4,
-                     rel_tol: float = 1e-3):
-    """Polynomial degree that explains an accumulated-error curve.
-
-    Least-squares fits of degree 0..max_degree are tried on the points
-    after the first ``skip`` (the bootstrap prefix); the answer is the
-    lowest degree whose RMS residual falls below ``rel_tol`` of the
-    curve's peak magnitude.  On this problem the gulf between "wrong
-    degree" (residuals of order 10%) and "right degree" (residuals at
-    roundoff) is many decades wide, so the threshold is not delicate.
-
-    Returns (degree, residuals) where residuals[d] is the relative RMS
-    residual of the degree-d fit.
-    """
-    x = np.asarray(x, dtype=float)[skip:]
-    error = np.asarray(error, dtype=float)[skip:]
-    if x.size < max_degree + 2:
-        raise ValueError("not enough points beyond the bootstrap prefix")
-    scale = float(np.max(np.abs(error)))
-    if scale == 0.0:
-        return 0, np.zeros(max_degree + 1)
-    residuals = np.empty(max_degree + 1)
-    for degree in range(max_degree + 1):
-        coeffs = np.polyfit(x, error, degree)
-        misfit = error - np.polyval(coeffs, x)
-        residuals[degree] = np.sqrt(np.mean(misfit ** 2)) / scale
-    below = np.nonzero(residuals < rel_tol)[0]
-    degree = int(below[0]) if below.size else int(np.argmin(residuals))
-    return degree, residuals

