@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .eos import CONSTANTS
 from .integrator import GROWTH_CAP, IntegrationError, IntegratorConfig, Mode
-from .poly import PolyCase, poly_exact, run_poly_case
+from .poly import PolyCase, run_poly_case
 from .tov import integrate_star, parameter_sweep, star_config, trinary_sieve
 
 __all__ = ["build_parser", "main"]
@@ -137,9 +137,9 @@ def _emit(args, command: str, kind: str, columns, rows, summary,
 
 # ---------------------------------------------------------------- poly
 
-def _poly_rows(trajectory):
+def _poly_rows(trajectory, case):
     x, y = trajectory.x, trajectory.y[:, 0]
-    exact = poly_exact(x)
+    exact = case.exact(x)
     columns = (x, trajectory.dx, y, trajectory.epsilon_max, exact, y - exact)
     return list(zip(range(len(x)), *(column.tolist() for column in columns)))
 
@@ -156,14 +156,15 @@ def cmd_poly(args) -> int:
     except IntegrationError as exc:
         failure = exc
         trajectory = exc.trajectory
-    rows = _poly_rows(trajectory)
+    rows = _poly_rows(trajectory, case)
     status = "ok" if failure is None else f"failed: {failure}"
     summary = {
         "status": status,
         "steps": len(trajectory),
         "final_x": trajectory.final_x,
         "final_y": float(trajectory.final_y[0]),
-        "final_error": float(trajectory.final_y[0] - poly_exact(trajectory.final_x)),
+        "final_error": float(trajectory.final_y[0]
+                             - case.exact(trajectory.final_x)),
         "n_evals": trajectory.n_evals,
     }
     line = (f"steps={summary['steps']} final_x={summary['final_x']:.17g} "

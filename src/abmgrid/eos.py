@@ -45,7 +45,6 @@ class PhysicalConstants:
     M_sun: float = 1.98892e33        # solar mass, g
     # derived, filled in post-init
     pressure_scale: float = field(init=False, repr=False)   # K, erg/cm^3
-    x_coefficient: float = field(init=False, repr=False)    # x / n^(1/3)
 
     def __post_init__(self):
         if min(self.m_n, self.c, self.h, self.G, self.M_sun) <= 0.0:
@@ -53,13 +52,10 @@ class PhysicalConstants:
         object.__setattr__(
             self, "pressure_scale",
             math.pi * self.m_n ** 4 * self.c ** 5 / (3.0 * self.h ** 3))
-        object.__setattr__(
-            self, "x_coefficient",
-            self.h / (2.0 * self.m_n * self.c) * (3.0 / math.pi) ** (1.0 / 3.0))
 
     def as_dict(self) -> dict:
         values = asdict(self)
-        del values["pressure_scale"], values["x_coefficient"]
+        del values["pressure_scale"]
         return values
 
 

@@ -22,8 +22,10 @@ only, never of a nominal step, so the grid never needs to be uniform.
 :func:`adams_update` integrates it over the new step on Gauss points:
 the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
-term.  The state becomes a numpy array only where a callback receives
-it; what the callback returns is read as a list of ``float``.  The
+term.  :func:`integrate_floats` runs the whole loop on Python floats:
+its callbacks receive the state as a list and what they return is read
+as a list of ``float``, so no numpy enters a run.  :func:`integrate` is
+the same loop for callbacks written on numpy arrays.  The
 step-size controller exploits the free grid by scaling dx against the
 fractional correction |y_AM - y_AB| relative to a target correction E.
 Growth is capped at GROWTH_CAP per step; shrinking is uncapped down to
@@ -37,16 +39,16 @@ condition suffices.
 """
 from __future__ import annotations
 
+import decimal
 import enum
 import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import numpy as np
-
-from .quadrature import _gauss_legendre_unit
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GROWTH_CAP",
@@ -62,6 +64,7 @@ __all__ = [
     "adams_update",
     "fractional_correction",
     "next_step_size",
+    "integrate_floats",
     "integrate",
 ]
 
@@ -139,24 +142,33 @@ class Trajectory:
 
     A row is x, dx, epsilon_max, effective order, the capped and
     floored flags (0.0 or 1.0) and the corrected state y.  Row 0 is
-    the start point: x0 and y0.  The rows share one growing buffer of
-    doubles (``array("d")``): 8 bytes a value, read back as Python
-    floats, and no heap fragmentation from a buffer per column growing
-    side by side.  The stencil's derivatives are not kept here: the
-    engine carries them as a :class:`DividedDifferences` table.
-    ``n_evals`` counts derivative evaluations, two per PECE step.
+    the start point: x0 and y0, a scalar, a flat sequence or an array.
+    The rows share one growing buffer of doubles (``array("d")``): 8
+    bytes a value, read back as Python floats, and no heap
+    fragmentation from a buffer per column growing side by side.  The
+    stencil's derivatives are not kept here: the engine carries them as
+    a :class:`DividedDifferences` table.  ``n_evals`` counts derivative
+    evaluations, two per PECE step.
 
     ``x``, ``dx``, ``y`` and ``epsilon_max`` return new float64 arrays,
     one entry (``y``: one row) per step; iteration yields a
-    :class:`StepRecord` per step.
+    :class:`StepRecord` per step.  These reads import numpy; ``len``,
+    ``final_x`` and ``final_state`` do not.
     """
 
-    def __init__(self, x0: float, y0: np.ndarray):
-        y0 = np.array(y0, dtype=float)
-        self._shape = y0.shape
-        self._width = _Y + y0.size
-        self._rows = array("d", [x0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        self._rows.extend(y0.ravel().tolist())
+    def __init__(self, x0: float, y0):
+        shape = getattr(y0, "shape", None)
+        if shape is not None:  # a numpy array or scalar
+            self._shape = tuple(shape)
+            state = [float(v) for v in y0.ravel().tolist()]
+        else:
+            try:
+                self._shape, state = (), [float(y0)]
+            except TypeError:
+                state = [float(v) for v in y0]
+                self._shape = (len(state),)
+        self._width = _Y + len(state)
+        self._rows = array("d", [x0, 0.0, 0.0, 0.0, 0.0, 0.0, *state])
         self.n_evals = 0
         self.halted = False  # True when a state predicate stopped the run
 
@@ -165,6 +177,7 @@ class Trajectory:
 
     def _table(self) -> np.ndarray:
         """A float64 view of the rows; it pins the buffer until dropped."""
+        import numpy as np
         return np.frombuffer(self._rows).reshape(-1, self._width)
 
     def __len__(self):
@@ -197,6 +210,11 @@ class Trajectory:
     @property
     def final_x(self) -> float:
         return self._rows[-self._width + _X]
+
+    @property
+    def final_state(self) -> list:
+        """The last state, flat, as a list of Python floats."""
+        return self._rows[len(self._rows) - self._width + _Y:].tolist()
 
     @property
     def final_y(self) -> np.ndarray:
@@ -233,11 +251,43 @@ class CallbackFailure(IntegrationError):
     """The derivative callback raised or returned a malformed derivative."""
 
 
+def _legendre(count, x):
+    """P_count(x) and its slope, from the three-term recurrence."""
+    previous, value = 1, x
+    for k in range(1, count):
+        previous, value = value, ((2 * k + 1) * x * value - k * previous) / (
+            k + 1)
+    return value, count * (x * value - previous) / (x * x - 1)
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(count):
-    """(point, weight) pairs of the count-point Gauss rule on [0, 1]."""
-    points, weights = _gauss_legendre_unit(count)
-    return tuple(zip(points.tolist(), weights.tolist()))
+    """(point, weight) pairs of the count-point Gauss rule on [0, 1].
+
+    Each root x of the Legendre polynomial P_count is found by Newton's
+    method in 40-digit decimal arithmetic, started from the estimate
+    cos(pi (i - 1/4) / (count + 1/2)).  Its weight on [0, 1] is
+    1 / ((1 - x^2) P'(x)^2).  The point (1 + x) / 2 and the weight are
+    rounded to float once, from 40 digits, so both are correctly
+    rounded.  The points ascend.
+    """
+    rule = []
+    with decimal.localcontext() as context:
+        context.prec = 40
+        # Newton's error after a step of this size is near the precision
+        close = decimal.Decimal(10) ** -20
+        for i in range(count, 0, -1):
+            x = decimal.Decimal(math.cos(math.pi * (i - 0.25) / (count + 0.5)))
+            while True:
+                value, slope = _legendre(count, x)
+                step = value / slope
+                x -= step
+                if abs(step) < close:
+                    break
+            _, slope = _legendre(count, x)
+            rule.append((float((1 + x) / 2),
+                         float(1 / ((1 - x * x) * slope * slope))))
+    return tuple(rule)
 
 
 def _times_power_of_two(values, shift):
@@ -413,14 +463,15 @@ def next_step_size(epsilon_max: float, config: IntegratorConfig,
     return dx_next, capped, floored
 
 
-def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
-              y0, x0: float, config: IntegratorConfig, *,
-              x_end: Optional[float] = None,
-              halt: Optional[Callable[[float, np.ndarray], bool]] = None
-              ) -> Trajectory:
-    """Integrate y' = system(x, y) from (x0, y0).
+def integrate_floats(system: Callable[[float, list], Sequence[float]],
+                     y0: Sequence[float], x0: float, config: IntegratorConfig,
+                     *, x_end: Optional[float] = None,
+                     halt: Optional[Callable[[float, list], bool]] = None
+                     ) -> Trajectory:
+    """Integrate y' = system(x, y) from (x0, y0) on Python floats.
 
-    ``system`` and ``halt`` receive the state y as a float64 array;
+    ``y0`` is a sequence of real numbers.  ``system`` and ``halt``
+    receive the state y as a list of floats, a new list each call;
     ``system`` returns a sequence of len(y0) real numbers.  At least
     one stop condition is required: ``x_end`` clamps the final step so
     the trajectory lands on the endpoint without overshooting (x within
@@ -440,21 +491,19 @@ def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
     """
     if x_end is None and halt is None:
         raise ValueError("provide x_end, halt, or both")
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    if y.ndim != 1:
-        raise ValueError("y0 must be a scalar or 1-D vector")
-    if not np.all(np.isfinite(y)):
+    state = [float(v) for v in y0]
+    if not all(map(math.isfinite, state)):
         raise ValueError("y0 must be finite")
     x = float(x0)
     if x_end is not None and not x_end > x:
         raise ValueError("x_end must exceed x0")
 
-    trajectory = Trajectory(x, y)
-    size = y.size
+    trajectory = Trajectory(x, state)
+    size = len(state)
 
-    def evaluate(xq: float, yq: np.ndarray) -> list:
+    def evaluate(xq: float, yq: list) -> list:
         try:
-            dy = [float(v) for v in system(xq, yq)]
+            dy = [float(v) for v in system(xq, yq[:])]
         except IntegrationError as exc:
             exc.trajectory = trajectory
             raise
@@ -470,16 +519,15 @@ def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
         return dy
 
     def at_next(y_ab: list) -> list:
-        return evaluate(x_next, np.array(y_ab))  # this step's x_next
+        return evaluate(x_next, y_ab)  # this step's x_next
 
     # evaluates f at the prediction for the corrector; AB_FIXED has none
     corrector = None if config.mode is Mode.AB_FIXED else at_next
-    dy = evaluate(x, y)
+    dy = evaluate(x, state)
     if not all(map(math.isfinite, dy)):
         raise NonFiniteState(f"non-finite derivative at x={x!r}", trajectory)
-    table = DividedDifferences(y.size)
+    table = DividedDifferences(size)
     table.push(x, dy, 1)
-    state = y.tolist()
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(abs(x), abs(x_end))
 
@@ -495,8 +543,7 @@ def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
             raise IntegrationError(
                 f"step dx={dx!r} does not advance x={x!r}", trajectory)
         y_ab, y_am = adams_update(state, table, dx, corrector)
-        y = np.array(y_am)
-        dy_next = evaluate(x_next, y)
+        dy_next = evaluate(x_next, y_am)
         epsilon_max = (0.0 if corrector is None
                        else fractional_correction(y_ab, y_am))
         if not all(map(math.isfinite, y_am + dy_next)):
@@ -515,7 +562,7 @@ def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
                    min(effective_order + 1, config.order_ab))
         x, state = x_next, y_am
 
-        if halt is not None and halt(x, y):
+        if halt is not None and halt(x, state[:]):
             trajectory.halted = True
             return trajectory
 
@@ -524,3 +571,31 @@ def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
     raise MaxStepsExceeded(
         f"stop condition not reached within {config.max_steps} steps",
         trajectory)
+
+
+def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
+              y0, x0: float, config: IntegratorConfig, *,
+              x_end: Optional[float] = None,
+              halt: Optional[Callable[[float, np.ndarray], bool]] = None
+              ) -> Trajectory:
+    """Integrate y' = system(x, y) from (x0, y0), with array callbacks.
+
+    ``y0`` is a scalar or a 1-D array_like of real numbers.  ``system``
+    and ``halt`` receive the state y as a float64 array, a new array
+    each call; ``system`` returns a sequence of len(y0) real numbers.
+    Otherwise this is :func:`integrate_floats`, whose loop it runs:
+    the same stop conditions, errors and trajectory, bit for bit.
+    """
+    import numpy as np
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y.ndim != 1:
+        raise ValueError("y0 must be a scalar or 1-D vector")
+
+    def on_array(x, state):
+        return system(x, np.array(state))
+
+    def halt_on_array(x, state):
+        return halt(x, np.array(state))
+
+    return integrate_floats(on_array, y.tolist(), x0, config, x_end=x_end,
+                            halt=None if halt is None else halt_on_array)

@@ -25,19 +25,19 @@ controller produced, so nothing here assumes a uniform grid.
 """
 from functools import lru_cache
 
-import numpy as np
+from .integrator import _gauss_rule
 
 __all__ = ["quadrature_weights"]
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_unit(count):
-    """Gauss-Legendre points and weights mapped onto [0, 1].
+    """Gauss-Legendre points and weights on [0, 1]: the engine's rule.
 
     The arrays are cached and shared, so they are made read-only.
     """
-    points, weights = np.polynomial.legendre.leggauss(count)
-    rule = (0.5 * (points + 1.0), 0.5 * weights)
+    import numpy as np
+    rule = tuple(np.array(column) for column in zip(*_gauss_rule(count)))
     for array in rule:
         array.setflags(write=False)
     return rule
@@ -62,6 +62,7 @@ def quadrature_weights(offsets, dx):
         integral of any polynomial of degree < len(offsets) exactly, so
         they always sum to dx (the integral of 1).
     """
+    import numpy as np
     offsets = np.asarray(offsets, dtype=float)
     if offsets.ndim != 1 or offsets.size == 0:
         raise ValueError("offsets must be a non-empty 1-D array")

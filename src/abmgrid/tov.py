@@ -27,8 +27,12 @@ import math
 from dataclasses import dataclass
 
 from .eos import CONSTANTS, energy_density_from_x, invert_pressure_to_x
-from .integrator import (IntegrationError, IntegratorConfig, Mode, Trajectory,
-                         integrate)
+from .integrator import IntegrationError, IntegratorConfig, Mode, Trajectory
+# bound as ``integrate``, the name that tools/record_digest.py and
+# perfbench/tracing.py replace to count and trace this module's
+# integrations; the digest tool also runs, unchanged, on older trees
+# whose engine has only ``integrate``
+from .integrator import integrate_floats as integrate
 
 __all__ = ["HorizonError", "StarSolution", "SieveResult", "SweepCell",
            "tov_derivatives", "star_config", "integrate_star",
@@ -121,13 +125,11 @@ def integrate_star(P_central: float, config: IntegratorConfig) -> StarSolution:
         raise ValueError("central pressure must be positive and finite")
 
     def system(r, state):
-        # Python floats: scalar arithmetic on them is cheaper than on
-        # numpy scalars, and rounds the same
-        return tov_derivatives(r, *state.tolist())
+        return tov_derivatives(r, *state)
 
     trajectory = integrate(system, [0.0, P_central], 0.0, config,
                            halt=lambda r, state: state[1] <= 0.0)
-    M, R = float(trajectory.final_y[0]), trajectory.final_x
+    M, R = trajectory.final_state[0], trajectory.final_x
     # the surface step evaluates at P <= 0, where tov_derivatives does
     # not look at the horizon
     if 2.0 * CONSTANTS.G * M / (CONSTANTS.c ** 2 * R) >= 1.0:

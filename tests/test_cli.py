@@ -122,6 +122,16 @@ def test_poly_csv_to_stdout(capsys):
     assert "final_error=" in err
 
 
+def test_poly_error_is_measured_from_the_given_start(capsys):
+    # the exact curve passes through (--x0, --y0), not through y(0.5) = 1
+    assert main(["poly", "--order", "4", "--x0", "0", "--xend", "1e-300"]) == 0
+    out, err = capsys.readouterr()
+    final_error = float(err.split("final_error=")[1].split()[0])
+    assert abs(final_error) <= 1e-15
+    for line in out.splitlines()[1:]:
+        assert abs(float(line.split(",")[-1])) <= 1e-15
+
+
 def test_poly_serialization_round_trips_doubles(tmp_path):
     csv_path = tmp_path / "run.csv"
     json_path = tmp_path / "run.json"
@@ -465,3 +475,18 @@ def test_import_starts_no_process_machinery():
                             env=fresh_interpreter_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_star_path_never_imports_numpy():
+    # stars and sieves run on Python floats from the callback to M and R,
+    # so neither the import nor the runs load numpy
+    probe = ("import sys, abmgrid, abmgrid.cli; "
+             "from abmgrid import star_config; "
+             "abmgrid.integrate_star(3.631382e35, star_config(3, 1e-2)); "
+             "abmgrid.trinary_sieve(1e35, 1e36, star_config(6, 1e-8)); "
+             "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=60,
+                            env=fresh_interpreter_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -121,8 +121,11 @@ def test_constants_must_be_positive():
 
 
 def number_density(x):
-    """Neutron number density n at relativity parameter x, per cm^3."""
-    return (x / CONSTANTS.x_coefficient) ** 3
+    """Neutron number density n at relativity parameter x, per cm^3,
+    from x = h / (2 m_n c) (3 n / pi)^(1/3)."""
+    coefficient = (CONSTANTS.h / (2.0 * CONSTANTS.m_n * CONSTANTS.c)
+                   * (3.0 / math.pi) ** (1.0 / 3.0))
+    return (x / coefficient) ** 3
 
 
 def test_number_density_at_unit_x():

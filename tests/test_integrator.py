@@ -22,22 +22,25 @@ from abmgrid import (
     adams_update,
     fractional_correction,
     integrate,
+    integrate_floats,
     next_step_size,
     poly_rhs,
     star_config,
     tov_derivatives,
 )
+from abmgrid.integrator import _gauss_rule
+from abmgrid.quadrature import _gauss_legendre_unit
 
 
-def _load_weight_oracle():
-    path = Path(__file__).parent / "oracles" / "gen_weight_oracle.py"
-    spec = importlib.util.spec_from_file_location("gen_weight_oracle", path)
+def _load_oracle(name):
+    path = Path(__file__).parent / "oracles" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-exact_pece = _load_weight_oracle().exact_pece
+exact_pece = _load_oracle("gen_weight_oracle").exact_pece
 
 
 # --- building blocks -------------------------------------------------
@@ -602,12 +605,18 @@ def test_trajectory_accepts_scalars_sequences_and_arrays(x0, y0, shape):
 
 # --- the engine against a plain PECE loop -------------------------------
 
-@functools.lru_cache(maxsize=None)
-def gauss_rule(count):
-    """The count-point Gauss-Legendre rule on [0, 1], as float pairs."""
-    points, weights = np.polynomial.legendre.leggauss(count)
-    return [(0.5 * (point + 1.0), 0.5 * weight)
-            for point, weight in zip(points.tolist(), weights.tolist())]
+# the count-point Gauss-Legendre rule on [0, 1], as float pairs, each
+# value the double nearest the rule mpmath computes at 60 digits
+gauss_rule = functools.lru_cache(maxsize=None)(
+    _load_oracle("gen_gauss_oracle").gauss_rule)
+
+
+@pytest.mark.parametrize("count", range(1, 13))
+def test_gauss_rule_is_the_correctly_rounded_rule(count):
+    # the engine's rule and quadrature_weights' arrays are one rule
+    assert list(_gauss_rule(count)) == gauss_rule(count)
+    points, weights = _gauss_legendre_unit(count)
+    assert list(zip(points.tolist(), weights.tolist())) == gauss_rule(count)
 
 
 def newton_column(column, nodes):
@@ -814,6 +823,55 @@ def test_order_10_star_matches_the_plain_loop_bit_for_bit():
     assert trajectory.halted and not expected[2]
     assert_same_run(trajectory, expected)
     assert max(record.effective_order for record in trajectory) == 10
+
+
+def spoiling(function, seen):
+    """``function``, keeping each state it receives, then overwriting it."""
+    def call(x, y):
+        result = function(x, y)
+        seen.append(y)
+        y[0] = math.nan  # the engine must not read a state it handed out
+        return result
+    return call
+
+
+def star_rhs(r, state):
+    return tov_derivatives(r, float(state[0]), float(state[1]))
+
+
+@pytest.mark.parametrize("problem", ["quartic", "star"])
+def test_array_and_list_callbacks_run_alike(problem):
+    # integrate hands its callbacks a new float64 array each call, and
+    # integrate_floats a new list; both run one loop, bit for bit
+    if problem == "quartic":
+        case = PolyCase()
+        system, y0, x0, config = quartic, [case.y0], case.x0, case.config()
+        stops = {"x_end": case.x_end}
+    else:
+        system, y0, x0 = star_rhs, [0.0, 3.631382e35], 0.0
+        config = star_config(6, 1e-8)
+        stops = {"halt": lambda r, state: state[1] <= 0.0}
+    runs = {}
+    for engine, kind in ((integrate, np.ndarray), (integrate_floats, list)):
+        seen = []
+        runs[kind] = engine(
+            spoiling(system, seen), y0, x0, config,
+            **{name: spoiling(stop, seen) if callable(stop) else stop
+               for name, stop in stops.items()})
+        assert len(seen) >= runs[kind].n_evals > 100
+        assert len({id(state) for state in seen}) == len(seen)
+        for state in seen:
+            assert type(state) is kind and len(state) == len(y0)
+            if kind is list:
+                assert all(type(value) is float for value in state)
+            else:
+                assert state.dtype == np.float64 and state.ndim == 1
+    arrays, floats = runs[np.ndarray], runs[list]
+    assert arrays.halted == floats.halted == (problem == "star")
+    assert_same_run(arrays, ([(record.x_next, record.dx, record.y_am,
+                               record.epsilon_max, record.effective_order,
+                               record.capped, record.floored)
+                              for record in floats], floats.n_evals, False))
 
 
 def binade_crossing(x, y):

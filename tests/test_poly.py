@@ -68,6 +68,16 @@ def test_case_validation_and_config():
     assert config.max_steps == 1_000_000
 
 
+def test_exact_curve_passes_through_the_start():
+    # y(1) - y(0) is the integral of the quartic over [0, 1], 251/30
+    case = PolyCase(x0=0.0, y0=2.0, x_end=1.0)
+    assert case.exact(0.0) == 2.0
+    assert case.exact(1.0) == pytest.approx(2.0 + 251.0 / 30.0, rel=1e-15)
+    result = run_poly_case(case)
+    np.testing.assert_array_equal(result.y_exact,
+                                  case.exact(result.trajectory.x))
+
+
 def test_result_carries_pointwise_error():
     result = run_poly_case(PolyCase(mode=Mode.ABM_FIXED, order=4))
     np.testing.assert_allclose(

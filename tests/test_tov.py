@@ -34,10 +34,14 @@ from abmgrid.eos import energy_density_from_x, invert_pressure_to_x
 
 P_CENTRAL = 3.631382e35        # erg/cm^3, near the maximum-mass star
 
+# x per n^(1/3): x = h / (2 m_n c) (3 n / pi)^(1/3)
+X_COEFFICIENT = (CONSTANTS.h / (2.0 * CONSTANTS.m_n * CONSTANTS.c)
+                 * (3.0 / math.pi) ** (1.0 / 3.0))
+
 # oracle state at x = 0.5 (clean double-precision regime)
 P_X05 = CONSTANTS.pressure_scale * 0.046092989241441782238
 RHO_X05 = (CONSTANTS.m_n * CONSTANTS.c ** 2
-           * (0.5 / CONSTANTS.x_coefficient) ** 3
+           * (0.5 / X_COEFFICIENT) ** 3
            + CONSTANTS.pressure_scale * 0.071940999508453065967)
 
 # oracle state at x = 1e-3 (Newtonian-limit probe)
