@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -62,18 +63,18 @@ _at_least_one = _flag_type(int, lambda value: value >= 1, "an integer >= 1")
 
 # ---------------------------------------------------------------- output
 
-# The column names of each table kind, and the %-format of one of its
-# CSV lines: one conversion per column, %d for counts, %.17g for doubles
+# Each table kind's column names and the %-format of one of its CSV
+# lines: one conversion per column, %d for counts, %.17g for doubles
 # (17 significant digits round-trip) and %s for text.
-_POLY_COLUMNS = ["i", "x", "dx", "y", "epsilon_max", "y_exact", "error"]
-_STAR_COLUMNS = ["i", "r_cm", "dr_cm", "m_g", "P_erg_cm3", "epsilon_max",
-                 "flags"]
-_SWEEP_COLUMNS = ["order", "tol", "steps", "M_msun", "R_km", "rel_dM",
-                  "rel_dR", "status"]
-_CSV_LINE = {
-    "trajectory": "%d" + ",%.17g" * 6 + "\n",
-    "star": "%d" + ",%.17g" * 5 + ",%s\n",
-    "sweep": "%d,%.17g,%d" + ",%.17g" * 4 + ",%s\n",
+_TABLES = {
+    "trajectory": (["i", "x", "dx", "y", "epsilon_max", "y_exact", "error"],
+                   "%d" + ",%.17g" * 6 + "\n"),
+    "star": (["i", "r_cm", "dr_cm", "m_g", "P_erg_cm3", "epsilon_max",
+              "flags"],
+             "%d" + ",%.17g" * 5 + ",%s\n"),
+    "sweep": (["order", "tol", "steps", "M_msun", "R_km", "rel_dM", "rel_dR",
+               "status"],
+              "%d,%.17g,%d" + ",%.17g" * 4 + ",%s\n"),
 }
 
 
@@ -83,16 +84,16 @@ def _json_cell(value):
     return value
 
 
-def _write_table(stream, fmt: str, kind: str, columns, rows, summary):
+def _write_table(stream, fmt: str, kind: str, rows, summary):
     """Write ``rows``, tuples of cells, as a CSV or JSON table."""
+    columns, line = _TABLES[kind]
     if fmt == "csv":
-        line = _CSV_LINE[kind]
         stream.write(",".join(columns) + "\n")
         stream.writelines(line % row for row in rows)
     else:
         payload = {
             "kind": kind,
-            "columns": list(columns),
+            "columns": columns,
             "rows": [[_json_cell(cell) for cell in row] for row in rows],
             "summary": {key: _json_cell(val) for key, val in summary.items()},
         }
@@ -105,11 +106,11 @@ def _config_dict(config: IntegratorConfig) -> dict:
             "growth_cap": GROWTH_CAP}
 
 
-def _manifest(command: str, args, config) -> dict:
+def _manifest(args, config) -> dict:
     flags = {key: val for key, val in sorted(vars(args).items())
              if key not in ("func", "command")}
     return {
-        "command": command,
+        "command": args.command,
         "flags": flags,
         "config": config,
         "constants": CONSTANTS.as_dict(),
@@ -118,18 +119,16 @@ def _manifest(command: str, args, config) -> dict:
     }
 
 
-def _emit(args, command: str, kind: str, columns, rows, summary,
-          config, summary_line: str) -> None:
+def _emit(args, kind: str, rows, summary, config, summary_line: str) -> None:
     """Write the data table and manifest per the --out convention."""
-    fmt = getattr(args, "format", "csv")
     if args.out is None:
-        _write_table(sys.stdout, fmt, kind, columns, rows, summary)
+        _write_table(sys.stdout, args.format, kind, rows, summary)
         print(summary_line, file=sys.stderr)
         return
     with open(args.out, "w", newline="") as fh:
-        _write_table(fh, fmt, kind, columns, rows, summary)
+        _write_table(fh, args.format, kind, rows, summary)
     with open(f"{args.out}.manifest.json", "w") as fh:
-        json.dump(_manifest(command, args, config), fh, indent=2,
+        json.dump(_manifest(args, config), fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
     print(summary_line)
@@ -170,8 +169,7 @@ def cmd_poly(args) -> int:
     line = (f"steps={summary['steps']} final_x={summary['final_x']:.17g} "
             f"final_y={summary['final_y']:.17g} "
             f"final_error={summary['final_error']:.3e}")
-    _emit(args, "poly", "trajectory", _POLY_COLUMNS, rows, summary,
-          _config_dict(case.config()), line)
+    _emit(args, "trajectory", rows, summary, _config_dict(case.config()), line)
     if failure is not None:
         print(f"error: {failure}", file=sys.stderr)
         return 1
@@ -229,8 +227,7 @@ def cmd_tov(args) -> int:
                    "P_central": args.pc,
                    "steps": len(rows)}
         line = f"failed ({failure.tag}) after {len(rows)} accepted steps"
-    _emit(args, "tov", "star", _STAR_COLUMNS, rows, summary,
-          _config_dict(config), line)
+    _emit(args, "star", rows, summary, _config_dict(config), line)
     if failure is not None:
         print(f"error ({failure.tag}): {failure}", file=sys.stderr)
         return 1
@@ -322,7 +319,7 @@ def cmd_sweep(args) -> int:
     config = _config_dict(star_config(orders[0], tols[0]))
     config["order_ab"] = "per-cell"
     config["target_correction"] = "per-cell"
-    _emit(args, "sweep", "sweep", _SWEEP_COLUMNS, rows, summary, config,
+    _emit(args, "sweep", rows, summary, config,
           f"{n_ok}/{len(cells)} cells ok")
     return 0 if n_ok else 1
 
@@ -344,14 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--order", type=_at_least_one, required=True,
                       help="explicit-phase order (history nodes)")
     poly.add_argument("--dx", type=_positive, default=0.25,
-                      help="step size (initial step size when adaptive)")
+                      help="step size; when adaptive, the first one, whose "
+                           "order-1 error is never revisited")
     poly.add_argument("--tol", type=_positive, default=1e-8,
                       help="target fractional correction E")
     poly.add_argument("--x0", type=_finite, default=0.5)
     poly.add_argument("--y0", type=_finite, default=1.0)
     poly.add_argument("--xend", type=_finite, default=5.0)
-    poly.add_argument("--out", default=None, help="output data file")
-    poly.add_argument("--format", choices=["csv", "json"], default="csv")
     poly.set_defaults(func=cmd_poly)
 
     tov = sub.add_parser("tov", help="integrate one neutron star")
@@ -363,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="initial step, cm")
     tov.add_argument("--dxmin", type=_non_negative, default=10.0,
                      help="minimum step, cm")
-    tov.add_argument("--out", default=None)
-    tov.add_argument("--format", choices=["csv", "json"], default="csv")
     tov.set_defaults(func=cmd_tov)
 
     sieve = sub.add_parser("sieve", help="maximum-mass central pressure")
@@ -386,9 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="ref_mass", help="reference mass, g")
     sweep.add_argument("--ref-radius", type=_positive, default=None,
                        dest="ref_radius", help="reference radius, cm")
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.set_defaults(func=cmd_sweep)
+    for table in (poly, tov, sweep):  # the commands that write a table
+        table.add_argument("--out", default=None, help="output data file")
+        table.add_argument("--format", choices=["csv", "json"], default="csv")
+    # argparse reads -1e-3 as a flag; no flag here starts with -<digit>
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

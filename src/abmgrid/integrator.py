@@ -142,33 +142,24 @@ class Trajectory:
 
     A row is x, dx, epsilon_max, effective order, the capped and
     floored flags (0.0 or 1.0) and the corrected state y.  Row 0 is
-    the start point: x0 and y0, a scalar, a flat sequence or an array.
-    The rows share one growing buffer of doubles (``array("d")``): 8
-    bytes a value, read back as Python floats, and no heap
-    fragmentation from a buffer per column growing side by side.  The
-    stencil's derivatives are not kept here: the engine carries them as
-    a :class:`DividedDifferences` table.  ``n_evals`` counts derivative
+    the start point: x0 and y0, a flat sequence of n numbers.  The rows
+    share one growing buffer of doubles (``array("d")``): 8 bytes a
+    value, read back as Python floats, and no heap fragmentation from a
+    buffer per column growing side by side.  The stencil's derivatives
+    are not kept here: the engine carries them as a
+    :class:`DividedDifferences` table.  ``n_evals`` counts derivative
     evaluations, two per PECE step.
 
     ``x``, ``dx``, ``y`` and ``epsilon_max`` return new float64 arrays,
-    one entry (``y``: one row) per step; iteration yields a
-    :class:`StepRecord` per step.  These reads import numpy; ``len``,
-    ``final_x`` and ``final_state`` do not.
+    one entry (``y``: one row of n) per step, and ``final_y`` the last
+    state, shape (n,); iteration yields a :class:`StepRecord` per step.
+    These reads import numpy; ``len``, ``final_x`` and ``final_state``
+    do not.
     """
 
-    def __init__(self, x0: float, y0):
-        shape = getattr(y0, "shape", None)
-        if shape is not None:  # a numpy array or scalar
-            self._shape = tuple(shape)
-            state = [float(v) for v in y0.ravel().tolist()]
-        else:
-            try:
-                self._shape, state = (), [float(y0)]
-            except TypeError:
-                state = [float(v) for v in y0]
-                self._shape = (len(state),)
-        self._width = _Y + len(state)
-        self._rows = array("d", [x0, 0.0, 0.0, 0.0, 0.0, 0.0, *state])
+    def __init__(self, x0: float, y0: Sequence[float]):
+        self._width = _Y + len(y0)
+        self._rows = array("d", [x0, 0.0, 0.0, 0.0, 0.0, 0.0, *y0])
         self.n_evals = 0
         self.halted = False  # True when a state predicate stopped the run
 
@@ -196,8 +187,7 @@ class Trajectory:
 
     @property
     def y(self) -> np.ndarray:
-        states = self._table()[1:, _Y:].copy()
-        return states.reshape((len(states),) + self._shape)
+        return self._table()[1:, _Y:].copy()
 
     @property
     def dx(self) -> np.ndarray:
@@ -218,8 +208,7 @@ class Trajectory:
 
     @property
     def final_y(self) -> np.ndarray:
-        state = self._table()[-1, _Y:]
-        return state.reshape(self._shape).copy()
+        return self._table()[-1, _Y:].copy()
 
 
 class IntegrationError(RuntimeError):

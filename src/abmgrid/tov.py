@@ -155,8 +155,9 @@ def _brent_maximize(f, lo: float, hi: float, width: float):
     stops once x is within 2 tol of both ends, so the final bracket is
     at most ``width`` wide.
 
-    Returns (x, history): x is the best probe and history holds one
-    (point, value, "golden" or "parabolic") per probe, in order.
+    Returns (x, history): x is the best probe, the later one on a tie,
+    and history holds one (point, value, "golden" or "parabolic") per
+    probe, in order.
     """
     if not (lo < hi and width > 0.0):
         raise ValueError("need lo < hi and width > 0")
@@ -271,9 +272,9 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     peak and a golden-section step where a parabola is not safe.  It
     stops once the bracket in u is at most ln(1 + bracket_tolerance)
     wide, so the bracket in P is at most ``bracket_tolerance`` of the
-    best probe wide.  The answer is that best probe and its already
-    integrated star; nothing is integrated twice.  The search is
-    serial: ``jobs`` accepts only 1.
+    best probe wide.  The answer is the probe Brent's method returns and
+    the star already integrated there; nothing is integrated twice.  The
+    search is serial: ``jobs`` accepts only 1.
 
     Raises ValueError, naming the end, when no probe lies between the
     best probe and ``P_lo`` or ``P_hi``: the final bracket then still
@@ -283,19 +284,15 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
         raise ValueError("need 0 < P_lo < P_hi")
     if jobs != 1:
         raise ValueError("the sieve runs serially; jobs must be 1")
-    # the heaviest star so far; on a tie the later probe wins, as it
-    # does for Brent's best point
-    best = None
+    stars = {}  # each probe's star, by its u
 
     def mass(u: float) -> float:
-        nonlocal best
-        star = integrate_star(math.exp(u), config)
-        if best is None or star.M >= best.M:
-            best = star
-        return star.M
+        stars[u] = integrate_star(math.exp(u), config)
+        return stars[u].M
 
-    _, probes = _brent_maximize(mass, math.log(P_lo), math.log(P_hi),
+    u, probes = _brent_maximize(mass, math.log(P_lo), math.log(P_hi),
                                 math.log1p(bracket_tolerance))
+    best = stars[u]
     history = tuple((math.exp(u), M, kind) for u, M, kind in probes)
     # every end of Brent's bracket is an original end or a probe
     pressures = [P for P, _, _ in history]

@@ -88,6 +88,8 @@ def test_validation_failures_exit_two(capsys):
                  ["poly", "--order", "4", "--xend", "nan"],
                  ["poly", "--order", "4", "--dx", "inf"],
                  ["poly", "--order", "4", "--y0", "-inf"],
+                 ["poly", "--order", "4", "--x0", "-nan"],
+                 ["poly", "--order", "4", "--x0", "-1e999"],
                  ["tov", "--pc", P_CENTRAL, "--order", "4", "--dx0", "nan"],
                  ["tov", "--pc", P_CENTRAL, "--order", "4", "--tol", "inf",
                   "--dxmin", "nan"],
@@ -130,6 +132,22 @@ def test_poly_error_is_measured_from_the_given_start(capsys):
     assert abs(final_error) <= 1e-15
     for line in out.splitlines()[1:]:
         assert abs(float(line.split(",")[-1])) <= 1e-15
+
+
+@pytest.mark.parametrize("flags", [
+    ["--x0", "-1e-3", "--xend", "1e0"],
+    ["--y0", "-2e0"],
+    ["--x0", "-2.5E0", "--xend", "-1e-1"],
+])
+def test_negative_values_in_exponent_form_are_values(tmp_path, flags):
+    # argparse alone reads -1e-3 as a flag; here it is a value, given as
+    # its own token or joined with "=", and gives the same bytes
+    split, joined = tmp_path / "split.csv", tmp_path / "joined.csv"
+    argv = ["poly", "--order", "4", "--out"]
+    assert main(argv + [str(split)] + flags) == 0
+    pairs = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    assert main(argv + [str(joined)] + pairs) == 0
+    assert split.read_bytes() == joined.read_bytes()
 
 
 def test_poly_serialization_round_trips_doubles(tmp_path):
@@ -199,9 +217,9 @@ def test_poly_manifest_records_the_whole_run(tmp_path):
     assert config["mode"] == "abm-adaptive"
 
 
-def _csv_text(kind, columns, rows):
+def _csv_text(kind, rows):
     stream = io.StringIO()
-    cli._write_table(stream, "csv", kind, columns, rows, {})
+    cli._write_table(stream, "csv", kind, rows, {})
     return stream.getvalue()
 
 
@@ -210,8 +228,7 @@ def test_csv_cells_are_written_byte_for_byte():
     # every double in 17 significant digits (subnormal, largest finite,
     # signed zero, the infinities and NaN included), text as it is
     poly = _csv_text(
-        "trajectory", ["i", "x", "dx", "y", "epsilon_max", "y_exact",
-                       "error"],
+        "trajectory",
         [(0, 0.1, 5e-324, -0.0, 0.0, 1.7976931348623157e308,
           -1.7976931348623157e308),
          (1, math.nan, math.inf, -math.inf, np.float64(0.1),
@@ -222,8 +239,7 @@ def test_csv_cells_are_written_byte_for_byte():
         "1.7976931348623157e+308,-1.7976931348623157e+308\n"
         "1,nan,inf,-inf,0.10000000000000001,-2.5e-300,3\n")
     star = _csv_text(
-        "star", ["i", "r_cm", "dr_cm", "m_g", "P_erg_cm3", "epsilon_max",
-                 "flags"],
+        "star",
         [(0, 10.0, 10.0, 4.2e-3, 3.631382e35, 0.0, "floor"),
          (1, 20.0, 10.0, 1.0 / 3.0, -0.0, 1e-8, ""),
          (2, 30.0, 10.0, 1.4e33, -2.5e20, math.nan, "cap+floor+surface")])
@@ -233,8 +249,7 @@ def test_csv_cells_are_written_byte_for_byte():
         "1,20,10,0.33333333333333331,-0,1e-08,\n"
         "2,30,10,1.4e+33,-2.5e+20,nan,cap+floor+surface\n")
     sweep = _csv_text(
-        "sweep", ["order", "tol", "steps", "M_msun", "R_km", "rel_dM",
-                  "rel_dR", "status"],
+        "sweep",
         [(3, 1e-2, 120, 0.71017188, 9.16233, 1e-6, 2e-5, "ok"),
          (4, 1e-6, 0, math.nan, math.nan, math.nan, math.nan,
           "non-finite")])
@@ -478,12 +493,16 @@ def test_import_starts_no_process_machinery():
 
 
 def test_star_path_never_imports_numpy():
-    # stars and sieves run on Python floats from the callback to M and R,
-    # so neither the import nor the runs load numpy
+    # stars, sieves and sweeps run on Python floats from the callback to
+    # M and R, so neither the import nor the runs load numpy
     probe = ("import sys, abmgrid, abmgrid.cli; "
              "from abmgrid import star_config; "
-             "abmgrid.integrate_star(3.631382e35, star_config(3, 1e-2)); "
+             "star = abmgrid.integrate_star(3.631382e35, "
+             "star_config(3, 1e-2)); "
              "abmgrid.trinary_sieve(1e35, 1e36, star_config(6, 1e-8)); "
+             "cells = abmgrid.parameter_sweep((3,), (1e-2,), star.P_central, "
+             "(star.M, star.R)); "
+             "assert cells[0].ok and cells[0].rel_dM == 0.0; "
              "print('numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe],
                             capture_output=True, text=True, timeout=60,

@@ -592,15 +592,26 @@ def test_trajectory_reads_are_fresh_float_arrays(components, steps):
 
 
 @pytest.mark.parametrize("x0, y0, shape", [
-    (1, 2.0, ()), (np.float64(1.0), [2.0, 3.0], (2,)),
+    (np.float64(1.0), [2.0, 3.0], (2,)),
     (1.0, (2, 3), (2,)), (1.0, np.array([2.0], dtype=np.float32), (1,)),
 ])
-def test_trajectory_accepts_scalars_sequences_and_arrays(x0, y0, shape):
+def test_trajectory_accepts_flat_sequences_and_arrays(x0, y0, shape):
     trajectory = Trajectory(x0, y0)
     assert trajectory.final_x == 1.0 and type(trajectory.final_x) is float
     assert np.shape(trajectory.final_y) == shape
     np.testing.assert_array_equal(trajectory.final_y, y0)
     assert trajectory.y.shape == (0,) + shape
+
+
+@pytest.mark.parametrize("y0", [
+    2.0, np.float64(2.0), np.array(2.0), [[2.0, 3.0]],
+    np.array([[2.0, 3.0]]),
+], ids=["float", "numpy-scalar", "0-d-array", "nested-list", "2-d-array"])
+def test_trajectory_refuses_scalar_and_nested_states(y0):
+    # the engine hands Trajectory a flat list; a state of any other
+    # shape is refused rather than reshaped
+    with pytest.raises(TypeError):
+        Trajectory(1.0, y0)
 
 
 # --- the engine against a plain PECE loop -------------------------------

@@ -468,6 +468,30 @@ def test_sieve_refuses_a_peak_it_has_not_bracketed(P_lo, P_hi, end):
         trinary_sieve(P_lo, P_hi, star_config(6, 1e-8))
 
 
+def test_sieve_tie_goes_to_the_later_probe(monkeypatch):
+    # M capped on a plateau about the peak, so several probes reach the
+    # top mass exactly; Brent's method keeps the later of tied probes,
+    # and the sieve answers with that probe's star
+    top = 1.0 - 0.03 ** 2
+    stars = []
+
+    def capped(P_c, config):
+        M = min(1.0 - math.log(P_c / P_CENTRAL) ** 2, top)
+        stars.append(StarSolution(P_central=P_c, M=M, R=1.0, steps=0,
+                                  trajectory=None))
+        return stars[-1]
+
+    monkeypatch.setattr(tov, "integrate_star", capped)
+    result = trinary_sieve(1e35, 1e36, star_config(6, 1e-8))
+    tied = [star for star in stars if star.M == top]
+    assert len(tied) >= 2
+    assert result.star is tied[-1]
+    assert result.P_c == tied[-1].P_central
+    # one star per probe, none integrated twice
+    assert len(stars) == result.evaluations
+    assert len({star.P_central for star in stars}) == len(stars)
+
+
 def test_sieve_runs_serially():
     with pytest.raises(ValueError):
         trinary_sieve(1e35, 1e36, star_config(4, 1e-6), jobs=2)
