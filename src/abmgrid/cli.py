@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .eos import CONSTANTS
 from .integrator import GROWTH_CAP, IntegrationError, IntegratorConfig, Mode
-from .poly import PolyCase, run_poly_case
+from .poly import PolyCase, PolyResult, run_poly_case
 from .tov import integrate_star, parameter_sweep, star_config, trinary_sieve
 
 __all__ = ["build_parser", "main"]
@@ -136,11 +136,12 @@ def _emit(args, kind: str, rows, summary, config, summary_line: str) -> None:
 
 # ---------------------------------------------------------------- poly
 
-def _poly_rows(trajectory, case):
-    x, y = trajectory.x, trajectory.y[:, 0]
-    exact = case.exact(x)
-    columns = (x, trajectory.dx, y, trajectory.epsilon_max, exact, y - exact)
-    return list(zip(range(len(x)), *(column.tolist() for column in columns)))
+def _poly_rows(result):
+    trajectory = result.trajectory
+    columns = (trajectory.x, trajectory.dx, trajectory.y[:, 0],
+               trajectory.epsilon_max, result.y_exact, result.error)
+    return list(zip(range(len(trajectory)),
+                    *(column.tolist() for column in columns)))
 
 
 def cmd_poly(args) -> int:
@@ -151,19 +152,19 @@ def cmd_poly(args) -> int:
                     x_end=args.xend)
     failure = None
     try:
-        trajectory = run_poly_case(case).trajectory
+        result = run_poly_case(case)
     except IntegrationError as exc:
         failure = exc
-        trajectory = exc.trajectory
-    rows = _poly_rows(trajectory, case)
+        result = PolyResult(case, exc.trajectory)
+    trajectory = result.trajectory
+    rows = _poly_rows(result)
     status = "ok" if failure is None else f"failed: {failure}"
     summary = {
         "status": status,
         "steps": len(trajectory),
         "final_x": trajectory.final_x,
-        "final_y": float(trajectory.final_y[0]),
-        "final_error": float(trajectory.final_y[0]
-                             - case.exact(trajectory.final_x)),
+        "final_y": trajectory.final_state[0],
+        "final_error": result.final_error,
         "n_evals": trajectory.n_evals,
     }
     line = (f"steps={summary['steps']} final_x={summary['final_x']:.17g} "

@@ -12,14 +12,17 @@ The engine advances an ODE system y' = f(x, y) with explicit
 Every accepted step lands in a row of the :class:`Trajectory`, whose
 buffer of doubles reads back as Python floats.  Beside it the engine
 carries the stencil's interpolant in Newton form: a
-:class:`DividedDifferences` table of the newest N derivatives.  Each
-accepted step adds its node to the table at a cost of N divisions per
-component instead of rebuilding the table's N(N-1)/2 (Krogh 1974,
-"Changing stepsize in the integration of differential equations using
-modified divided differences"; Shampine & Gordon 1975, ch. 5).  The
-table is still a function of the actual node spacing and derivatives
-only, never of a nominal step, so the grid never needs to be uniform.
-:func:`adams_update` integrates it over the new step on Gauss points:
+:class:`DividedDifferences` table of the raw divided differences of the
+newest N derivatives.  Each accepted step adds its node to the table at
+a cost of N divisions per component instead of rebuilding the table's
+N(N-1)/2 (Krogh 1974, "Changing stepsize in the integration of
+differential equations using modified divided differences"; Shampine &
+Gordon 1975, ch. 5).  The table is still a function of the actual node
+spacing and derivatives only, never of a nominal step, so the grid
+never needs to be uniform.  Nothing rescales it: derivatives that
+differ by more than the float range overflow to inf or NaN, and the
+run stops with :class:`NonFiniteState`.  :func:`adams_update`
+integrates it over the new step on Gauss points:
 the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
 term.  :func:`integrate_floats` runs the whole loop on Python floats:
@@ -279,15 +282,12 @@ def _gauss_rule(count):
     return tuple(rule)
 
 
-def _times_power_of_two(values, shift):
-    """Each value times 2^shift, exact unless it leaves the normal range.
-
-    Two factors, each a representable power of two, so a shift beyond
-    the float range still gives inf or 0 instead of raising or NaN.
-    """
-    half = shift // 2
-    low, high = 2.0 ** half, 2.0 ** (shift - half)
-    return [value * low * high for value in values]
+def _total(products):
+    """math.fsum, or the plain sum (inf or NaN) where fsum raises."""
+    try:
+        return math.fsum(products)
+    except (OverflowError, ValueError):  # a partial overflowed, or inf - inf
+        return sum(products)
 
 
 class DividedDifferences:
@@ -295,11 +295,9 @@ class DividedDifferences:
 
     ``nodes`` are the stencil's abscissae x_0 > x_1 > ... > x_{N-1},
     newest first.  ``columns[j]`` holds component j's divided
-    differences c_i = y'_j[x_0, ..., x_i], i = 0 .. N - 1, each times
-    ``scales[j]``: the power of two 2^-k that brings the largest |y'_j|
-    on the stencil into [1, 2).  That scaling is exact, so no bit
-    changes, but differences of derivatives near the overflow threshold
-    stay finite.
+    differences c_i = y'_j[x_0, ..., x_i], i = 0 .. N - 1, as they are:
+    a difference beyond the float range becomes inf or NaN, and the
+    step that reads it stops the run with :class:`NonFiniteState`.
 
     The table starts empty and grows by :meth:`push`; a table for a
     given stencil is built by pushing its nodes from oldest to newest.
@@ -308,38 +306,21 @@ class DividedDifferences:
     def __init__(self, size: int):
         self.nodes = []
         self.columns = [[] for _ in range(size)]
-        self.scales = [1.0] * size
-        self._exponents = [0] * size
-        self._magnitudes = [[] for _ in range(size)]  # |y'_j|, newest first
 
     def push(self, x: float, derivatives: Sequence[float], keep: int):
         """Add the node x, where y' is ``derivatives``; keep ``keep`` nodes.
 
-        x must exceed every node.  Per component, with f its y' at x
-        times its scale, the new entries are c'_0 = f and
+        x must exceed every node.  Per component, with f its y' at x,
+        the new entries are c'_0 = f and
         c'_i = (c'_{i-1} - c_{i-1}) / (x - x_{i-1}) for
         i = 1 .. keep - 1: N divisions, and the nodes beyond ``keep``
-        drop out.  The spans x - x_k are shared across components.  When
-        a component's largest |y'| on the new stencil lies in another
-        binade than before, its kept entries are first rescaled by the
-        exact power of two between the old scale and the new one.
+        drop out.  The spans x - x_k are shared across components.
         """
-        kept = keep - 1
-        spans = [x - node for node in self.nodes[:kept]]
-        self.nodes = [x, *self.nodes[:kept]]
-        for j, f in enumerate(derivatives):
-            magnitudes = self._magnitudes[j] = [
-                abs(f), *self._magnitudes[j][:kept]]
-            exponent = max(math.frexp(max(magnitudes))[1] - 1, -1022)
-            previous = self.columns[j]  # zip below stops at the spans
-            if exponent != self._exponents[j]:
-                previous = _times_power_of_two(
-                    previous[:kept], self._exponents[j] - exponent)
-                self._exponents[j] = exponent
-                self.scales[j] = 2.0 ** -exponent
-            c = f * self.scales[j]
+        spans = [x - node for node in self.nodes[:keep - 1]]
+        self.nodes = [x, *self.nodes[:keep - 1]]
+        for j, c in enumerate(derivatives):
             column = [c]
-            for older, span in zip(previous, spans):
+            for older, span in zip(self.columns[j], spans):
                 c = (c - older) / span
                 column.append(c)
             self.columns[j] = column
@@ -363,13 +344,13 @@ def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
     basis integrals are exact on ceil((N + 1) / 2) Gauss points.  The
     corrector adds one term, c_N prod_{k<N} (t - s_k), with
     c_N = (f(x + dx, y_AB) - p(dx)) / prod_k (dx - s_k), so the
-    correction is formed as its own term, not as a difference.
+    correction is formed as its own term, not as a difference:
+    y_AM = y + (increment + weight (f - p(dx))).
 
     Everything runs on Python floats in a fixed order (``math.fsum``
-    is correctly rounded), so no BLAS kernel enters the step.  The
-    increments of the table's scaled columns are divided by their
-    scales again, which is exact, and a result beyond the overflow
-    threshold becomes inf instead of raising (as ``math.ldexp`` would).
+    is correctly rounded), so no BLAS kernel enters the step.  A sum
+    beyond the overflow threshold becomes inf or NaN instead of
+    raising, and the caller stops on it.
     """
     here = table.nodes[0]
     offsets = [node - here for node in table.nodes]
@@ -384,11 +365,10 @@ def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
             term *= t - offset
         integrals[count] += term
 
-    columns, scales = table.columns, table.scales
-    increments = [math.fsum([c * g for c, g in zip(column, integrals)])
+    columns = table.columns
+    increments = [_total([c * g for c, g in zip(column, integrals)])
                   for column in columns]
-    y_ab = [y0 + increment / scale
-            for y0, increment, scale in zip(y, increments, scales)]
+    y_ab = [y0 + increment for y0, increment in zip(y, increments)]
     if derivative_at is None:
         return y_ab, y_ab
 
@@ -397,13 +377,12 @@ def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
         at_new_node *= dx - offset
     weight = integrals[count] / at_new_node
     y_am = []
-    for y0, increment, scale, column, f in zip(
-            y, increments, scales, columns, derivative_at(y_ab)):
+    for y0, increment, column, f in zip(
+            y, increments, columns, derivative_at(y_ab)):
         predicted = column[-1]  # p(dx), by Horner's rule
         for i in range(count - 2, -1, -1):
             predicted = predicted * (dx - offsets[i]) + column[i]
-        y_am.append(
-            y0 + (increment + weight * (f * scale - predicted)) / scale)
+        y_am.append(y0 + (increment + weight * (f - predicted)))
     return y_ab, y_am
 
 

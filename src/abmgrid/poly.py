@@ -38,11 +38,14 @@ def poly_rhs(x: float) -> float:
 
 
 def poly_exact(x):
-    """Closed-form solution through y(0.5) = 1."""
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    return (x ** 5 / 5.0 - 5.0 * x ** 4 / 2.0 + 35.0 * x ** 3 / 3.0
-            - 25.0 * x ** 2 + 24.0 * x - 727.0 / 120.0)
+    """Closed-form solution through y(0.5) = 1, at a float or an array.
+
+    Horner's form uses only + - * /, which IEEE arithmetic rounds
+    correctly, so an array gives each point the bits its float gives,
+    whatever vector code evaluates it.
+    """
+    return ((((x / 5.0 - 2.5) * x + 35.0 / 3.0) * x - 25.0) * x
+            + 24.0) * x - 727.0 / 120.0
 
 
 @dataclass(frozen=True)
@@ -81,27 +84,34 @@ class PolyCase:
 
 @dataclass(frozen=True)
 class PolyResult:
-    """Trajectory plus its accumulated error against the exact curve."""
+    """A case's trajectory; its exact curve and error are read off it.
+
+    ``y_exact`` (case.exact at each accepted x) and ``error`` (y minus
+    that) are float64 arrays; ``final_error`` works at 0 steps too.
+    """
 
     case: PolyCase
     trajectory: Trajectory
-    y_exact: np.ndarray   # case.exact at each accepted abscissa
-    error: np.ndarray     # y_numeric - y_exact, per accepted step
+
+    @property
+    def y_exact(self) -> np.ndarray:
+        return self.case.exact(self.trajectory.x)
+
+    @property
+    def error(self) -> np.ndarray:
+        return self.trajectory.y[:, 0] - self.y_exact
 
     @property
     def final_error(self) -> float:
-        return float(self.error[-1])
+        trajectory = self.trajectory
+        return trajectory.final_state[0] - self.case.exact(trajectory.final_x)
 
 
 def run_poly_case(case: PolyCase) -> PolyResult:
-    """Integrate the test problem and attach the accumulated error."""
+    """Integrate the test problem from its case."""
 
     def system(x, y):
         return (poly_rhs(x),)
 
-    trajectory = integrate(system, [case.y0], case.x0, case.config(),
-                           x_end=case.x_end)
-    exact = case.exact(trajectory.x)
-    error = trajectory.y[:, 0] - exact
-    return PolyResult(case=case, trajectory=trajectory, y_exact=exact,
-                      error=error)
+    return PolyResult(case, integrate(system, [case.y0], case.x0,
+                                      case.config(), x_end=case.x_end))

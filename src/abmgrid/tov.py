@@ -246,10 +246,18 @@ class SieveResult:
     in erg/cm^3: each is the central pressure of a star it integrated.
     """
 
-    P_c: float                # erg/cm^3, star.P_central of the best probe
-    star: StarSolution        # the star integrated at P_c
-    evaluations: int          # star integrations performed, one per probe
+    star: StarSolution        # the best probe's star
     history: tuple            # (P_c, M grams, "golden"/"parabolic") per probe
+
+    @property
+    def P_c(self) -> float:
+        """erg/cm^3, the central pressure of the best probe's star."""
+        return self.star.P_central
+
+    @property
+    def evaluations(self) -> int:
+        """Star integrations performed, one per probe."""
+        return len(self.history)
 
     @property
     def M_msun(self) -> float:
@@ -303,8 +311,7 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
                 f"the mass peak is not bracketed: no probe lies between "
                 f"the heaviest star, at P_c = {best.P_central:.6g} "
                 f"erg/cm^3, and {name} = {end:.6g} erg/cm^3")
-    return SieveResult(P_c=best.P_central, star=best,
-                       evaluations=len(history), history=history)
+    return SieveResult(star=best, history=history)
 
 
 @dataclass(frozen=True)

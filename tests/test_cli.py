@@ -275,6 +275,23 @@ def test_reruns_are_bit_for_bit(tmp_path):
     assert m1 == m2
 
 
+def test_poly_table_does_not_depend_on_the_cpu(tmp_path):
+    # numpy picks its vector kernels by CPU; with the AVX-512 ones turned
+    # off (which changes nothing on a CPU without them) the table keeps
+    # every byte, the exact curve's cells included
+    tables = []
+    for disabled in ("", "X86_V4"):
+        out = tmp_path / f"poly{disabled}.csv"
+        env = dict(fresh_interpreter_env(), NPY_DISABLE_CPU_FEATURES=disabled)
+        result = subprocess.run(
+            [sys.executable, "-m", "abmgrid.cli", "poly", "--order", "4",
+             "--dx", "0.01", "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 0, result.stderr
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
 # --- tov ---------------------------------------------------------------
 
 def test_tov_csv_profile(capsys):

@@ -97,8 +97,8 @@ def _random_stencil(rng, count, dx):
 def test_pece_pair_matches_exact_rational_arithmetic():
     # the Newton form on floats against the Lagrange weights applied in
     # Fraction arithmetic, on stretched stencils; the two components
-    # differ in size by up to 1e200, which the power-of-two scaling
-    # absorbs, so each is held to its own scale
+    # differ in size by up to 1e200, and the table keeps them apart, so
+    # each is held to its own scale
     rng = np.random.default_rng(20261018)
     for _ in range(500):
         count = int(rng.integers(1, 12))
@@ -125,8 +125,8 @@ def test_pece_pair_matches_exact_rational_arithmetic():
 
 @pytest.mark.parametrize("power", [600, -600])
 def test_scaled_derivatives_scale_the_increment_exactly(power):
-    # the update rescales each component by a power of two before the
-    # divided differences, so a stencil scaled by 2^power gives
+    # every operation of the update is exact under a power-of-two
+    # scaling in the normal range, so a stencil scaled by 2^power gives
     # increments scaled by exactly 2^power, bit for bit
     rng = np.random.default_rng(5)
     factor = 2.0 ** power
@@ -145,11 +145,10 @@ def test_scaled_derivatives_scale_the_increment_exactly(power):
 
 
 def test_carried_table_equals_the_table_pushed_afresh():
-    # carrying the table from node to node, oldest nodes dropping out and
-    # scales changing binade on the way, gives the bits of a table built
-    # from the kept nodes alone; at the end the largest derivative drops
-    # out of the stencil, a rescale by 2^1024, which must leave zeros,
-    # not NaN
+    # carrying the table from node to node, oldest nodes dropping out on
+    # the way, gives the bits of a table built from the kept nodes
+    # alone; at the end the largest derivative drops out of the stencil,
+    # which must leave zeros, not NaN
     rng = np.random.default_rng(12)
     order = 5
     xs = np.cumsum(rng.uniform(0.1, 1.0, 60)).tolist()
@@ -157,18 +156,13 @@ def test_carried_table_equals_the_table_pushed_afresh():
     rows = (binades * rng.uniform(-1.0, 1.0, (60, 2))).tolist()
     rows[-order - 3:] = [[1.7e308, 1.0]] * 3 + [[0.0, 1.0]] * order
     carried = DividedDifferences(2)
-    rescaled = 0
     for n, (x, row) in enumerate(zip(xs, rows)):
         keep = min(n + 1, order)
-        before = list(carried.scales)
         carried.push(x, row, keep)
-        rescaled += before != carried.scales
         kept = slice(n + 1 - keep, n + 1)
         fresh = pushed(xs[kept], list(zip(*rows[kept])))
         assert carried.nodes == fresh.nodes == xs[kept][::-1]
-        assert carried.scales == fresh.scales
         assert carried.columns == fresh.columns, n
-    assert rescaled > 30
     assert carried.columns[0] == [0.0] * order
 
 
@@ -180,10 +174,8 @@ def test_table_ramps_to_its_order_and_holds():
         lengths.append(len(table.columns[0]))
     assert lengths == [1, 2, 3] + [4] * 9
     assert table.nodes == [11.0, 10.0, 9.0, 8.0]
-    # y' = x^2 on 11, 10, 9, 8: c = [121, 11 + 10, 1, 0], each times the
-    # 2^-6 that brings 121 into [1, 2)
-    assert table.columns[0] == [121.0 / 64.0, 21.0 / 64.0, 1.0 / 64.0, 0.0]
-    assert table.scales == [1.0 / 64.0]
+    # y' = x^2 on 11, 10, 9, 8: c = [121, 11 + 10, 1, 0]
+    assert table.columns[0] == [121.0, 21.0, 1.0, 0.0]
 
 
 def test_fractional_correction_is_the_largest_scaled_magnitude():
@@ -894,10 +886,11 @@ def binade_crossing(x, y):
 
 @pytest.mark.parametrize("power", [600, -600])
 def test_carried_table_rescales_exactly_across_binades(power):
-    # the carried table changes scale whenever a component's largest |y'|
-    # changes binade; the run equals the rebuild-per-step plain loop, and
-    # scaling the state (and so y') by 2^power scales every state by
-    # exactly 2^power and leaves the steps alone
+    # each component's largest |y'| keeps changing binade; the run of
+    # the unscaled carried table equals the plain loop, which rebuilds a
+    # scaled table every step, and scaling the state (and so y') by
+    # 2^power scales every state by exactly 2^power and leaves the steps
+    # alone
     config = IntegratorConfig(order_ab=6, dx_initial=1e-3,
                               target_correction=1e-4)
     plain = integrate(binade_crossing, [1.0, 1.0], 0.0, config, x_end=0.2)
@@ -946,9 +939,10 @@ def test_non_finite_state_stops_where_the_plain_loop_does(mode):
     assert_same_run(excinfo.value.trajectory, expected)
 
 
-def test_nan_correction_on_a_finite_state_matches_the_plain_loop():
-    # on the second step the predictor overflows to inf while the
-    # corrector stays finite: epsilon_max is NaN, the state is not
+def test_derivatives_beyond_the_float_range_stop_the_run():
+    # the first step's correction is f(1) - p(1) = 1.7e308 + 1.7e308,
+    # which overflows: the run stops at x = 1 with nothing accepted
+    # instead of returning a wrong finite state
     derivative = {0.0: -1.7e308, 1.0: 1.7e308}
 
     def swing(x, y):
@@ -956,8 +950,24 @@ def test_nan_correction_on_a_finite_state_matches_the_plain_loop():
 
     config = IntegratorConfig(order_ab=2, dx_initial=1.0,
                               mode=Mode.ABM_FIXED)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = reference_pece(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
-        trajectory = integrate(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
-    assert math.isnan(trajectory.epsilon_max[1])
-    assert_same_run(trajectory, expected)
+    with pytest.raises(NonFiniteState, match="at x=1.0") as excinfo:
+        integrate(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
+    trajectory = excinfo.value.trajectory
+    assert len(trajectory) == 0
+    assert trajectory.n_evals == 3
+
+
+def test_an_overflowing_increment_stops_the_run():
+    # y' jumps from 0 to 1.7e308 at x = 1; the second step's increment,
+    # 1.7e308 + 1.7e308 / 2, overflows inside the correctly rounded sum,
+    # and the run stops there with the first step kept
+    def jump(x, y):
+        return [1.7e308 if x == 1.0 else 0.0]
+
+    config = IntegratorConfig(order_ab=2, dx_initial=1.0,
+                              mode=Mode.ABM_FIXED)
+    with pytest.raises(NonFiniteState, match="at x=2.0") as excinfo:
+        integrate_floats(jump, [0.0], 0.0, config, x_end=4.0)
+    trajectory = excinfo.value.trajectory
+    assert len(trajectory) == 1
+    assert trajectory.n_evals == 5

@@ -58,6 +58,17 @@ def test_exact_solution_differentiates_to_rhs():
                                rtol=1e-6, atol=1e-6)
 
 
+def test_exact_solution_on_an_array_has_the_bits_of_floats():
+    # numpy evaluates an array with vector kernels chosen by CPU; a
+    # Python float runs on the interpreter's IEEE arithmetic alone, so
+    # an array that gives each point its float's bits gives the same
+    # bits on every CPU
+    xs = np.linspace(0.0, 5.0, 200_001)
+    floats = [poly_exact(x) for x in xs.tolist()]
+    assert all(type(value) is float for value in floats)
+    assert poly_exact(xs).tolist() == floats
+
+
 def test_case_validation_and_config():
     with pytest.raises(ValueError):
         PolyCase(x_end=0.5)

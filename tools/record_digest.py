@@ -18,12 +18,15 @@ iterating a trajectory, ``len``, ``n_evals`` and ``halted``, and the
 ``integrate`` that ``abmgrid.tov`` and ``abmgrid.poly`` look up at call
 time, which the totals wrap; the sieves group also reads
 ``SieveResult.history``, which every tree with Brent's sieve has, and
-the gas groups call only ``pressure_from_x``, ``energy_density_from_x``
-and ``invert_pressure_to_x``.  So the script runs unchanged against an
-older checkout, and its output can be diffed line by line between two
-trees.  The gas groups integrate nothing: their count is the number of
-values hashed and their totals read 0.  They show which gas function a
-change moved when the star groups move.
+the curve groups call only ``poly_exact``, ``pressure_from_x``,
+``energy_density_from_x`` and ``invert_pressure_to_x``, one float at a
+time.  So the script runs unchanged against an older checkout, and its
+output can be diffed line by line between two trees.  The curve groups
+integrate nothing: their count is the number of values hashed and their
+totals read 0.  The gas groups show which gas function a change moved
+when the star groups move; the exact group keeps the quartic's
+reference curve out of the poly group, so a change to that curve cannot
+look like a change to the integration.
 
 Groups:
   stars     orders {3, 6, 10} x E {1e-2, 1e-5, 1e-8} x P_c {1e34,
@@ -31,7 +34,8 @@ Groups:
   failures  P_c 1e308 and 3.8e45 (order 4, E 1e-6)
   trapped   P_c 1e45 and 1e46 (order 4, E 1e-6), stars that end inside
             their own horizon
-  poly      3 modes x orders {1, 4, 8} x dx {0.25, 0.01}
+  poly      3 modes x orders {1, 4, 8} x dx {0.25, 0.01}, the runs only
+  exact     poly_exact(x) at x = k / 1000, k = 0..5000 (0 to 5)
   sweep     orders 3..10 x E {1e-2, 1e-5, 1e-8} at 3.631382e35 against
             the order-10, E = 1e-8 star
   sieve     the default sieve, [1e35, 1e36] at order 6, E = 1e-8
@@ -159,7 +163,6 @@ def poly_group(digest):
                 result = digest.outcome(lambda: run_poly_case(
                     PolyCase(mode=mode, order=order, dx=dx)))
                 if result is not None:
-                    digest.feed(result.y_exact, result.error)
                     digest.trajectory(result.trajectory)
 
 
@@ -204,9 +207,11 @@ def sieves_group(digest):
 # range and beyond, 10 values of P per decade over the double range
 GAS_X = [10.0 ** (k / 100) for k in range(-800, 301)]
 GAS_P = [10.0 ** (k / 10) for k in range(-3230, 3081)]
+# the exact group's grid: x = 0, 0.001, ..., 5, the quartic's interval
+POLY_X = [k / 1000 for k in range(5001)]
 
 
-def gas_group(digest, name, arguments):
+def curve_group(digest, name, arguments):
     import abmgrid
     function = getattr(abmgrid, name)
     digest.feed([function(argument) for argument in arguments])
@@ -219,12 +224,13 @@ GROUPS = (
     ("failures", lambda d: star_group(d, (1e308, 3.8e45), (4,), (1e-6,))),
     ("trapped", lambda d: star_group(d, (1e45, 1e46), (4,), (1e-6,))),
     ("poly", poly_group),
+    ("exact", lambda d: curve_group(d, "poly_exact", POLY_X)),
     ("sweep", sweep_group),
     ("sieve", sieve_group),
     ("sieves", sieves_group),
-    ("pressure", lambda d: gas_group(d, "pressure_from_x", GAS_X)),
-    ("density", lambda d: gas_group(d, "energy_density_from_x", GAS_X)),
-    ("inversion", lambda d: gas_group(d, "invert_pressure_to_x", GAS_P)),
+    ("pressure", lambda d: curve_group(d, "pressure_from_x", GAS_X)),
+    ("density", lambda d: curve_group(d, "energy_density_from_x", GAS_X)),
+    ("inversion", lambda d: curve_group(d, "invert_pressure_to_x", GAS_P)),
 )
 
 
