@@ -30,8 +30,9 @@ def main() -> None:
     picks = sorted(set(range(0, len(trajectory), stride))
                    | {len(trajectory) - 1})
     M_sun = CONSTANTS.M_sun
-    r, dr, epsilon = trajectory.x, trajectory.dx, trajectory.epsilon_max
-    m, P = trajectory.y.T
+    r, dr, epsilon = (np.asarray(column) for column in (
+        trajectory.x, trajectory.dx, trajectory.epsilon_max))
+    m, P = np.asarray(trajectory.y)  # one row per component
     for i in picks:
         print(f"{i:>5} {r[i] / 1e5:>10.4f} {dr[i]:>12.4e} "
               f"{m[i] / M_sun:>12.6f} {P[i]:>14.4e} {epsilon[i]:>10.2e}")

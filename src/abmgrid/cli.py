@@ -137,11 +137,12 @@ def _emit(args, kind: str, rows, summary, config, summary_line: str) -> None:
 # ---------------------------------------------------------------- poly
 
 def _poly_rows(result):
+    """The table's rows in one pass; each error is y minus y_exact."""
     trajectory = result.trajectory
-    columns = (trajectory.x, trajectory.dx, trajectory.y[:, 0],
-               trajectory.epsilon_max, result.y_exact, result.error)
-    return list(zip(range(len(trajectory)),
-                    *(column.tolist() for column in columns)))
+    steps = zip(trajectory.x, trajectory.dx, trajectory.y[0],
+                trajectory.epsilon_max, result.y_exact)
+    return [(index, x, dx, y, epsilon, exact, y - exact)
+            for index, (x, dx, y, epsilon, exact) in enumerate(steps)]
 
 
 def cmd_poly(args) -> int:
@@ -188,11 +189,10 @@ def _star_rows(trajectory):
             flags.append("cap")
         if record.floored:
             flags.append("floor")
-        if (record.index == last and trajectory.halted
-                and record.y_am[1] <= 0.0):
-            flags.append("surface")
-        rows.append((record.index, record.x_next, record.dx,
-                     float(record.y_am[0]), float(record.y_am[1]),
+        if record.index == last and trajectory.halted:
+            flags.append("surface")  # the halt is the surface, P <= 0
+        m, P = record.y_am
+        rows.append((record.index, record.x_next, record.dx, m, P,
                      record.epsilon_max, "+".join(flags)))
     return rows
 

@@ -10,30 +10,30 @@ The engine advances an ODE system y' = f(x, y) with explicit
     Evaluate  f(x + dx, y_AM), which is what enters the stencil.
 
 Every accepted step lands in a row of the :class:`Trajectory`, whose
-buffer of doubles reads back as Python floats.  Beside it the engine
-carries the stencil's interpolant in Newton form: a
-:class:`DividedDifferences` table of the raw divided differences of the
-newest N derivatives.  Each accepted step adds its node to the table at
-a cost of N divisions per component instead of rebuilding the table's
-N(N-1)/2 (Krogh 1974, "Changing stepsize in the integration of
-differential equations using modified divided differences"; Shampine &
-Gordon 1975, ch. 5).  The table is still a function of the actual node
-spacing and derivatives only, never of a nominal step, so the grid
-never needs to be uniform.  Nothing rescales it: derivatives that
-differ by more than the float range overflow to inf or NaN, and the
-run stops with :class:`NonFiniteState`.  :func:`adams_update`
-integrates it over the new step on Gauss points:
+buffer of doubles reads back as Python floats and ``array("d")``
+columns.  Beside it the engine carries the stencil's interpolant in
+Newton form: a :class:`DividedDifferences` table of the raw divided
+differences of the newest N derivatives.  Each accepted step adds its
+node to the table at a cost of N divisions per component instead of
+rebuilding the table's N(N-1)/2 (Krogh 1974, "Changing stepsize in the
+integration of differential equations using modified divided
+differences"; Shampine & Gordon 1975, ch. 5).  The table is still a
+function of the actual node spacing and derivatives only, never of a
+nominal step, so the grid never needs to be uniform.  Nothing rescales
+it: derivatives that differ by more than the float range overflow to inf
+or NaN, and the run stops with :class:`NonFiniteState`.
+:func:`adams_update` integrates it over the new step on Gauss points:
 the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
-term.  :func:`integrate_floats` runs the whole loop on Python floats:
-its callbacks receive the state as a list and what they return is read
-as a list of ``float``, so no numpy enters a run.  :func:`integrate` is
-the same loop for callbacks written on numpy arrays.  The
-step-size controller exploits the free grid by scaling dx against the
-fractional correction |y_AM - y_AB| relative to a target correction E.
-Growth is capped at GROWTH_CAP per step; shrinking is uncapped down to
-an optional floor.  Steps are never rejected: the correction always
-ships and only the *next* step size responds.
+term.  :func:`integrate_floats` runs the whole loop on Python floats: its
+callbacks receive the state as a list and what they return is read as a
+list of ``float``, so no numpy enters a run.  :func:`integrate` is the
+same loop for callbacks written on numpy arrays.  The step-size
+controller exploits the free grid by scaling dx against the fractional
+correction |y_AM - y_AB| relative to a target correction E.  Growth is
+capped at GROWTH_CAP per step; shrinking is uncapped down to an optional
+floor.  Steps are never rejected: the correction always ships and only
+the *next* step size responds.
 
 Bootstrapping: the table starts as f(x0, y0) alone and grows by one
 entry per step, so the first step runs at order 1, the second at order
@@ -123,17 +123,18 @@ class IntegratorConfig:
 class StepRecord:
     """One accepted step, as iterating a :class:`Trajectory` yields it.
 
-    ``epsilon_max`` is the largest magnitude of the per-component
-    fractional correction, the scalar the controller acts on (0 in
-    ``AB_FIXED`` mode, which never corrects).  ``capped``/``floored`` report
-    whether the controller's choice of the *next* step size hit the
-    growth cap or the minimum-step floor on this step.
+    ``y_am`` is the corrected state, a tuple of floats.  ``epsilon_max``
+    is the largest magnitude of the per-component fractional
+    correction, the scalar the controller acts on (0 in ``AB_FIXED``
+    mode, which never corrects).  ``capped``/``floored`` report whether
+    the controller's choice of the *next* step size hit the growth cap
+    or the minimum-step floor on this step.
     """
 
     index: int
     x_next: float
     dx: float
-    y_am: np.ndarray
+    y_am: tuple
     epsilon_max: float
     effective_order: int
     capped: bool = False
@@ -153,11 +154,12 @@ class Trajectory:
     :class:`DividedDifferences` table.  ``n_evals`` counts derivative
     evaluations, two per PECE step.
 
-    ``x``, ``dx``, ``y`` and ``epsilon_max`` return new float64 arrays,
-    one entry (``y``: one row of n) per step, and ``final_y`` the last
-    state, shape (n,); iteration yields a :class:`StepRecord` per step.
-    These reads import numpy; ``len``, ``final_x`` and ``final_state``
-    do not.
+    ``x``, ``dx`` and ``epsilon_max`` return a new ``array("d")`` with
+    one entry per step, and ``y`` a list of n such columns, ``y[j]``
+    being component j (``np.asarray(trajectory.y).T`` is the
+    (steps, n) array).  ``final_x`` and ``final_state`` read the last
+    point, the start point at 0 steps; iteration yields a
+    :class:`StepRecord` per step.  No read imports numpy.
     """
 
     def __init__(self, x0: float, y0: Sequence[float]):
@@ -169,36 +171,36 @@ class Trajectory:
     def _append(self, x, dx, y, epsilon_max, order, capped, floored):
         self._rows.extend((x, dx, epsilon_max, order, capped, floored, *y))
 
-    def _table(self) -> np.ndarray:
-        """A float64 view of the rows; it pins the buffer until dropped."""
-        import numpy as np
-        return np.frombuffer(self._rows).reshape(-1, self._width)
+    def _column(self, offset: int) -> array:
+        """The value at ``offset`` of every step's row, in a new array."""
+        return self._rows[self._width + offset::self._width]
 
     def __len__(self):
         return len(self._rows) // self._width - 1
 
     def __iter__(self):
-        steps = self._table()[1:, :_Y].tolist()
-        return (StepRecord(index, x, dx, y, epsilon, int(order),
-                           bool(capped), bool(floored))
-                for index, ((x, dx, epsilon, order, capped, floored), y)
-                in enumerate(zip(steps, self.y)))
+        rows, width = self._rows, self._width
+        for index, start in enumerate(range(width, len(rows), width)):
+            x, dx, epsilon, order, capped, floored, *y = rows[
+                start:start + width]
+            yield StepRecord(index, x, dx, tuple(y), epsilon, int(order),
+                             bool(capped), bool(floored))
 
     @property
-    def x(self) -> np.ndarray:
-        return self._table()[1:, _X].copy()
+    def x(self) -> array:
+        return self._column(_X)
 
     @property
-    def y(self) -> np.ndarray:
-        return self._table()[1:, _Y:].copy()
+    def y(self) -> list:
+        return [self._column(j) for j in range(_Y, self._width)]
 
     @property
-    def dx(self) -> np.ndarray:
-        return self._table()[1:, _DX].copy()
+    def dx(self) -> array:
+        return self._column(_DX)
 
     @property
-    def epsilon_max(self) -> np.ndarray:
-        return self._table()[1:, _EPS].copy()
+    def epsilon_max(self) -> array:
+        return self._column(_EPS)
 
     @property
     def final_x(self) -> float:
@@ -208,10 +210,6 @@ class Trajectory:
     def final_state(self) -> list:
         """The last state, flat, as a list of Python floats."""
         return self._rows[len(self._rows) - self._width + _Y:].tolist()
-
-    @property
-    def final_y(self) -> np.ndarray:
-        return self._table()[-1, _Y:].copy()
 
 
 class IntegrationError(RuntimeError):
@@ -447,8 +445,9 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
     after the first accepted step whose corrected state satisfies the
     predicate.  When both are given, whichever fires first ends the run.
 
-    Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState` (at x0,
-    before any step, when f(x0, y0) is not finite), or
+    Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState` (when
+    f(x0, y0), or a step's prediction, corrected state or derivative,
+    is not finite; the step is not kept), or
     :class:`CallbackFailure` (``system`` raised or returned anything
     else); an :class:`IntegrationError` raised by ``system`` propagates
     as is.  A plain :class:`IntegrationError` is raised before
@@ -514,7 +513,7 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
         dy_next = evaluate(x_next, y_am)
         epsilon_max = (0.0 if corrector is None
                        else fractional_correction(y_ab, y_am))
-        if not all(map(math.isfinite, y_am + dy_next)):
+        if not all(map(math.isfinite, y_ab + y_am + dy_next)):
             raise NonFiniteState(
                 f"non-finite state or derivative at x={x_next!r}", trajectory)
 

@@ -15,8 +15,8 @@ controller's behavior are all measurable against the analytic curve.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .integrator import IntegratorConfig, Mode, Trajectory
 # bound as ``integrate``, the name that tools/record_digest.py and
@@ -24,9 +24,6 @@ from .integrator import IntegratorConfig, Mode, Trajectory
 # integrations; the digest tool also runs, unchanged, on older trees
 # whose engine has only ``integrate``
 from .integrator import integrate_floats as integrate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["poly_rhs", "poly_exact", "PolyCase", "PolyResult",
            "run_poly_case"]
@@ -87,19 +84,21 @@ class PolyResult:
     """A case's trajectory; its exact curve and error are read off it.
 
     ``y_exact`` (case.exact at each accepted x) and ``error`` (y minus
-    that) are float64 arrays; ``final_error`` works at 0 steps too.
+    that) are new ``array("d")`` columns, one float per step;
+    ``final_error`` works at 0 steps too.
     """
 
     case: PolyCase
     trajectory: Trajectory
 
     @property
-    def y_exact(self) -> np.ndarray:
-        return self.case.exact(self.trajectory.x)
+    def y_exact(self) -> array:
+        return array("d", map(self.case.exact, self.trajectory.x))
 
     @property
-    def error(self) -> np.ndarray:
-        return self.trajectory.y[:, 0] - self.y_exact
+    def error(self) -> array:
+        return array("d", [y - exact for y, exact
+                           in zip(self.trajectory.y[0], self.y_exact)])
 
     @property
     def final_error(self) -> float:

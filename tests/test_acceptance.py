@@ -131,7 +131,7 @@ def test_criterion_3_bootstrap_deviation_step():
     # through record k-1 and first deviates at record k (the (k+1)-th
     # accepted step)
     runs = {order: run_poly_case(PolyCase(mode=Mode.AB_FIXED, order=order,
-                                          dx=0.25)).trajectory.y[:, 0]
+                                          dx=0.25)).trajectory.y[0]
             for order in (1, 2, 3, 4)}
     assert len({run[0] for run in runs.values()}) == 1
     for k in (1, 2, 3):
@@ -157,9 +157,9 @@ def test_criterion_4_adaptive_quartic_rides_the_growth_cap():
     trajectory = result.trajectory
     steps = len(trajectory)
     riding = slice(order - 1, steps - 1)  # full order, before the clamp
-    eps = trajectory.epsilon_max[riding]
+    eps = np.asarray(trajectory.epsilon_max)[riding]
     capped = np.array([record.capped for record in trajectory])[riding]
-    dx = trajectory.dx[order - 1:]
+    dx = np.asarray(trajectory.dx)[order - 1:]
     ratios = dx[1:-1] / dx[:-2]
     at_cap = np.abs(ratios - 3.0) <= 1e-12 * 3.0
     eps_bound = tolerance / 3.0 ** (order + 1)
@@ -254,8 +254,8 @@ def test_criterion_8_eos_monotone_and_invertible():
 
 def test_criterion_8_mass_monotone_and_subhorizon(max_mass_run):
     star, _ = max_mass_run
-    m = star.trajectory.y[:, 0]
-    r = star.trajectory.x
+    m = np.asarray(star.trajectory.y[0])
+    r = np.asarray(star.trajectory.x)
     assert np.all(np.diff(m) >= 0.0) and m[-1] > 0.0
     compactness = 2.0 * CONSTANTS.G * m / (CONSTANTS.c ** 2 * r)
     assert float(compactness.max()) < 1.0
@@ -273,7 +273,7 @@ def test_criterion_8_plateau_coarse_cell(coarse_cell_star):
     # holds inside [E/10, 10E]
     star = coarse_cell_star
     window = stable_plateau(star.trajectory, 1e-2, 4)
-    eps = star.trajectory.epsilon_max[window]
+    eps = np.asarray(star.trajectory.epsilon_max)[window]
     assert eps.size > 0
     assert float(eps.min()) >= 1e-3 and float(eps.max()) <= 1e-1
 
@@ -281,7 +281,7 @@ def test_criterion_8_plateau_coarse_cell(coarse_cell_star):
 def test_criterion_8_plateau_fine_cell(fine_cell_star):
     star = fine_cell_star
     window = stable_plateau(star.trajectory, 1e-5, 9)
-    eps = star.trajectory.epsilon_max[window]
+    eps = np.asarray(star.trajectory.epsilon_max)[window]
     assert eps.size > 0
     report = (
         f"{int((eps < 1e-6).sum())} of {eps.size} plateau corrections "

@@ -526,3 +526,25 @@ def test_star_path_never_imports_numpy():
                             env=fresh_interpreter_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_tov_and_poly_commands_never_import_numpy(tmp_path):
+    # both tables are formatted from the trajectory's floats, so no run
+    # of either command, failed or not, loads numpy
+    runs = [["tov", "--pc", P_CENTRAL, "--order", "3", "--tol", "1e-2"],
+            ["tov", "--pc", "1e46", "--order", "4", "--tol", "1e-6"],
+            ["poly", "--order", "4"]]
+    argvs = [argv + ["--format", fmt, "--out", str(tmp_path / f"{i}.{fmt}")]
+             for i, argv in enumerate(runs) for fmt in ("csv", "json")]
+    probe = ("import json, sys; from abmgrid.cli import main; "
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+             "print(json.dumps([codes, 'numpy' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                            capture_output=True, text=True, timeout=60,
+                            env=fresh_interpreter_env())
+    assert result.returncode == 0, result.stderr
+    codes, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0, 1, 1, 0, 0]
+    assert all((tmp_path / f"{i}.{fmt}").stat().st_size > 0
+               for i in range(3) for fmt in ("csv", "json"))
+    assert numpy_loaded is False

@@ -2,6 +2,7 @@
 import functools
 import importlib.util
 import math
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -277,7 +278,8 @@ def test_constant_derivative_is_exact_and_rides_the_cap():
     config = IntegratorConfig(order_ab=3, dx_initial=0.01)
     trajectory = integrate(lambda x, y: np.array([2.0, -1.0]),
                            [0.0, 10.0], 0.0, config, x_end=3.0)
-    np.testing.assert_allclose(trajectory.final_y, [6.0, 7.0], rtol=1e-12)
+    np.testing.assert_allclose(trajectory.final_state, [6.0, 7.0],
+                               rtol=1e-12)
     assert trajectory.final_x == 3.0
     # corrections sit at roundoff, so every unclamped step takes the cap
     assert all(r.epsilon_max < 1e-12 for r in trajectory)
@@ -345,7 +347,7 @@ def test_growth_never_exceeds_the_cap():
                               target_correction=1e-6)
     trajectory = integrate(lambda x, y: np.array([np.cos(3 * x) * y[0]]),
                            [1.0], 0.0, config, x_end=4.0)
-    dx = trajectory.dx
+    dx = np.asarray(trajectory.dx)
     ratios = dx[1:] / dx[:-1]
     assert np.all(ratios <= GROWTH_CAP + 1e-12)
 
@@ -356,7 +358,7 @@ def test_halt_predicate_stops_and_flags():
     trajectory = integrate(lambda x, y: np.array([-1.0]), [1.0], 0.0,
                            config, halt=lambda x, y: y[0] <= 0.0)
     assert trajectory.halted
-    assert trajectory.final_y[0] <= 0.0
+    assert trajectory.final_state[0] <= 0.0
     # the state crossed zero on the final accepted step only
     assert all(r.y_am[0] > 0.0 for r in list(trajectory)[:-1])
 
@@ -505,8 +507,8 @@ def test_short_interval_lands_on_x_end(x0, x_end):
     config = IntegratorConfig(order_ab=4, dx_initial=1e-16)
     trajectory = integrate(unit_slope, [0.0], x0, config, x_end=x_end)
     assert trajectory.final_x == x_end
-    assert trajectory.final_y[0] == pytest.approx(x_end - x0, rel=1e-15,
-                                                  abs=0.0)
+    assert trajectory.final_state[0] == pytest.approx(x_end - x0,
+                                                      rel=1e-15, abs=0.0)
     assert_same_run(trajectory, reference_pece(unit_slope, [0.0], x0,
                                                config, x_end=x_end))
 
@@ -537,25 +539,28 @@ def test_scalar_initial_state_promoted_to_vector():
                               mode=Mode.ABM_FIXED)
     trajectory = integrate(lambda x, y: np.array([1.0]), 3.0, 0.0,
                            config, x_end=1.0)
-    assert trajectory.final_y.shape == (1,)
-    assert trajectory.final_y[0] == pytest.approx(4.0, rel=1e-13)
+    assert np.shape(trajectory.final_state) == (1,)
+    assert trajectory.final_state[0] == pytest.approx(4.0, rel=1e-13)
 
 
 def test_empty_trajectory_reports_initial_point():
     trajectory = Trajectory(1.5, np.array([2.0, 3.0]))
     assert trajectory.final_x == 1.5
-    np.testing.assert_array_equal(trajectory.final_y, [2.0, 3.0])
+    np.testing.assert_array_equal(trajectory.final_state, [2.0, 3.0])
     assert len(trajectory) == 0
 
 
-def _is_float_array(value, shape):
-    return (type(value) is np.ndarray and value.dtype == np.float64
-            and value.shape == shape)
+def _is_double_array(value, length):
+    return (type(value) is array and value.typecode == "d"
+            and len(value) == length)
 
 
 @pytest.mark.parametrize("components", [1, 2])
 @pytest.mark.parametrize("steps", [0, 1, 100])
 def test_trajectory_reads_are_fresh_float_arrays(components, steps):
+    # x, dx and epsilon_max are each a new array("d") of one double per
+    # step, and y is a list of one such column per component; writing
+    # into a read leaves the trajectory as it was
     y0 = [1.0, 0.5][:components]
     if steps:
         config = IntegratorConfig(order_ab=3, dx_initial=1.0 / steps,
@@ -564,19 +569,31 @@ def test_trajectory_reads_are_fresh_float_arrays(components, steps):
     else:
         trajectory = Trajectory(0.0, np.array(y0))
     assert len(trajectory) == steps
-    reads = {"x": (steps,), "dx": (steps,), "y": (steps, components),
-             "epsilon_max": (steps,), "final_y": (components,)}
-    for name, shape in reads.items():
-        first, second = getattr(trajectory, name), getattr(trajectory, name)
-        assert _is_float_array(first, shape), name
-        assert not np.shares_memory(first, second), name
+
+    def reads():
+        y = trajectory.y
+        assert type(y) is list and len(y) == components
+        return [trajectory.x, trajectory.dx, trajectory.epsilon_max, *y]
+
+    first, second = reads(), reads()
+    for index, (read, again) in enumerate(zip(first, second)):
+        assert _is_double_array(read, steps), index
+        assert read is not again, index
+        read[:] = array("d", [-1.0] * steps)
+    assert reads() == second
+    final_state = trajectory.final_state
+    assert type(final_state) is list and len(final_state) == components
+    assert all(type(value) is float for value in final_state)
+    assert final_state is not trajectory.final_state
     assert type(trajectory.final_x) is float
     assert trajectory.final_x == (1.0 if steps else 0.0)
     records = list(trajectory)
     assert len(records) == steps
     for index, record in enumerate(records):
         assert record.index == index
-        assert _is_float_array(record.y_am, (components,))
+        assert type(record.y_am) is tuple and len(record.y_am) == components
+        assert all(type(value) is float for value in record.y_am)
+        assert record.y_am == tuple(column[index] for column in second[3:])
         for value in (record.x_next, record.dx, record.epsilon_max):
             assert type(value) is float
         assert type(record.effective_order) is int
@@ -590,9 +607,9 @@ def test_trajectory_reads_are_fresh_float_arrays(components, steps):
 def test_trajectory_accepts_flat_sequences_and_arrays(x0, y0, shape):
     trajectory = Trajectory(x0, y0)
     assert trajectory.final_x == 1.0 and type(trajectory.final_x) is float
-    assert np.shape(trajectory.final_y) == shape
-    np.testing.assert_array_equal(trajectory.final_y, y0)
-    assert trajectory.y.shape == (0,) + shape
+    assert np.shape(trajectory.final_state) == shape
+    np.testing.assert_array_equal(trajectory.final_state, y0)
+    assert np.asarray(trajectory.y).T.shape == (0,) + shape
 
 
 @pytest.mark.parametrize("y0", [
@@ -699,7 +716,7 @@ def reference_pece(system, y0, x0, config, x_end=None, halt=None):
             predicted, corrected = np.array(y_ab), np.array(y_am)
             scale = np.where(np.abs(predicted) > 0.0, np.abs(predicted), 1.0)
             eps = float(np.max(np.abs((corrected - predicted) / scale)))
-        if not all(math.isfinite(v) for v in y_am + dy):
+        if not all(math.isfinite(v) for v in y_ab + y_am + dy):
             return records, n_evals, True
         dx_taken, capped, floored = dx, False, False
         if config.mode is Mode.ABM_ADAPTIVE and not clamped:
@@ -721,7 +738,7 @@ def assert_same_run(trajectory, expected):
             trajectory, records):
         assert record.x_next == x_next
         assert record.dx == dx
-        assert (record.y_am == y_am).all()
+        assert record.y_am == tuple(y_am)
         assert record.epsilon_max == eps or (math.isnan(record.epsilon_max)
                                              and math.isnan(eps))
         assert record.effective_order == order
@@ -732,7 +749,7 @@ def assert_same_run(trajectory, expected):
                              list(zip(*records))[:4])
     assert np.array_equal(trajectory.x, x_next)
     assert np.array_equal(trajectory.dx, dx)
-    assert np.array_equal(trajectory.y, y_am)
+    assert np.array_equal(np.asarray(trajectory.y).T, y_am)
     assert np.array_equal(trajectory.epsilon_max, eps, equal_nan=True)
 
 
@@ -782,14 +799,13 @@ def test_writing_into_column_reads_leaves_the_trajectory_unchanged():
                            [0.0, 1.0], 0.0, config, x_end=1.0)
 
     def reads():
-        return [trajectory.x, trajectory.dx, trajectory.y,
-                trajectory.epsilon_max, trajectory.final_y]
+        return [trajectory.x, trajectory.dx, *trajectory.y,
+                trajectory.epsilon_max, trajectory.final_state]
 
     before = reads()
     for column in reads():
-        column[...] = -1.0
-    for record in trajectory:
-        record.y_am[...] = -1.0
+        for index in range(len(column)):
+            column[index] = -1.0
     for old, new in zip(before, reads()):
         assert np.array_equal(old, new)
 
@@ -896,7 +912,7 @@ def test_carried_table_rescales_exactly_across_binades(power):
     plain = integrate(binade_crossing, [1.0, 1.0], 0.0, config, x_end=0.2)
     assert_same_run(plain, reference_pece(binade_crossing, [1.0, 1.0], 0.0,
                                           config, x_end=0.2))
-    slopes = np.abs(binade_crossing(0.2, plain.final_y))
+    slopes = np.abs(binade_crossing(0.2, plain.final_state))
     assert slopes[0] > 2.0 ** 40 and slopes[1] < 2.0 ** -20
     factor = 2.0 ** power
     scaled = integrate(binade_crossing, [factor, factor], 0.0, config,
@@ -907,7 +923,7 @@ def test_carried_table_rescales_exactly_across_binades(power):
                 b.capped, b.floored) == (a.x_next, a.dx, a.epsilon_max,
                                          a.effective_order, a.capped,
                                          a.floored)
-        assert np.array_equal(b.y_am, factor * a.y_am)
+        assert np.array_equal(b.y_am, factor * np.asarray(a.y_am))
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -971,3 +987,20 @@ def test_an_overflowing_increment_stops_the_run():
     trajectory = excinfo.value.trajectory
     assert len(trajectory) == 1
     assert trajectory.n_evals == 5
+
+
+@pytest.mark.parametrize("mode", [Mode.ABM_FIXED, Mode.ABM_ADAPTIVE])
+def test_an_overflowing_prediction_stops_the_run(mode):
+    # the first prediction, 1e308 + 1e308, overflows while the corrected
+    # state, 1e308 + (1e308 - 0.5e308) / 2, is finite; the step's
+    # fractional correction would be NaN, so the run stops at x = 1 with
+    # nothing accepted
+    def fall(x, y):
+        return [1e308 if x == 0.0 else -0.5e308]
+
+    config = IntegratorConfig(order_ab=2, dx_initial=1.0, mode=mode)
+    with pytest.raises(NonFiniteState, match="at x=1.0") as excinfo:
+        integrate_floats(fall, [1e308], 0.0, config, x_end=4.0)
+    trajectory = excinfo.value.trajectory
+    assert len(trajectory) == 0
+    assert trajectory.n_evals == 3

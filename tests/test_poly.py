@@ -86,14 +86,14 @@ def test_exact_curve_passes_through_the_start():
     assert case.exact(1.0) == pytest.approx(2.0 + 251.0 / 30.0, rel=1e-15)
     result = run_poly_case(case)
     np.testing.assert_array_equal(result.y_exact,
-                                  case.exact(result.trajectory.x))
+                                  case.exact(np.asarray(result.trajectory.x)))
 
 
 def test_result_carries_pointwise_error():
     result = run_poly_case(PolyCase(mode=Mode.ABM_FIXED, order=4))
     np.testing.assert_allclose(
-        result.error, result.trajectory.y[:, 0] - poly_exact(
-            result.trajectory.x), rtol=0, atol=0)
+        result.error, np.asarray(result.trajectory.y[0]) - poly_exact(
+            np.asarray(result.trajectory.x)), rtol=0, atol=0)
     assert result.final_error == result.error[-1]
 
 
@@ -226,8 +226,8 @@ def test_adaptive_epsilon_plateaus_in_target_band():
                                             tolerance=tolerance))
             trajectory = result.trajectory
             window = stable_plateau(trajectory, tolerance, order)
-            eps = trajectory.epsilon_max[window]
-            dx = trajectory.dx[window]
+            eps = np.asarray(trajectory.epsilon_max)[window]
+            dx = np.asarray(trajectory.dx)[window]
             assert eps.size >= 20
             assert np.all(eps >= tolerance / 10.0)
             assert np.all(eps <= 10.0 * tolerance)
@@ -255,7 +255,7 @@ def test_five_node_rule_is_exact_so_controller_rides_the_cap():
     trajectory = result.trajectory
     assert len(trajectory) <= 20
     assert sum(r.capped for r in trajectory) >= 5
-    dx = trajectory.dx
+    dx = np.asarray(trajectory.dx)
     assert dx.max() / dx.min() > 1e3
     assert trajectory.epsilon_max[-1] < 1e-9
     ratios = dx[1:-1] / dx[:-2]

@@ -150,7 +150,7 @@ def test_reference_star_regression(reference_star):
     assert star.steps == 519
     assert star.P_central == P_CENTRAL
     assert star.R == star.trajectory.final_x
-    assert star.M == star.trajectory.final_y[0]
+    assert star.M == star.trajectory.final_state[0]
 
 
 def _order_10_star_under(coretype):
@@ -181,22 +181,22 @@ def test_star_costs_two_evaluations_per_step(reference_star):
 def test_star_halts_by_crossing_the_surface(reference_star):
     trajectory = reference_star.trajectory
     assert trajectory.halted
-    pressures = trajectory.y[:, 1]
+    pressures = np.asarray(trajectory.y[1])
     assert pressures[-1] <= 0.0
     # interior pressure decreases strictly until the terminal record
     assert np.all(np.diff(pressures[:-1]) < 0.0)
 
 
 def test_star_mass_profile_is_monotone(reference_star):
-    masses = reference_star.trajectory.y[:, 0]
+    masses = np.asarray(reference_star.trajectory.y[0])
     assert np.all(np.diff(masses) >= 0.0)
     assert masses[0] >= 0.0
 
 
 def test_star_stays_outside_its_horizon(reference_star):
     trajectory = reference_star.trajectory
-    compactness = (2.0 * CONSTANTS.G * trajectory.y[:, 0]
-                   / (CONSTANTS.c ** 2 * trajectory.x))
+    compactness = (2.0 * CONSTANTS.G * np.asarray(trajectory.y[0])
+                   / (CONSTANTS.c ** 2 * np.asarray(trajectory.x)))
     assert np.max(compactness) < 1.0
     # the profile peaks in the interior, then relaxes to the surface value
     assert np.max(compactness) == pytest.approx(0.2848, rel=1e-2)
@@ -250,7 +250,7 @@ def test_star_ending_inside_its_horizon_is_a_horizon_error(P_c, steps):
         integrate_star(P_c, star_config(4, 1e-6))
     trajectory = excinfo.value.trajectory
     assert len(trajectory) == steps and trajectory.halted
-    M, R = trajectory.final_y[0], trajectory.final_x
+    M, R = trajectory.final_state[0], trajectory.final_x
     assert 2.0 * CONSTANTS.G * M / (CONSTANTS.c ** 2 * R) > 1.0
     assert excinfo.value.tag == "horizon"
 
@@ -278,11 +278,11 @@ def test_plateau_of_loose_tolerance_star():
     star = integrate_star(P_CENTRAL, star_config(4, 1e-2))
     window = stable_plateau(star.trajectory, 1e-2, 4)
     assert window == slice(9, 23)
-    eps = star.trajectory.epsilon_max[window]
+    eps = np.asarray(star.trajectory.epsilon_max)[window]
     assert np.all(eps >= 1e-3)
     assert np.all(eps <= 1e-1)
     # beyond the window the terminal dive never grows dx again
-    dx = star.trajectory.dx
+    dx = np.asarray(star.trajectory.dx)
     assert np.all(np.diff(dx[window.stop:]) <= 0.0)
 
 
