@@ -13,7 +13,8 @@ summary to stderr.
 Exit codes: 0 success, 1 integration/runtime failure (with partial
 output and a diagnostic), 2 usage error.  Every numeric flag is checked
 as it is parsed (finite, and positive or at least 1 where the quantity
-demands it), so a bad value exits 2 before any work starts.
+demands it), so a bad value exits 2 before any work starts; each part
+of ``--orders`` or ``--tols`` passes the type of ``--order`` or ``--tol``.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ __all__ = ["build_parser", "main"]
 
 
 class _UsageError(Exception):
-    """Flag validation failure after parsing; maps to exit code 2."""
+    """A cross-flag rule broken after parsing; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------- flag types
@@ -45,7 +46,7 @@ def _flag_type(convert, accept, what: str):
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             value = None
         if value is None or not accept(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
@@ -59,6 +60,27 @@ _positive = _flag_type(float, lambda value: 0.0 < value < math.inf,
 _non_negative = _flag_type(float, lambda value: 0.0 <= value < math.inf,
                            "a non-negative finite number")
 _at_least_one = _flag_type(int, lambda value: value >= 1, "an integer >= 1")
+
+
+def _listed(item):
+    """Convert a comma list with ``item`` per part; blank parts are skipped."""
+    return lambda text: [item(part) for part in text.split(",")
+                         if part.strip()]
+
+
+def _order_range(text: str):
+    """``A..B`` as the orders A to B, else a comma list of orders."""
+    if ".." not in text:
+        return _listed(_at_least_one)(text)
+    low, _, high = text.partition("..")
+    return list(range(_at_least_one(low), _at_least_one(high) + 1))
+
+
+# a list type accepts only a non-empty list; each part passes its item type
+_orders = _flag_type(_order_range, bool,
+                     "a range A..B or a comma list of integers >= 1")
+_tols = _flag_type(_listed(_positive), bool,
+                   "a comma list of positive finite numbers")
 
 
 # ---------------------------------------------------------------- output
@@ -258,41 +280,7 @@ def cmd_sieve(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _parse_orders(text: str):
-    text = text.strip()
-    if not text:
-        raise _UsageError("--orders is empty")
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError as exc:
-            raise _UsageError(f"bad --orders range {text!r}") from exc
-        if lo < 1 or hi < lo:
-            raise _UsageError(f"bad --orders range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        orders = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad --orders list {text!r}") from exc
-    if not orders or any(order < 1 for order in orders):
-        raise _UsageError(f"bad --orders list {text!r}")
-    return orders
-
-
-def _parse_tols(text: str):
-    try:
-        tols = [_positive(part) for part in text.split(",") if part.strip()]
-    except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"bad --tols list {text!r}: {exc}") from None
-    if not tols:
-        raise _UsageError("--tols is empty")
-    return tols
-
-
 def cmd_sweep(args) -> int:
-    orders = _parse_orders(args.orders)
-    tols = _parse_tols(args.tols)
     if (args.ref_mass is None) != (args.ref_radius is None):
         raise _UsageError("give both --ref-mass and --ref-radius or neither")
     if args.ref_mass is None:
@@ -305,7 +293,7 @@ def cmd_sweep(args) -> int:
         reference = (reference_run.M, reference_run.R)
     else:
         reference = (args.ref_mass, args.ref_radius)
-    cells = parameter_sweep(orders, tols, args.pc, reference)
+    cells = parameter_sweep(args.orders, args.tols, args.pc, reference)
     rows = [(cell.order, cell.tolerance, cell.steps, cell.M_msun, cell.R_km,
              cell.rel_dM, cell.rel_dR, cell.status) for cell in cells]
     n_ok = sum(cell.ok for cell in cells)
@@ -317,7 +305,7 @@ def cmd_sweep(args) -> int:
         "M_ref_g": reference[0],
         "R_ref_cm": reference[1],
     }
-    config = _config_dict(star_config(orders[0], tols[0]))
+    config = _config_dict(star_config(args.orders[0], args.tols[0]))
     config["order_ab"] = "per-cell"
     config["target_correction"] = "per-cell"
     _emit(args, "sweep", rows, summary, config,
@@ -373,9 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     sieve.set_defaults(func=cmd_sieve)
 
     sweep = sub.add_parser("sweep", help="order x tolerance efficiency table")
-    sweep.add_argument("--orders", required=True,
-                       help="range A..B or comma list")
-    sweep.add_argument("--tols", required=True, help="comma list of E values")
+    sweep.add_argument("--orders", type=_orders, required=True,
+                       help="range A..B or comma list of explicit-phase "
+                            "orders, each >= 1")
+    sweep.add_argument("--tols", type=_tols, required=True,
+                       help="comma list of target fractional corrections "
+                            "E, each positive")
     sweep.add_argument("--pc", type=_positive, required=True)
     sweep.add_argument("--ref-mass", type=_positive, default=None,
                        dest="ref_mass", help="reference mass, g")

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from .integrator import IntegratorConfig, Mode, Trajectory
-# bound as ``integrate``, the name that tools/record_digest.py and
-# perfbench/tracing.py replace to count and trace this module's
-# integrations; the digest tool also runs, unchanged, on older trees
-# whose engine has only ``integrate``
+# bound as ``integrate``, the name that perfbench/tracing.py replaces to
+# trace this module's integrations
 from .integrator import integrate_floats as integrate
 
 __all__ = ["poly_rhs", "poly_exact", "PolyCase", "PolyResult",
@@ -65,13 +64,19 @@ class PolyCase:
         if not self.x_end > self.x0:
             raise ValueError("x_end must exceed x0")
 
+    @cached_property
+    def _offset(self) -> float:
+        """y0 minus poly_exact(x0), once per case; not a field, so repr,
+        == and hash see only the case's settings."""
+        return self.y0 - poly_exact(self.x0)
+
     def exact(self, x):
         """The closed-form solution through (x0, y0): poly_exact shifted.
 
         poly_exact(0.5) is exactly 1, so the default case's curve is
         poly_exact itself, bit for bit.
         """
-        return poly_exact(x) + (self.y0 - poly_exact(self.x0))
+        return poly_exact(x) + self._offset
 
     def config(self) -> IntegratorConfig:
         return IntegratorConfig(order_ab=self.order,

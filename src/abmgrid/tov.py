@@ -28,10 +28,8 @@ from dataclasses import dataclass
 
 from .eos import CONSTANTS, energy_density_from_x, invert_pressure_to_x
 from .integrator import IntegrationError, IntegratorConfig, Mode, Trajectory
-# bound as ``integrate``, the name that tools/record_digest.py and
-# perfbench/tracing.py replace to count and trace this module's
-# integrations; the digest tool also runs, unchanged, on older trees
-# whose engine has only ``integrate``
+# bound as ``integrate``, the name that perfbench/tracing.py replaces to
+# trace this module's integrations
 from .integrator import integrate_floats as integrate
 
 __all__ = ["HorizonError", "StarSolution", "SieveResult", "SweepCell",

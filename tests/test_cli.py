@@ -108,6 +108,41 @@ def test_validation_failures_exit_two(capsys):
         assert "Traceback" not in err, argv
 
 
+BAD_LISTS = ([("--orders", value) for value in
+              ("0..3", "5..3", "", " ", "a", "3..", "3,0", "1..x")]
+             + [("--tols", value) for value in
+                ("0", "-1e-2", "nan", "inf", "", "1e-2,x", ",")])
+
+
+@pytest.mark.parametrize("flag, value", BAD_LISTS,
+                         ids=[f"{flag[2:]}={value!r}"
+                              for flag, value in BAD_LISTS])
+def test_bad_list_values_are_refused_as_they_are_parsed(
+        tmp_path, capsys, flag, value):
+    lists = {"--orders": "3", "--tols": "1e-2", flag: value}
+    out_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--orders", lists["--orders"],
+                 "--tols", lists["--tols"], "--pc", P_CENTRAL,
+                 "--ref-mass", "1.412e33", "--ref-radius", "9.16e5",
+                 "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: " in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # no table, no manifest
+
+
+@pytest.mark.parametrize("orders, tols, expected_orders, expected_tols", [
+    (" 3 , 4 ", "1e-2", [3, 4], [0.01]),
+    ("3..5", "1e-2,,1e-5", [3, 4, 5], [0.01, 1e-05]),
+])
+def test_list_flags_parse_to_lists(orders, tols, expected_orders,
+                                   expected_tols):
+    args = cli.build_parser().parse_args(
+        ["sweep", "--orders", orders, "--tols", tols, "--pc", P_CENTRAL])
+    assert args.orders == expected_orders
+    assert args.tols == expected_tols
+
+
 # --- poly --------------------------------------------------------------
 
 def test_poly_csv_to_stdout(capsys):
@@ -415,6 +450,17 @@ def test_sweep_with_explicit_reference(tmp_path, capsys):
     assert manifest["config"]["order_ab"] == "per-cell"
     assert manifest["config"]["target_correction"] == "per-cell"
     assert "2/2 cells ok" in capsys.readouterr().out
+
+
+def test_sweep_manifest_records_the_resolved_lists(tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--orders", "3", "--tols", "1e-2",
+                 "--pc", P_CENTRAL,
+                 "--ref-mass", "1.412e33", "--ref-radius", "9.16e5",
+                 "--out", str(out_path)]) == 0
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["flags"]["orders"] == [3]
+    assert manifest["flags"]["tols"] == [0.01]
 
 
 def test_sweep_builds_its_own_reference_when_not_given(capsys):

@@ -15,8 +15,9 @@ whether any step count moved with it.
 
 Only the public API that every version of the package offers is used:
 iterating a trajectory, ``len``, ``n_evals`` and ``halted``, and the
-``integrate`` that ``abmgrid.tov`` and ``abmgrid.poly`` look up at call
-time, which the totals wrap; the sieves group also reads
+engine that ``abmgrid.tov`` and ``abmgrid.poly`` look up at call time,
+which the totals wrap: each of ``integrate`` and ``integrate_floats``
+that either module binds, whichever name a tree calls; the sieves group also reads
 ``SieveResult.history``, which every tree with Brent's sieve has, and
 the curve groups call only ``poly_exact``, ``pressure_from_x``,
 ``energy_density_from_x`` and ``invert_pressure_to_x``, one float at a
@@ -132,15 +133,17 @@ def counting_integrations():
             return trajectory
         return run
 
-    modules = (abmgrid.tov, abmgrid.poly)
-    originals = [module.integrate for module in modules]
-    for module, integrate in zip(modules, originals):
-        module.integrate = counted(integrate)
+    engines = [(module, name, getattr(module, name))
+               for module in (abmgrid.tov, abmgrid.poly)
+               for name in ("integrate", "integrate_floats")
+               if hasattr(module, name)]
+    for module, name, integrate in engines:
+        setattr(module, name, counted(integrate))
     try:
         yield totals
     finally:
-        for module, integrate in zip(modules, originals):
-            module.integrate = integrate
+        for module, name, integrate in engines:
+            setattr(module, name, integrate)
 
 
 def star_group(digest, pressures, orders, tolerances):
