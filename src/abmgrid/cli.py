@@ -11,10 +11,12 @@ Without ``--out`` the data table goes to stdout and the one-line
 summary to stderr.
 
 Exit codes: 0 success, 1 integration/runtime failure (with partial
-output and a diagnostic), 2 usage error.  Every numeric flag is checked
-as it is parsed (finite, and positive or at least 1 where the quantity
-demands it), so a bad value exits 2 before any work starts; each part
-of ``--orders`` or ``--tols`` passes the type of ``--order`` or ``--tol``.
+output and a diagnostic), 2 usage error.  Every usage error exits 2
+through argparse, with the command's usage line, before any work
+starts: each numeric flag is checked as it is parsed (finite, and
+positive or at least 1 where the quantity demands it; each part of
+``--orders`` or ``--tols`` as ``--order`` or ``--tol``), and the rules
+joining two flags are checked at the top of their command, via its parser.
 """
 from __future__ import annotations
 
@@ -33,10 +35,6 @@ from .poly import PolyCase, PolyResult, run_poly_case
 from .tov import integrate_star, parameter_sweep, star_config, trinary_sieve
 
 __all__ = ["build_parser", "main"]
-
-
-class _UsageError(Exception):
-    """A cross-flag rule broken after parsing; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------- flag types
@@ -130,7 +128,7 @@ def _config_dict(config: IntegratorConfig) -> dict:
 
 def _manifest(args, config) -> dict:
     flags = {key: val for key, val in sorted(vars(args).items())
-             if key not in ("func", "command")}
+             if key not in ("func", "parser", "command")}
     return {
         "command": args.command,
         "flags": flags,
@@ -169,7 +167,7 @@ def _poly_rows(result):
 
 def cmd_poly(args) -> int:
     if args.xend <= args.x0:
-        raise _UsageError("--xend must exceed --x0")
+        args.parser.error("--xend must exceed --x0")
     case = PolyCase(mode=Mode(args.mode), order=args.order, dx=args.dx,
                     tolerance=args.tol, x0=args.x0, y0=args.y0,
                     x_end=args.xend)
@@ -221,7 +219,7 @@ def _star_rows(trajectory):
 
 def cmd_tov(args) -> int:
     if args.dx0 < args.dxmin:
-        raise _UsageError("--dx0 must be >= --dxmin")
+        args.parser.error("--dx0 must be >= --dxmin")
     config = star_config(args.order, args.tol, args.dx0, args.dxmin)
     failure = None
     star = None
@@ -261,7 +259,7 @@ def cmd_tov(args) -> int:
 
 def cmd_sieve(args) -> int:
     if not args.lo < args.hi:
-        raise _UsageError("--lo must be below --hi")
+        args.parser.error("--lo must be below --hi")
     config = star_config(args.order, args.tol)
     try:
         result = trinary_sieve(args.lo, args.hi, config,
@@ -282,7 +280,7 @@ def cmd_sieve(args) -> int:
 
 def cmd_sweep(args) -> int:
     if (args.ref_mass is None) != (args.ref_radius is None):
-        raise _UsageError("give both --ref-mass and --ref-radius or neither")
+        args.parser.error("give both --ref-mass and --ref-radius or neither")
     if args.ref_mass is None:
         try:
             reference_run = integrate_star(args.pc, star_config(10, 1e-8))
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--x0", type=_finite, default=0.5)
     poly.add_argument("--y0", type=_finite, default=1.0)
     poly.add_argument("--xend", type=_finite, default=5.0)
-    poly.set_defaults(func=cmd_poly)
+    poly.set_defaults(func=cmd_poly, parser=poly)
 
     tov = sub.add_parser("tov", help="integrate one neutron star")
     tov.add_argument("--pc", type=_positive, required=True,
@@ -348,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="initial step, cm")
     tov.add_argument("--dxmin", type=_non_negative, default=10.0,
                      help="minimum step, cm")
-    tov.set_defaults(func=cmd_tov)
+    tov.set_defaults(func=cmd_tov, parser=tov)
 
     sieve = sub.add_parser("sieve", help="maximum-mass central pressure")
     sieve.add_argument("--lo", type=_positive, default=1e35)
@@ -357,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sieve.add_argument("--tol", type=_positive, default=1e-8)
     sieve.add_argument("--bracket-tol", type=_positive, default=1e-3,
                        dest="bracket_tol",
-                       help="relative bracket width at convergence")
-    sieve.set_defaults(func=cmd_sieve)
+                       help="relative bracket width at convergence; "
+                            "one finer than the doubles resolve is met")
+    sieve.set_defaults(func=cmd_sieve, parser=sieve)
 
     sweep = sub.add_parser("sweep", help="order x tolerance efficiency table")
     sweep.add_argument("--orders", type=_orders, required=True,
@@ -372,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="ref_mass", help="reference mass, g")
     sweep.add_argument("--ref-radius", type=_positive, default=None,
                        dest="ref_radius", help="reference radius, cm")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep, parser=sweep)
     for table in (poly, tov, sweep):  # the commands that write a table
         table.add_argument("--out", default=None, help="output data file")
         table.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -383,16 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:
-        return int(exit_.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as usage:
-        print(f"error: {usage}", file=sys.stderr)
-        return 2
+    except SystemExit as exit_:  # argparse's --version, help or usage error
+        return int(exit_.code or 0)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
+from functools import cached_property
 
 __all__ = ["PhysicalConstants", "CONSTANTS", "pressure_from_x",
            "energy_density_from_x", "invert_pressure_to_x"]
@@ -43,20 +44,18 @@ class PhysicalConstants:
     h: float = 6.62607015e-27        # Planck constant, erg s
     G: float = 6.67430e-8            # gravitational constant, cm^3 g^-1 s^-2
     M_sun: float = 1.98892e33        # solar mass, g
-    # derived, filled in post-init
-    pressure_scale: float = field(init=False, repr=False)   # K, erg/cm^3
 
     def __post_init__(self):
         if min(self.m_n, self.c, self.h, self.G, self.M_sun) <= 0.0:
             raise ValueError("all physical constants must be positive")
-        object.__setattr__(
-            self, "pressure_scale",
-            math.pi * self.m_n ** 4 * self.c ** 5 / (3.0 * self.h ** 3))
+
+    @cached_property
+    def pressure_scale(self) -> float:
+        """K = pi m_n^4 c^5 / 3 h^3, erg/cm^3; derived, so not a field."""
+        return math.pi * self.m_n ** 4 * self.c ** 5 / (3.0 * self.h ** 3)
 
     def as_dict(self) -> dict:
-        values = asdict(self)
-        del values["pressure_scale"]
-        return values
+        return asdict(self)
 
 
 CONSTANTS = PhysicalConstants()

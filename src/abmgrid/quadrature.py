@@ -19,9 +19,10 @@ roundoff, and on an Adams stencil no node lies inside (0, dx), so the
 basis keeps one sign across the Gauss points and their sum cannot
 cancel: each weight is accurate to roundoff however stretched the node
 spacing.  The k = j factor is left out by masking, not by division, so
-nothing breaks if a Gauss point lands on a node.  Weights are
-recomputed from scratch for whatever node spacing the step-size
-controller produced, so nothing here assumes a uniform grid.
+nothing breaks if a Gauss point lands on a node.  This is the
+Lagrange-form weight API, checked against an exact-rational oracle by
+``tests/test_quadrature.py`` and timed by ``perfbench/micro.py``; the
+integrator's step uses the Newton form in ``integrator.adams_update``.
 """
 from functools import lru_cache
 

@@ -151,7 +151,9 @@ def _brent_maximize(f, lo: float, hi: float, width: float):
     otherwise it is the golden-section point of the larger side of x.
     No probe lands closer than tol = width / 4 to x, and the search
     stops once x is within 2 tol of both ends, so the final bracket is
-    at most ``width`` wide.
+    at most ``width`` wide.  tol is never below 4 ulp of the larger end,
+    so a probe never lands on x again: a ``width`` finer than the
+    doubles resolve near the bracket is met at that resolution.
 
     Returns (x, history): x is the best probe, the later one on a tie,
     and history holds one (point, value, "golden" or "parabolic") per
@@ -164,7 +166,7 @@ def _brent_maximize(f, lo: float, hi: float, width: float):
     fx = fw = fv = f(x)
     history = [(x, fx, "golden")]
     d = e = 0.0  # the last step and the one before it
-    tol = 0.25 * width
+    tol = max(0.25 * width, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     while True:
         mid = 0.5 * (a + b)
         if max(x - a, b - x) <= 2.0 * tol:
@@ -278,9 +280,11 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     peak and a golden-section step where a parabola is not safe.  It
     stops once the bracket in u is at most ln(1 + bracket_tolerance)
     wide, so the bracket in P is at most ``bracket_tolerance`` of the
-    best probe wide.  The answer is the probe Brent's method returns and
-    the star already integrated there; nothing is integrated twice.  The
-    search is serial: ``jobs`` accepts only 1.
+    best probe wide; a ``bracket_tolerance`` finer than the doubles
+    resolve near ln P_hi is met at that resolution.  The answer is the
+    probe Brent's method returns and the star already integrated there;
+    nothing is integrated twice.  The search is serial: ``jobs`` accepts
+    only 1.
 
     Raises ValueError, naming the end, when no probe lies between the
     best probe and ``P_lo`` or ``P_hi``: the final bracket then still

@@ -131,6 +131,33 @@ def test_bad_list_values_are_refused_as_they_are_parsed(
     assert list(tmp_path.iterdir()) == []  # no table, no manifest
 
 
+CROSS_FLAG_RULES = [
+    (["poly", "--order", "4", "--xend", "0.1"], "--xend must exceed --x0"),
+    (["tov", "--pc", P_CENTRAL, "--order", "4", "--dx0", "1",
+      "--dxmin", "10"], "--dx0 must be >= --dxmin"),
+    (["sieve", "--lo", "2e35", "--hi", "1e35"], "--lo must be below --hi"),
+    (["sweep", "--orders", "4", "--tols", "1e-4", "--pc", P_CENTRAL,
+      "--ref-mass", "1e33"],
+     "give both --ref-mass and --ref-radius or neither"),
+]
+
+
+@pytest.mark.parametrize("argv, rule", CROSS_FLAG_RULES,
+                         ids=[argv[0] for argv, _ in CROSS_FLAG_RULES])
+def test_cross_flag_rules_are_usage_errors_of_their_command(
+        tmp_path, capsys, argv, rule):
+    command = argv[0]
+    if command != "sieve":  # the commands that write a table
+        argv = argv + ["--out", str(tmp_path / "table.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"usage: abmgrid {command} " in captured.err
+    assert f"abmgrid {command}: error: {rule}\n" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # no table, no manifest
+
+
 @pytest.mark.parametrize("orders, tols, expected_orders, expected_tols", [
     (" 3 , 4 ", "1e-2", [3, 4], [0.01]),
     ("3..5", "1e-2,,1e-5", [3, 4, 5], [0.01, 1e-05]),
@@ -245,7 +272,9 @@ def test_poly_manifest_records_the_whole_run(tmp_path):
     flags = manifest["flags"]
     assert flags["order"] == 3
     assert flags["tol"] == 1e-6
-    assert "func" not in flags and "command" not in flags
+    # every flag of the command, and nothing argparse carries besides
+    assert set(flags) == {"mode", "order", "dx", "tol", "x0", "y0", "xend",
+                          "out", "format"}
     config = manifest["config"]
     assert config["order_ab"] == 3
     assert config["target_correction"] == 1e-6
@@ -406,6 +435,19 @@ def test_sieve_without_the_peak_in_its_bracket_exits_one(capsys, lo, hi, end):
     assert err.startswith("error: the mass peak is not bracketed")
     assert f"{end} = " in err
     assert "Traceback" not in err
+
+
+def test_sieve_finer_than_the_doubles_resolve_ends():
+    # ln(1 + 1e-15) is below the float spacing of ln P_c ~ 82; a search
+    # that never ended would hang the suite, so it runs in a child with
+    # a timeout
+    result = subprocess.run(
+        [sys.executable, "-m", "abmgrid.cli", "sieve", "--tol", "1e-2",
+         "--bracket-tol", "1e-15"],
+        capture_output=True, text=True, timeout=60,
+        env=fresh_interpreter_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("P_c* = ")
 
 
 def test_sieve_reports_peak(capsys, monkeypatch):

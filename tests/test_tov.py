@@ -379,6 +379,34 @@ def test_brent_maximize_finds_a_maximum_at_or_next_to_zero(peak):
     assert len(history) <= 12
 
 
+PEAK_SHAPES = {
+    "quartic": lambda t: -t ** 4,
+    "power-1.5": lambda t: -abs(t) ** 1.5,
+    "cosine": math.cos,
+    "skewed": lambda t: -t * t - 0.5 * t ** 3,  # unimodal on [-1, 1.5]
+}
+
+
+@pytest.mark.parametrize("width", [1e-15, 1e-300])
+@pytest.mark.parametrize("centre", [81.87, 0.0])
+@pytest.mark.parametrize("shape", PEAK_SHAPES)
+def test_brent_maximize_ends_below_the_float_spacing(shape, centre, width):
+    # near u = ln P_c ~ 82 the doubles are 1.4e-14 apart: a width below
+    # that is met at the spacing, and the search still ends
+    calls = []
+
+    def f(u):
+        calls.append(u)
+        if len(calls) > 500:
+            raise RuntimeError("the search does not end")
+        return PEAK_SHAPES[shape](u - centre)
+
+    x_star, history = tov._brent_maximize(f, centre - 1.0, centre + 1.5,
+                                          width)
+    assert len(history) <= 100
+    assert abs(x_star - centre) <= 1e-6
+
+
 def test_brent_maximize_rejects_bad_bracket():
     with pytest.raises(ValueError):
         tov._brent_maximize(lambda x: x, 1.0, 1.0, 1e-3)
