@@ -25,7 +25,13 @@ or NaN, and the run stops with :class:`NonFiniteState`.
 :func:`adams_update` integrates it over the new step on Gauss points:
 the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
-term.  :func:`integrate_floats` runs the whole loop on Python floats: its
+term.  Once the table holds ``order_ab`` nodes, the loop steps through
+straight-line forms of :func:`adams_update` and
+:meth:`DividedDifferences.push`, written out and compiled once per
+stencil size and component count.  They do the same float operations in
+the same order, so no bit depends on which form ran; the bootstrap's
+steps, one per smaller size, run the readable definitions.
+:func:`integrate_floats` runs the whole loop on Python floats: its
 callbacks receive the state as a list and what they return is read as a
 list of ``float``, so no numpy enters a run.  :func:`integrate` is the
 same loop for callbacks written on numpy arrays.  The step-size
@@ -349,6 +355,11 @@ def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
     is correctly rounded), so no BLAS kernel enters the step.  A sum
     beyond the overflow threshold becomes inf or NaN instead of
     raising, and the caller stops on it.
+
+    This is the step's readable definition, and :func:`integrate_floats`
+    runs it while the stencil grows.  At the full stencil it runs the
+    same operations written out for that size (:func:`_update_source`),
+    bit for bit.
     """
     here = table.nodes[0]
     offsets = [node - here for node in table.nodes]
@@ -382,6 +393,102 @@ def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
             predicted = predicted * (dx - offsets[i]) + column[i]
         y_am.append(y0 + (increment + weight * (f - predicted)))
     return y_ab, y_am
+
+
+def _listed(prefix: str, indices, *first: str) -> str:
+    """``[*first, prefix0, prefix1, ...]``, to build or to unpack a list."""
+    return "[" + ", ".join([*first, *(f"{prefix}{i}" for i in indices)]) + "]"
+
+
+def _update_source(count: int, size: int) -> str:
+    """:func:`adams_update` written out for a full stencil.
+
+    The source defines ``update(y, table, dx, derivative_at)`` for a
+    table of ``count`` nodes and ``size`` components.  It does the float
+    operations of :func:`adams_update` in the same order, on named
+    locals: ``s`` the offsets, ``g`` the basis integrals, ``c{j}_`` the
+    columns and ``d`` the factors dx - s_k.  Only the loop over the Gauss
+    points (``_RULE`` in the namespace it runs in) stays a loop.  Each
+    Gauss term, product factor and Horner step is its own statement, so
+    no expression nests deeper as ``count`` grows.
+    """
+    nodes, components = range(count), range(size)
+    lines = ["def update(y, table, dx, derivative_at):",
+             f"    {_listed('x', nodes)} = table.nodes",
+             *(f"    s{i} = x{i} - x0" for i in nodes),
+             *(f"    g{i} = 0.0" for i in range(count + 1)),
+             "    for point, weight in _RULE:",
+             "        t = dx * point",
+             "        term = dx * weight"]
+    for i in nodes:
+        lines += [f"        g{i} += term", f"        term *= t - s{i}"]
+    lines += [f"        g{count} += term",
+              "    columns = table.columns",
+              f"    {_listed('y', components)} = y"]
+    for j in components:
+        products = ", ".join(f"c{j}_{i} * g{i}" for i in nodes)
+        lines += [f"    {_listed(f'c{j}_', nodes)} = columns[{j}]",
+                  f"    increment{j} = _total([{products}])"]
+    sums = ", ".join(f"y{j} + increment{j}" for j in components)
+    lines += [f"    y_ab = [{sums}]",
+              "    if derivative_at is None:",
+              "        return y_ab, y_ab",
+              *(f"    d{i} = dx - s{i}" for i in nodes),
+              "    at_new_node = 1.0",
+              *(f"    at_new_node *= d{i}" for i in nodes),
+              f"    weight = g{count} / at_new_node",
+              f"    {_listed('f', components)} = derivative_at(y_ab)"]
+    for j in components:
+        lines += [f"    p = c{j}_{count - 1}",
+                  *(f"    p = p * d{i} + c{j}_{i}"
+                    for i in reversed(range(count - 1))),
+                  f"    y_am{j} = y{j} + (increment{j} + weight * (f{j} - p))"]
+    lines.append(f"    return y_ab, {_listed('y_am', components)}")
+    return "\n".join(lines) + "\n"
+
+
+def _push_source(count: int, size: int) -> str:
+    """:meth:`DividedDifferences.push` written out for a full stencil.
+
+    The source defines ``push(table, x, derivatives)``, which pushes x
+    onto a table of ``count`` nodes and ``size`` components and keeps
+    ``count``: the float operations of ``push(x, derivatives, count)``
+    in the same order, one statement per new entry.
+    """
+    nodes, kept, components = range(count), range(count - 1), range(size)
+    lines = ["def push(table, x, derivatives):",
+             f"    {_listed('x', nodes)} = table.nodes",
+             *(f"    span{k} = x - x{k}" for k in kept),
+             f"    table.nodes = {_listed('x', kept, 'x')}",
+             "    columns = table.columns",
+             f"    {_listed('f', components)} = derivatives"]
+    for j in components:
+        lines += [f"    {_listed('old', nodes)} = columns[{j}]",
+                  f"    c0 = f{j}",
+                  *(f"    c{k + 1} = (c{k} - old{k}) / span{k}" for k in kept),
+                  f"    columns[{j}] = {_listed('c', nodes)}"]
+    return "\n".join(lines) + "\n"
+
+
+def _compiled(source: str, name: str, filename: str, **namespace):
+    """The function ``name`` that ``source`` defines, run in ``namespace``."""
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=None)
+def _update_kernel(count: int, size: int):
+    """:func:`adams_update` for a full stencil, compiled once per shape."""
+    return _compiled(_update_source(count, size), "update",
+                     f"<abmgrid update N={count} d={size}>",
+                     _RULE=_gauss_rule(count // 2 + 1), _total=_total)
+
+
+@lru_cache(maxsize=None)
+def _push_kernel(count: int, size: int):
+    """The full stencil's :meth:`DividedDifferences.push`, compiled once."""
+    return _compiled(_push_source(count, size), "push",
+                     f"<abmgrid push N={count} d={size}>")
 
 
 def fractional_correction(y_ab, y_am) -> float:
@@ -495,6 +602,8 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
         raise NonFiniteState(f"non-finite derivative at x={x!r}", trajectory)
     table = DividedDifferences(size)
     table.push(x, dy, 1)
+    order = config.order_ab
+    update = push = None  # the full stencil's kernels, once it fills
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(abs(x), abs(x_end))
 
@@ -509,7 +618,13 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
         if not x_next > x:
             raise IntegrationError(
                 f"step dx={dx!r} does not advance x={x!r}", trajectory)
-        y_ab, y_am = adams_update(state, table, dx, corrector)
+        if effective_order < order:  # bootstrapping, one step per size
+            y_ab, y_am = adams_update(state, table, dx, corrector)
+        else:
+            if update is None:
+                update = _update_kernel(order, size)
+                push = _push_kernel(order, size)
+            y_ab, y_am = update(state, table, dx, corrector)
         dy_next = evaluate(x_next, y_am)
         epsilon_max = (0.0 if corrector is None
                        else fractional_correction(y_ab, y_am))
@@ -525,8 +640,10 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
 
         trajectory._append(x_next, dx_taken, y_am, epsilon_max,
                            effective_order, capped, floored)
-        table.push(x_next, dy_next,
-                   min(effective_order + 1, config.order_ab))
+        if push is None:
+            table.push(x_next, dy_next, effective_order + 1)
+        else:
+            push(table, x_next, dy_next)
         x, state = x_next, y_am
 
         if halt is not None and halt(x, state[:]):

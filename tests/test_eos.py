@@ -22,6 +22,7 @@ from abmgrid import (
     invert_pressure_to_x,
     pressure_from_x,
 )
+from abmgrid.eos import _SERIES, _SERIES_CUTOFF, _pressure_bracket
 
 K_ORACLE = 6.8603787788452409455e+35      # pressure scale, erg/cm^3
 N_AT_X1 = 3.6458656708489567942e+39       # number density at x = 1
@@ -156,6 +157,28 @@ def test_density_matches_oracle(x, rho):
 def test_pressure_bracket_does_not_cancel_at_small_x(x, p_bracket):
     assert pressure_from_x(x) == pytest.approx(K_ORACLE * p_bracket,
                                                rel=PRESSURE_REL)
+
+
+def series_bracket_by_loop(x):
+    """The series branch of the pressure bracket, summed in a loop."""
+    square = x * x
+    total = 0.0
+    for coefficient in _SERIES:
+        total = total * square + coefficient
+    return total * square * square * x
+
+
+def test_series_bracket_is_the_horner_loop_bit_for_bit():
+    # the written-out sum takes the loop's steps on the same literals;
+    # log-spaced x down to 1e-300 and the ten doubles below the cutoff
+    below = [_SERIES_CUTOFF]
+    for _ in range(10):
+        below.append(math.nextafter(below[-1], 0.0))
+    xs = np.logspace(-300.0, math.log10(_SERIES_CUTOFF), 10_000,
+                     endpoint=False).tolist() + below[1:]
+    assert all(x < _SERIES_CUTOFF for x in xs)
+    assert [_pressure_bracket(x).hex() for x in xs] == [
+        series_bracket_by_loop(x).hex() for x in xs]
 
 
 def test_nonrelativistic_limit():

@@ -2,6 +2,9 @@
 import functools
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import abmgrid
 from abmgrid import (
     GROWTH_CAP,
     CallbackFailure,
@@ -29,7 +33,13 @@ from abmgrid import (
     star_config,
     tov_derivatives,
 )
-from abmgrid.integrator import _gauss_rule
+from abmgrid.integrator import (
+    _gauss_rule,
+    _push_kernel,
+    _push_source,
+    _update_kernel,
+    _update_source,
+)
 from abmgrid.quadrature import _gauss_legendre_unit
 
 
@@ -1004,3 +1014,121 @@ def test_an_overflowing_prediction_stops_the_run(mode):
     trajectory = excinfo.value.trajectory
     assert len(trajectory) == 0
     assert trajectory.n_evals == 3
+
+
+# --- the full-stencil kernels ------------------------------------------
+
+def hexed(states):
+    """Each float of each state as float.hex, so NaN and -0.0 compare."""
+    return [[value.hex() for value in state] for state in states]
+
+
+def copied(table):
+    """A table with the nodes and columns of ``table``, in new lists."""
+    copy = DividedDifferences(len(table.columns))
+    copy.nodes = table.nodes[:]
+    copy.columns = [column[:] for column in table.columns]
+    return copy
+
+
+def assert_kernels_match(table, y, dx, newest):
+    """The kernels of the table's shape against the readable step."""
+    count, size = len(table.nodes), len(table.columns)
+    update = _update_kernel(count, size)
+    for corrector in (None, lambda y_ab: newest):
+        assert hexed(update(y, table, dx, corrector)) == hexed(
+            adams_update(y, table, dx, corrector))
+    readable, kernel = copied(table), copied(table)
+    readable.push(table.nodes[0] + dx, newest, count)
+    _push_kernel(count, size)(kernel, table.nodes[0] + dx, newest)
+    assert kernel.nodes == readable.nodes
+    assert hexed(kernel.columns) == hexed(readable.columns)
+
+
+@pytest.mark.parametrize("count", [*range(1, 13), 40])
+def test_kernels_are_the_readable_step_bit_for_bit(count):
+    # random stretched stencils on a shifted axis, each component in its
+    # own range of magnitudes, with and without a corrector
+    rng = np.random.default_rng(400 + count)
+    for size in (1, 2, 3):
+        for _ in range(20):
+            dx = float(rng.uniform(0.01, 2.0))
+            nodes = rng.uniform(-5.0, 5.0) + _random_stencil(rng, count, dx)
+            scale = 10.0 ** rng.uniform(-30.0, 30.0, size)
+            table = pushed(nodes, scale[:, None] * rng.uniform(
+                -1.0, 1.0, (size, count)))
+            assert_kernels_match(
+                table, rng.uniform(-1.0, 1.0, size).tolist(), dx,
+                (scale * rng.uniform(-1.0, 1.0, size)).tolist())
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1.7e308])
+@pytest.mark.parametrize("count", [1, 2, 6, 12])
+def test_kernels_carry_inf_and_nan_like_the_readable_step(count, bad):
+    # up to two entries of a column, and at times the new derivative,
+    # set to +-bad: inf - inf and overflowing partial sums make fsum
+    # raise, and the kernel must fall back to the plain sum where
+    # adams_update does
+    rng = np.random.default_rng(500 + count)
+    for _ in range(20):
+        dx = float(rng.uniform(0.01, 2.0))
+        table = pushed(_random_stencil(rng, count, dx),
+                       rng.uniform(-1.0, 1.0, (2, count)))
+        column = table.columns[int(rng.integers(2))]
+        for i in rng.choice(count, min(count, 2), replace=False):
+            column[i] = float(rng.choice([bad, -bad]))
+        newest = rng.uniform(-1.0, 1.0, 2).tolist()
+        if rng.uniform() < 0.5:
+            newest[int(rng.integers(2))] = bad
+        assert_kernels_match(table, [1.0, -1.0], dx, newest)
+
+
+def test_kernel_sources_compile_at_any_stencil_size():
+    # one statement per term keeps every expression's depth fixed, so a
+    # stencil of thousands of nodes still compiles
+    for source in (_update_source(3000, 3), _push_source(3000, 3)):
+        compile(source, "<kernel N=3000>", "exec")
+
+
+def test_the_default_sieve_compiles_only_its_full_stencil():
+    # the bootstrap's sizes each run once per star through adams_update;
+    # only the order-6 stencil of the two-component star gets a kernel
+    probe = ("import contextlib, io; from abmgrid import cli, integrator\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert cli.main(['sieve']) == 0\n"
+             "cache = integrator._update_kernel\n"
+             "size, misses = cache.cache_info().currsize, "
+             "cache.cache_info().misses\n"
+             "cache(6, 2)\n"
+             "print(size, cache.cache_info().misses - misses)")
+    package_root = str(Path(abmgrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=120,
+                            env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "0"]
+
+
+def test_order_40_quartic_run_matches_the_plain_loop_bit_for_bit():
+    case = PolyCase(order=40, dx=0.01)
+    expected = reference_pece(quartic, [case.y0], case.x0, case.config(),
+                              x_end=case.x_end)
+    trajectory = integrate_floats(lambda x, y: [poly_rhs(x)], [case.y0],
+                                  case.x0, case.config(), x_end=case.x_end)
+    assert not expected[2]
+    assert max(record.effective_order for record in trajectory) == 40
+    assert_same_run(trajectory, expected)
+
+
+def test_an_empty_state_steps_through_the_kernels():
+    # a system of no components still runs, bootstrap and full stencil
+    config = IntegratorConfig(order_ab=3, dx_initial=0.1,
+                              mode=Mode.ABM_FIXED)
+    trajectory = integrate_floats(lambda x, y: [], [], 0.0, config,
+                                  x_end=1.0)
+    assert [record.effective_order for record in trajectory] == [
+        1, 2] + [3] * 8
+    assert trajectory.final_state == []
+    assert trajectory.n_evals == 21

@@ -8,10 +8,18 @@ child process at a time.  Pair i runs both trees with seed K + i; the
 first tree of a pair alternates (A B, B A, A B, ...), so a drift of the
 host's speed over the runs falls on both sides alike.  From the
 JSON object on the last line of each run it prints, per end-to-end
-metric, the median and quartiles [q1, q3] of each side and how many
-pairs B won, that is, where B's value was strictly better than A's.
-Which direction is better comes from ``BENCHMARK.json`` in TREE_A
-(lower when the file does not say).
+metric, the median and quartiles [q1, q3] of each side, how many
+pairs B won, that is, where B's value was strictly better than A's, and
+a verdict on B:
+
+  gain          B won at least 9 pairs in 10, and B's median is better
+                than A's by more than the distance between A's quartiles;
+  worse         B's median is worse than A's by more than the metric's
+                bound, a fraction of A's median;
+  within bound  otherwise.
+
+Which direction is better, and each bound, come from ``BENCHMARK.json``
+in TREE_A (lower, and a bound of 0, when the file does not say).
 
 Exits 1 if a run fails or reports ``correct: false``.
 """
@@ -36,14 +44,16 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def directions(tree: Path) -> dict:
-    """{metric: "lower" or "higher"} of the end-to-end metrics."""
+def declared(tree: Path) -> dict:
+    """{metric: (better, bound)} of the end-to-end metrics, better being
+    "lower" or "higher" and bound the relative worsening allowed."""
     try:
-        declared = json.loads((tree / "BENCHMARK.json").read_text())
+        benchmark = json.loads((tree / "BENCHMARK.json").read_text())
     except (OSError, ValueError):
         return {}
-    return {entry["name"]: entry.get("better", "lower")
-            for entry in declared.get("end_to_end", [])}
+    return {entry["name"]: (entry.get("better", "lower"),
+                            entry.get("bound", 0.0))
+            for entry in benchmark.get("end_to_end", [])}
 
 
 def quartiles(values):
@@ -51,6 +61,31 @@ def quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
     return tuple(statistics.quantiles(values, n=4))
+
+
+def wins(a, b, better: str = "lower") -> int:
+    """Pairs in which B's value is strictly better than A's."""
+    sign = -1.0 if better == "higher" else 1.0
+    return sum(sign * y < sign * x for x, y in zip(a, b))
+
+
+def verdict(a, b, better: str = "lower", bound: float = 0.0) -> str:
+    """"gain", "worse" or "within bound" for B's runs against A's.
+
+    ``a`` and ``b`` hold one value per pair, in pair order.  A gain needs
+    B to win at least 9/10 of the pairs and to beat A's median by more
+    than A's interquartile distance; B is worse when its median is worse
+    than A's by more than ``bound`` times A's median.
+    """
+    q1, median_a, q3 = quartiles(a)
+    median_b = statistics.median(b)
+    # how far B's median is better than A's, in the metric's units
+    gain = median_a - median_b if better != "higher" else median_b - median_a
+    if 10 * wins(a, b, better) >= 9 * len(a) and gain > q3 - q1:
+        return "gain"
+    if -gain > bound * abs(median_a):
+        return "worse"
+    return "within bound"
 
 
 def main(argv=None) -> int:
@@ -89,22 +124,22 @@ def main(argv=None) -> int:
               f"wall_ref_s A {values['A']:.4f}  B {values['B']:.4f}",
               flush=True)
 
-    better = directions(trees["A"])
+    rules = declared(trees["A"])
     print(f"\n{args.workload}: {args.pairs} pairs, {args.seconds:g} s each, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"  A = {trees['A']}\n  B = {trees['B']}")
     for name in results["A"][0]["metrics"]:
         sides = {side: [result["metrics"][name]["value"]
                         for result in results[side]] for side in "AB"}
-        sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
-        wins = sum(sign * b < sign * a for a, b in zip(sides["A"], sides["B"]))
+        better, bound = rules.get(name, ("lower", 0.0))
         cells = []
         for side in "AB":
             q1, median, q3 = quartiles(sides[side])
             cells.append(f"{side} {median:.4g} [{q1:.4g}, {q3:.4g}]")
         unit = results["A"][0]["metrics"][name]["unit"]
         print(f"  {name:<12} {unit:<5} {'   '.join(cells)}   "
-              f"B won {wins}/{args.pairs}")
+              f"B won {wins(sides['A'], sides['B'], better)}/{args.pairs}   "
+              f"{verdict(sides['A'], sides['B'], better, bound)}")
     if not ok:
         print("error: a run reported correct: false", file=sys.stderr)
         return 1
