@@ -139,19 +139,27 @@ def _manifest(args, config) -> dict:
     }
 
 
-def _emit(args, kind: str, rows, summary, config, summary_line: str) -> None:
-    """Write the data table and manifest per the --out convention."""
+def _emit(args, kind: str, rows, summary, config, summary_line: str | None,
+          failure: IntegrationError | None = None) -> int:
+    """Write the data table and manifest per --out; return the exit code."""
+    if failure is not None:  # status, summary and error line name its tag
+        tag = f"failed ({failure.tag})"
+        summary["status"] = f"{tag}: {failure}"
+        summary_line = f"{tag} after {len(rows)} accepted steps"
     if args.out is None:
         _write_table(sys.stdout, args.format, kind, rows, summary)
         print(summary_line, file=sys.stderr)
-        return
-    with open(args.out, "w", newline="") as fh:
-        _write_table(fh, args.format, kind, rows, summary)
-    with open(f"{args.out}.manifest.json", "w") as fh:
-        json.dump(_manifest(args, config), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
-    print(summary_line)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            _write_table(fh, args.format, kind, rows, summary)
+        with open(f"{args.out}.manifest.json", "w") as fh:
+            json.dump(_manifest(args, config), fh, indent=2,
+                      sort_keys=True)
+            fh.write("\n")
+        print(summary_line)
+    if failure is not None:
+        print(f"error ({failure.tag}): {failure}", file=sys.stderr)
+    return 0 if failure is None else 1
 
 
 # ---------------------------------------------------------------- poly
@@ -178,10 +186,8 @@ def cmd_poly(args) -> int:
         failure = exc
         result = PolyResult(case, exc.trajectory)
     trajectory = result.trajectory
-    rows = _poly_rows(result)
-    status = "ok" if failure is None else f"failed: {failure}"
     summary = {
-        "status": status,
+        "status": "ok",
         "steps": len(trajectory),
         "final_x": trajectory.final_x,
         "final_y": trajectory.final_state[0],
@@ -191,11 +197,8 @@ def cmd_poly(args) -> int:
     line = (f"steps={summary['steps']} final_x={summary['final_x']:.17g} "
             f"final_y={summary['final_y']:.17g} "
             f"final_error={summary['final_error']:.3e}")
-    _emit(args, "trajectory", rows, summary, _config_dict(case.config()), line)
-    if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return _emit(args, "trajectory", _poly_rows(result), summary,
+                 _config_dict(case.config()), line, failure)
 
 
 # ---------------------------------------------------------------- tov
@@ -243,16 +246,11 @@ def cmd_tov(args) -> int:
         }
         line = (f"M = {star.M_msun:.8f} M_sun  R = {star.R_km:.5f} km  "
                 f"steps = {star.steps}")
-    else:
-        summary = {"status": f"failed ({failure.tag}): {failure}",
-                   "P_central": args.pc,
-                   "steps": len(rows)}
-        line = f"failed ({failure.tag}) after {len(rows)} accepted steps"
-    _emit(args, "star", rows, summary, _config_dict(config), line)
-    if failure is not None:
-        print(f"error ({failure.tag}): {failure}", file=sys.stderr)
-        return 1
-    return 0
+    else:  # _emit writes the failure's status and summary line
+        summary = {"status": None, "P_central": args.pc, "steps": len(rows)}
+        line = None
+    return _emit(args, "star", rows, summary, _config_dict(config), line,
+                 failure)
 
 
 # ---------------------------------------------------------------- sieve

@@ -25,12 +25,12 @@ or NaN, and the run stops with :class:`NonFiniteState`.
 :func:`adams_update` integrates it over the new step on Gauss points:
 the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
-term.  Once the table holds ``order_ab`` nodes, the loop steps through
-straight-line forms of :func:`adams_update` and
-:meth:`DividedDifferences.push`, written out and compiled once per
-stencil size and component count.  They do the same float operations in
-the same order, so no bit depends on which form ran; the bootstrap's
-steps, one per smaller size, run the readable definitions.
+term.  Each step calls one update and one push: :func:`adams_update`
+and :meth:`DividedDifferences.push` while the table grows, swapped once,
+when it holds ``order_ab`` nodes, for their straight-line forms, written
+out and compiled once per stencil size and component count.  Both pairs
+do the same float operations in the same order, so no bit depends on
+which ran.
 :func:`integrate_floats` runs the whole loop on Python floats: its
 callbacks receive the state as a list and what they return is read as a
 list of ``float``, so no numpy enters a run.  :func:`integrate` is the
@@ -53,7 +53,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -318,7 +318,8 @@ class DividedDifferences:
         the new entries are c'_0 = f and
         c'_i = (c'_{i-1} - c_{i-1}) / (x - x_{i-1}) for
         i = 1 .. keep - 1: N divisions, and the nodes beyond ``keep``
-        drop out.  The spans x - x_k are shared across components.
+        drop out.  A ``keep`` above the table's length grows the table
+        by one node.  The spans x - x_k are shared across components.
         """
         spans = [x - node for node in self.nodes[:keep - 1]]
         self.nodes = [x, *self.nodes[:keep - 1]]
@@ -356,10 +357,11 @@ def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
     beyond the overflow threshold becomes inf or NaN instead of
     raising, and the caller stops on it.
 
-    This is the step's readable definition, and :func:`integrate_floats`
-    runs it while the stencil grows.  At the full stencil it runs the
-    same operations written out for that size (:func:`_update_source`),
-    bit for bit.
+    This is the step's readable definition.  :func:`integrate_floats`
+    steps with it and :meth:`DividedDifferences.push` while the table
+    grows, then swaps that pair once, when the table fills, for the same
+    operations written out for the full stencil (:func:`_kernels`), bit
+    for bit.
     """
     here = table.nodes[0]
     offsets = [node - here for node in table.nodes]
@@ -470,25 +472,15 @@ def _push_source(count: int, size: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compiled(source: str, name: str, filename: str, **namespace):
-    """The function ``name`` that ``source`` defines, run in ``namespace``."""
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
-
-
 @lru_cache(maxsize=None)
-def _update_kernel(count: int, size: int):
-    """:func:`adams_update` for a full stencil, compiled once per shape."""
-    return _compiled(_update_source(count, size), "update",
-                     f"<abmgrid update N={count} d={size}>",
-                     _RULE=_gauss_rule(count // 2 + 1), _total=_total)
-
-
-@lru_cache(maxsize=None)
-def _push_kernel(count: int, size: int):
-    """The full stencil's :meth:`DividedDifferences.push`, compiled once."""
-    return _compiled(_push_source(count, size), "push",
-                     f"<abmgrid push N={count} d={size}>")
+def _kernels(count: int, size: int):
+    """The full stencil's (update, push), compiled once per shape."""
+    namespace = {"_RULE": _gauss_rule(count // 2 + 1), "_total": _total}
+    exec(compile(_update_source(count, size),
+                 f"<abmgrid update N={count} d={size}>", "exec"), namespace)
+    exec(compile(_push_source(count, size),
+                 f"<abmgrid push N={count} d={size}>", "exec"), namespace)
+    return namespace["update"], namespace["push"]
 
 
 def fractional_correction(y_ab, y_am) -> float:
@@ -600,14 +592,15 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
     dy = evaluate(x, state)
     if not all(map(math.isfinite, dy)):
         raise NonFiniteState(f"non-finite derivative at x={x!r}", trajectory)
-    table = DividedDifferences(size)
-    table.push(x, dy, 1)
     order = config.order_ab
-    update = push = None  # the full stencil's kernels, once it fills
+    # the readable pair runs the bootstrap; every push is given keep=order
+    update, push = adams_update, partial(DividedDifferences.push, keep=order)
+    table = DividedDifferences(size)
+    push(table, x, dy)
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(abs(x), abs(x_end))
 
-    for _ in range(config.max_steps):
+    for step in range(config.max_steps):
         if x_end is not None and x >= x_end - end_tol:
             return trajectory
         clamped = x_end is not None and x + dx >= x_end
@@ -618,13 +611,11 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
         if not x_next > x:
             raise IntegrationError(
                 f"step dx={dx!r} does not advance x={x!r}", trajectory)
-        if effective_order < order:  # bootstrapping, one step per size
-            y_ab, y_am = adams_update(state, table, dx, corrector)
-        else:
-            if update is None:
-                update = _update_kernel(order, size)
-                push = _push_kernel(order, size)
-            y_ab, y_am = update(state, table, dx, corrector)
+        # the table holds order nodes from this step on: swap in the
+        # compiled pair, here so that a run ending sooner compiles none
+        if step == order - 1:
+            update, push = _kernels(order, size)
+        y_ab, y_am = update(state, table, dx, corrector)
         dy_next = evaluate(x_next, y_am)
         epsilon_max = (0.0 if corrector is None
                        else fractional_correction(y_ab, y_am))
@@ -640,10 +631,7 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
 
         trajectory._append(x_next, dx_taken, y_am, epsilon_max,
                            effective_order, capped, floored)
-        if push is None:
-            table.push(x_next, dy_next, effective_order + 1)
-        else:
-            push(table, x_next, dy_next)
+        push(table, x_next, dy_next)
         x, state = x_next, y_am
 
         if halt is not None and halt(x, state[:]):

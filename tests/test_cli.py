@@ -259,6 +259,25 @@ def test_poly_failure_emits_partial_rows_and_exits_one(
     assert "synthetic failure" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_poly_failure_reports_its_tag_as_tov_does(capsys, fmt):
+    # the first step's prediction from y' = x^4 at x = 1e98 overflows
+    assert main(["poly", "--mode", "abm-fixed", "--order", "4", "--x0", "0",
+                 "--xend", "1e100", "--dx", "1e98", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines()[0] == "failed (non-finite) after 0 accepted steps"
+    assert err.splitlines()[1].startswith("error (non-finite): ")
+    assert "Traceback" not in out + err
+    if fmt == "csv":
+        assert out.splitlines() == ["i,x,dx,y,epsilon_max,y_exact,error"]
+    else:
+        payload = json.loads(out)
+        check_against_schema(payload)
+        assert payload["rows"] == []
+        assert payload["summary"]["status"].startswith(
+            "failed (non-finite): ")
+
+
 def test_poly_manifest_records_the_whole_run(tmp_path):
     out_path = tmp_path / "run.csv"
     assert main(["poly", "--order", "3", "--tol", "1e-6",

@@ -35,9 +35,8 @@ from abmgrid import (
 )
 from abmgrid.integrator import (
     _gauss_rule,
-    _push_kernel,
+    _kernels,
     _push_source,
-    _update_kernel,
     _update_source,
 )
 from abmgrid.quadrature import _gauss_legendre_unit
@@ -178,15 +177,19 @@ def test_carried_table_equals_the_table_pushed_afresh():
 
 
 def test_table_ramps_to_its_order_and_holds():
-    table = DividedDifferences(1)
-    lengths = []
-    for n in range(12):
-        table.push(float(n), [float(n * n)], min(len(table.nodes) + 1, 4))
-        lengths.append(len(table.columns[0]))
-    assert lengths == [1, 2, 3] + [4] * 9
-    assert table.nodes == [11.0, 10.0, 9.0, 8.0]
-    # y' = x^2 on 11, 10, 9, 8: c = [121, 11 + 10, 1, 0]
-    assert table.columns[0] == [121.0, 21.0, 1.0, 0.0]
+    # a keep above the table's length grows it by one node, so keeping
+    # the capacity from the first push ramps the table as growing it does
+    for keep in (lambda table: min(len(table.nodes) + 1, 4),
+                 lambda table: 4):
+        table = DividedDifferences(1)
+        lengths = []
+        for n in range(12):
+            table.push(float(n), [float(n * n)], keep(table))
+            lengths.append(len(table.columns[0]))
+        assert lengths == [1, 2, 3] + [4] * 9
+        assert table.nodes == [11.0, 10.0, 9.0, 8.0]
+        # y' = x^2 on 11, 10, 9, 8: c = [121, 11 + 10, 1, 0]
+        assert table.columns[0] == [121.0, 21.0, 1.0, 0.0]
 
 
 def test_fractional_correction_is_the_largest_scaled_magnitude():
@@ -1034,13 +1037,13 @@ def copied(table):
 def assert_kernels_match(table, y, dx, newest):
     """The kernels of the table's shape against the readable step."""
     count, size = len(table.nodes), len(table.columns)
-    update = _update_kernel(count, size)
+    update, push = _kernels(count, size)
     for corrector in (None, lambda y_ab: newest):
         assert hexed(update(y, table, dx, corrector)) == hexed(
             adams_update(y, table, dx, corrector))
     readable, kernel = copied(table), copied(table)
     readable.push(table.nodes[0] + dx, newest, count)
-    _push_kernel(count, size)(kernel, table.nodes[0] + dx, newest)
+    push(kernel, table.nodes[0] + dx, newest)
     assert kernel.nodes == readable.nodes
     assert hexed(kernel.columns) == hexed(readable.columns)
 
@@ -1096,7 +1099,7 @@ def test_the_default_sieve_compiles_only_its_full_stencil():
     probe = ("import contextlib, io; from abmgrid import cli, integrator\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert cli.main(['sieve']) == 0\n"
-             "cache = integrator._update_kernel\n"
+             "cache = integrator._kernels\n"
              "size, misses = cache.cache_info().currsize, "
              "cache.cache_info().misses\n"
              "cache(6, 2)\n"
@@ -1109,6 +1112,18 @@ def test_the_default_sieve_compiles_only_its_full_stencil():
                             env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["1", "0"]
+
+
+def test_a_run_that_ends_before_its_table_fills_compiles_no_kernel():
+    # the kernels are fetched when the table fills, never before the
+    # loop: an order-50 run of three steps neither builds nor reads one
+    config = IntegratorConfig(order_ab=50, dx_initial=0.1,
+                              mode=Mode.ABM_FIXED)
+    before = _kernels.cache_info()
+    trajectory = integrate_floats(lambda x, y: [x], [0.0], 0.0, config,
+                                  x_end=0.3)
+    assert [record.effective_order for record in trajectory] == [1, 2, 3]
+    assert _kernels.cache_info() == before
 
 
 def test_order_40_quartic_run_matches_the_plain_loop_bit_for_bit():
