@@ -59,6 +59,9 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
+# K read once: each read of the cached property is an attribute lookup,
+# and every derivative of a star reads it twice
+_PRESSURE_SCALE = CONSTANTS.pressure_scale
 
 
 # Below _SERIES_CUTOFF the closed form of the pressure bracket cancels
@@ -101,7 +104,7 @@ def _pressure_bracket(x: float) -> float:
 
 def pressure_from_x(x: float) -> float:
     """Pressure at relativity parameter x."""
-    return CONSTANTS.pressure_scale * _pressure_bracket(x)
+    return _PRESSURE_SCALE * _pressure_bracket(x)
 
 
 def energy_density_from_x(x: float) -> float:
@@ -109,7 +112,7 @@ def energy_density_from_x(x: float) -> float:
     if not x >= 0.0:
         raise ValueError("relativity parameter must be non-negative")
     square = x * x
-    return CONSTANTS.pressure_scale * (
+    return _PRESSURE_SCALE * (
         8.0 * x * square * math.sqrt(square + 1.0) - _pressure_bracket(x))
 
 
@@ -131,7 +134,7 @@ def invert_pressure_to_x(P: float) -> float:
         raise ValueError("pressure must be finite and non-negative")
     if P == 0.0:
         return 0.0
-    target = P / CONSTANTS.pressure_scale
+    target = P / _PRESSURE_SCALE
     if target < sys.float_info.min:
         # P / K underflows for x below ~1e-61, where F = 8x^5/5 to far
         # below an ulp, so x(P) = x(2^500 P) / 2^100 exactly

@@ -38,6 +38,12 @@ __all__ = ["HorizonError", "StarSolution", "SieveResult", "SweepCell",
            "parameter_sweep"]
 
 
+# c^2, G and 4 pi / c^2, read once rather than on every derivative
+_C2 = CONSTANTS.c ** 2
+_G = CONSTANTS.G
+_FOUR_PI_C2 = 4.0 * math.pi / _C2
+
+
 class HorizonError(IntegrationError):
     """2Gm/(c^2 r) reached 1: the configuration is inside its own horizon."""
 
@@ -57,17 +63,15 @@ def tov_derivatives(r: float, m: float, P: float):
         raise ValueError("radius must be non-negative")
     if r == 0.0 or P <= 0.0:
         return 0.0, 0.0
-    c2 = CONSTANTS.c ** 2
-    metric = 1.0 - 2.0 * CONSTANTS.G * m / (c2 * r)
+    metric = 1.0 - 2.0 * _G * m / (_C2 * r)
     if metric <= 0.0:
         raise HorizonError(
             f"2Gm/(c^2 r) >= 1 at r={float(r)!r} cm, m={float(m)!r} g")
     x = invert_pressure_to_x(P)
     rho = energy_density_from_x(x)
-    four_pi_c2 = 4.0 * math.pi / c2
-    dm_dr = four_pi_c2 * r * r * rho
-    dP_dr = (-(CONSTANTS.G / (c2 * r * r)) * (rho + P)
-             * (m + four_pi_c2 * r ** 3 * P) / metric)
+    dm_dr = _FOUR_PI_C2 * r * r * rho
+    dP_dr = (-(_G / (_C2 * r * r)) * (rho + P)
+             * (m + _FOUR_PI_C2 * r ** 3 * P) / metric)
     return dm_dr, dP_dr
 
 
@@ -130,7 +134,7 @@ def integrate_star(P_central: float, config: IntegratorConfig) -> StarSolution:
     M, R = trajectory.final_state[0], trajectory.final_x
     # the surface step evaluates at P <= 0, where tov_derivatives does
     # not look at the horizon
-    if 2.0 * CONSTANTS.G * M / (CONSTANTS.c ** 2 * R) >= 1.0:
+    if 2.0 * _G * M / (_C2 * R) >= 1.0:
         raise HorizonError(f"2Gm/(c^2 r) >= 1 at r={R!r} cm, m={M!r} g",
                            trajectory)
     return StarSolution(P_central=P_central, M=M, R=R,
