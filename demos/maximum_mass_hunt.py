@@ -5,8 +5,9 @@ show the single hump, then runs the trinary sieve to locate the peak.
 The sieve is Brent's method on ln P_central, where the hump is nearly
 symmetric: near the smooth peak it probes the vertex of the parabola
 through the three best stars so far, and elsewhere the golden-section
-point of the bracket.  Its answer is the best probe, whose star it has
-already integrated.
+point of the bracket.  Its probes run at a looser tolerance than the
+asked one, since M is flat at the peak; its answer is the best probe's
+pressure, where one star at the asked tolerance is integrated last.
 """
 import numpy as np
 

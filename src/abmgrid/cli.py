@@ -350,7 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     sieve.add_argument("--lo", type=_positive, default=1e35)
     sieve.add_argument("--hi", type=_positive, default=1e36)
     sieve.add_argument("--order", type=_at_least_one, default=6)
-    sieve.add_argument("--tol", type=_positive, default=1e-8)
+    sieve.add_argument("--tol", type=_positive, default=1e-8,
+                       help="target fractional correction E of the "
+                            "answer's star; the probes run at E_probe = "
+                            "min(1e-5, 10 bracket-tol^2) when that is at "
+                            "least 100 E")
     sieve.add_argument("--bracket-tol", type=_positive, default=1e-3,
                        dest="bracket_tol",
                        help="relative bracket width at convergence; "

@@ -1,9 +1,12 @@
 """Stellar-structure tests: derivatives, single stars, sieve, sweep.
 
 Reference values at the two probe points come from the 50-digit EOS
-oracle (tests/oracles/gen_eos_oracle.py); star-level numbers were
-measured once with this package and frozen as regression pins.
+oracle (tests/oracles/gen_eos_oracle.py), and whole stars and the mass
+peak from the TOV oracle (tests/oracles/gen_tov_oracle.py); the other
+star-level numbers were measured once with this package and frozen as
+regression pins.
 """
+import dataclasses
 import math
 import os
 import subprocess
@@ -20,6 +23,7 @@ from abmgrid import (
     HorizonError,
     IntegrationError,
     MaxStepsExceeded,
+    Mode,
     SieveResult,
     StarSolution,
     Trajectory,
@@ -48,6 +52,14 @@ RHO_X05 = (CONSTANTS.m_n * CONSTANTS.c ** 2
 P_NEWT = 1.097660212593822725e+21
 DPDR_NEWT_ORACLE = -40817661933222105634.0
 RATIO_GR_ORACLE = 1.001487641546617288
+
+# the star at P_CENTRAL and the mass peak (tests/oracles/gen_tov_oracle.py;
+# its RK4 and mpmath's Taylor-series solver agree on M to 1e-16)
+ORACLE_M_MSUN = 0.7099981412845939
+ORACLE_R_KM = 9.1614962851487
+ORACLE_PC_STAR = 3.631454e35     # erg/cm^3
+ORACLE_M_MAX_MSUN = 0.7099981412933111
+FLOOR_STEP_KM = 1e-4             # star_config's 10 cm floor step
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +163,16 @@ def test_reference_star_regression(reference_star):
     assert star.P_central == P_CENTRAL
     assert star.R == star.trajectory.final_x
     assert star.M == star.trajectory.final_state[0]
+
+
+@pytest.mark.parametrize("order", [10, 6])
+def test_star_matches_the_tov_oracle(order):
+    # against an integration that shares no code with this package: M
+    # within a few 1e-9, and R within the floor step that crosses the
+    # surface
+    star = integrate_star(P_CENTRAL, star_config(order, 1e-8))
+    assert star.M_msun == pytest.approx(ORACLE_M_MSUN, rel=5e-9)
+    assert abs(star.R_km - ORACLE_R_KM) <= FLOOR_STEP_KM
 
 
 def _order_10_star_under(coretype):
@@ -477,7 +499,8 @@ SIEVE_SHIFTS = ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0),
 def test_sieve_on_shifted_brackets(low, high):
     P_lo, P_hi = 1e35 * (1.0 + 0.05 * low), 1e36 * (1.0 + 0.05 * high)
     result = trinary_sieve(P_lo, P_hi, star_config(6, 1e-8))
-    assert result.evaluations <= 7
+    assert len(result.history) <= 7
+    assert result.evaluations == len(result.history) + 1
     # the maximum-mass star of criteria 5 and 7, within the benchmark's
     # bounds on the sieve's answer
     assert result.P_c == pytest.approx(3.631382e35, rel=1e-3)
@@ -499,7 +522,7 @@ def test_sieve_refuses_a_peak_it_has_not_bracketed(P_lo, P_hi, end):
 def test_sieve_tie_goes_to_the_later_probe(monkeypatch):
     # M capped on a plateau about the peak, so several probes reach the
     # top mass exactly; Brent's method keeps the later of tied probes,
-    # and the sieve answers with that probe's star
+    # and the sieve answers at that probe's P_c
     top = 1.0 - 0.03 ** 2
     stars = []
 
@@ -511,13 +534,101 @@ def test_sieve_tie_goes_to_the_later_probe(monkeypatch):
 
     monkeypatch.setattr(tov, "integrate_star", capped)
     result = trinary_sieve(1e35, 1e36, star_config(6, 1e-8))
-    tied = [star for star in stars if star.M == top]
+    *probes, final = stars
+    tied = [star for star in probes if star.M == top]
     assert len(tied) >= 2
-    assert result.star is tied[-1]
     assert result.P_c == tied[-1].P_central
-    # one star per probe, none integrated twice
-    assert len(stars) == result.evaluations
-    assert len({star.P_central for star in stars}) == len(stars)
+    # one star per probe, none integrated twice, then the answer's star
+    # at the asked E: one more integration, at that probe's P_c
+    assert result.star is final
+    assert final.P_central == tied[-1].P_central
+    assert len(stars) == result.evaluations == len(result.history) + 1
+    assert len({star.P_central for star in probes}) == len(probes)
+
+
+@pytest.fixture(scope="module")
+def default_sieve():
+    """The default sieve, and (P_c, config) of each star it integrated."""
+    calls = []
+
+    def recorded_star(P_c, config):
+        calls.append((P_c, config))
+        return integrate_star(P_c, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tov, "integrate_star", recorded_star)
+        result = trinary_sieve(1e35, 1e36, star_config(6, 1e-8))
+    return result, calls
+
+
+def test_default_sieve_finds_the_oracle_peak(default_sieve):
+    result, _ = default_sieve
+    assert result.M_msun == pytest.approx(ORACLE_M_MAX_MSUN, rel=1e-8)
+    assert result.P_c == pytest.approx(ORACLE_PC_STAR, rel=1e-3)
+
+
+def test_sieve_probes_at_a_loose_tolerance_then_integrates_its_answer(
+        default_sieve):
+    # E_probe = min(1e-5, 10 * bracket_tolerance^2) = 1e-5 is 1000 E, so
+    # the probes run there, and one star at the asked config follows at
+    # the best probe's P_c
+    result, calls = default_sieve
+    asked = star_config(6, 1e-8)
+    *probes, (final_P_c, final_config) = calls
+    assert [config for _, config in probes] == (
+        [dataclasses.replace(asked, target_correction=1e-5)] * len(probes))
+    assert [P_c for P_c, _ in probes] == [P_c for P_c, _, _ in result.history]
+    assert final_config == asked
+    assert final_P_c == result.P_c
+    best = max(result.history, key=lambda probe: probe[1])
+    assert result.P_c == best[0]
+    assert result.evaluations == len(calls) == len(result.history) + 1
+
+
+def trajectory_bits(star):
+    """Every column of a star's trajectory, its floats as float.hex."""
+    trajectory = star.trajectory
+    columns = [trajectory.x, trajectory.dx, trajectory.epsilon_max,
+               *trajectory.y]
+    flags = [(record.effective_order, record.capped, record.floored)
+             for record in trajectory]
+    return [[value.hex() for value in column] for column in columns], flags
+
+
+def test_sieve_star_is_the_asked_star_at_its_answer(default_sieve):
+    result, _ = default_sieve
+    star = integrate_star(result.P_c, star_config(6, 1e-8))
+    assert result.star.M.hex() == star.M.hex()
+    assert result.star.R.hex() == star.R.hex()
+    assert result.star.steps == star.steps
+    assert trajectory_bits(result.star) == trajectory_bits(star)
+
+
+@pytest.mark.parametrize("config, bracket_tolerance", [
+    # E_probe = 1e-5 is below E
+    (star_config(6, 1e-2), 1e-3),
+    # E_probe = 1e-5 is 10 E, under the 100 E the final star costs
+    (star_config(6, 1e-6), 1e-3),
+    # a fixed step ignores E
+    (dataclasses.replace(star_config(6, 1e-8, dx_initial=5000.0,
+                                     dx_min=5000.0), mode=Mode.ABM_FIXED),
+     0.02),
+], ids=["E=1e-2", "E=1e-6", "abm-fixed"])
+def test_sieve_integrates_each_star_once_when_loose_probes_do_not_pay(
+        monkeypatch, config, bracket_tolerance):
+    calls = []
+
+    def recorded_star(P_c, config):
+        calls.append((config, integrate_star(P_c, config)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(tov, "integrate_star", recorded_star)
+    result = trinary_sieve(1e35, 1e36, config,
+                           bracket_tolerance=bracket_tolerance)
+    assert [used for used, _ in calls] == [config] * len(calls)
+    assert result.evaluations == len(calls) == len(result.history)
+    assert len({star.P_central for _, star in calls}) == len(calls)
+    assert any(result.star is star for _, star in calls)
 
 
 def test_sieve_runs_serially():

@@ -5,13 +5,13 @@ Usage:  python tools/record_digest.py <src-dir>
 Imports ``abmgrid`` from ``<src-dir>`` and prints one line per group
 of runs: its name, the number of runs hashed, the total accepted steps
 and derivative evaluations of every integration the group ran (the
-sieve's probes and the sweep's reference star included), and the
-digest.  Two source trees that print the same digest for a group
-produce the same bits for every step of that group: abscissa, step
-size, state, fractional correction, order and controller flags, plus
-the evaluation count, the halt flag and the failure (type, tag,
-message) if any.  When a digest moves, the totals show at a glance
-whether any step count moved with it.
+sieve's probes and final star, and the sweep's reference star,
+included), and the digest.  Two source trees that print the same
+digest for a group produce the same bits for every step of that group:
+abscissa, step size, state, fractional correction, order and
+controller flags, plus the evaluation count, the halt flag and the
+failure (type, tag, message) if any.  When a digest moves, the totals
+show at a glance whether any step count moved with it.
 
 Only the public API that every version of the package offers is used:
 iterating a trajectory, ``len``, ``n_evals`` and ``halted``, and the
@@ -43,7 +43,9 @@ Groups:
   sieves    10 sieves at order 6, E = 1e-8, each end of [1e35, 1e36]
             moved by up to +-5 % as the benchmark's sieve workload moves
             it; hashes each sieve's ``history`` (every probe), P_c, M and
-            R, and prints the stars per sieve on stderr
+            R, and prints the stars per sieve on stderr: its
+            ``evaluations``, the probes plus the final star where the
+            sieve integrates one on its own (E = 1e-8 does)
   pressure  P(x) at x = 10^(k/100), k = -800..300 (1e-8 to 1e3)
   density   rho(x) on the same grid of x
   inversion x(P) at P = 10^(k/10), k = -3230..3080 (1e-323 to 1e308)
