@@ -298,11 +298,12 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     tolerance E; then one star at ``config`` is integrated at the
     answer's P_c, and that star is the result's.  An error in P_c
     moves M only to second order at the peak: the default sieve (order
-    6, E = 1e-8) takes 44 % fewer steps, and its M moves by 7e-11.  Without the cap, a
-    bracket_tolerance of 1e-2 would probe at 1e-3, which moves the
-    order-3 answer by more than the bracket; below 100 E the final
-    star costs more than the looser probes save.  Otherwise the probes
-    run at ``config``, and the best probe's star is the result's.
+    6, E = 1e-8) takes 44 % fewer steps, and its M moves by 7e-11.
+    Without the cap, a bracket_tolerance of 1e-2 would probe at 1e-3,
+    which moves the order-3 answer by more than the bracket; below
+    100 E the final star costs more than the looser probes save.
+    Otherwise the probes run at ``config``, and the best probe's star
+    is the result's.
 
     Raises ValueError, naming the end, when no probe lies between the
     best probe and ``P_lo`` or ``P_hi``: the final bracket then still
