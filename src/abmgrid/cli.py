@@ -32,7 +32,8 @@ from . import __version__
 from .eos import CONSTANTS
 from .integrator import GROWTH_CAP, IntegrationError, IntegratorConfig, Mode
 from .poly import PolyCase, PolyResult, run_poly_case
-from .tov import integrate_star, parameter_sweep, star_config, trinary_sieve
+from .tov import (StarSolution, integrate_star, parameter_sweep, star_config,
+                  trinary_sieve)
 
 __all__ = ["build_parser", "main"]
 
@@ -225,32 +226,25 @@ def cmd_tov(args) -> int:
         args.parser.error("--dx0 must be >= --dxmin")
     config = star_config(args.order, args.tol, args.dx0, args.dxmin)
     failure = None
-    star = None
     try:
         star = integrate_star(args.pc, config)
-        trajectory = star.trajectory
     except IntegrationError as exc:
         failure = exc
-        trajectory = exc.trajectory
-    rows = _star_rows(trajectory)
-    if star is not None:
-        summary = {
-            "status": "ok",
-            "P_central": star.P_central,
-            "M_g": star.M,
-            "M_msun": star.M_msun,
-            "R_cm": star.R,
-            "R_km": star.R_km,
-            "steps": star.steps,
-            "n_evals": trajectory.n_evals,
-        }
-        line = (f"M = {star.M_msun:.8f} M_sun  R = {star.R_km:.5f} km  "
-                f"steps = {star.steps}")
-    else:  # _emit writes the failure's status and summary line
-        summary = {"status": None, "P_central": args.pc, "steps": len(rows)}
-        line = None
-    return _emit(args, "star", rows, summary, _config_dict(config), line,
-                 failure)
+        star = StarSolution(args.pc, exc.trajectory)
+    summary = {
+        "status": "ok",
+        "P_central": star.P_central,
+        "M_g": star.M,
+        "M_msun": star.M_msun,
+        "R_cm": star.R,
+        "R_km": star.R_km,
+        "steps": star.steps,
+        "n_evals": star.trajectory.n_evals,
+    }
+    line = (f"M = {star.M_msun:.8f} M_sun  R = {star.R_km:.5f} km  "
+            f"steps = {star.steps}")
+    return _emit(args, "star", _star_rows(star.trajectory), summary,
+                 _config_dict(config), line, failure)
 
 
 # ---------------------------------------------------------------- sieve

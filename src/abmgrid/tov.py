@@ -80,19 +80,30 @@ def tov_derivatives(r: float, m: float, P: float):
 
 @dataclass(frozen=True)
 class StarSolution:
-    """One integrated star.
+    """One star: its central pressure and the run from its center.
 
-    M and R are the final accepted values of m and r — the step that
-    crossed the surface is kept as-is (its pressure may be slightly
-    negative in the trajectory record; it is flagged, never used as a
-    physical pressure).
+    M, R and steps are read off the trajectory: the mass and radius of
+    the last accepted step, and the number of accepted steps.  On a
+    finished run that last step crossed the surface and is kept as-is
+    (its pressure may be slightly negative in the trajectory record; it
+    is flagged, never used as a physical pressure).  A failed run's
+    partial trajectory reads the same way, at its last accepted step.
     """
 
     P_central: float          # erg/cm^3
-    M: float                  # g
-    R: float                  # cm
-    steps: int
     trajectory: Trajectory
+
+    @property
+    def M(self) -> float:  # g
+        return self.trajectory.final_state[0]
+
+    @property
+    def R(self) -> float:  # cm
+        return self.trajectory.final_x
+
+    @property
+    def steps(self) -> int:
+        return len(self.trajectory)
 
     @property
     def M_msun(self) -> float:
@@ -132,16 +143,15 @@ def integrate_star(P_central: float, config: IntegratorConfig) -> StarSolution:
     def system(r, state):
         return tov_derivatives(r, *state)
 
-    trajectory = integrate(system, [0.0, P_central], 0.0, config,
-                           halt=lambda r, state: state[1] <= 0.0)
-    M, R = trajectory.final_state[0], trajectory.final_x
+    star = StarSolution(P_central, integrate(
+        system, [0.0, P_central], 0.0, config,
+        halt=lambda r, state: state[1] <= 0.0))
     # the surface step evaluates at P <= 0, where tov_derivatives does
     # not look at the horizon
-    if 2.0 * _G * M / (_C2 * R) >= 1.0:
-        raise HorizonError(f"2Gm/(c^2 r) >= 1 at r={R!r} cm, m={M!r} g",
-                           trajectory)
-    return StarSolution(P_central=P_central, M=M, R=R,
-                        steps=len(trajectory), trajectory=trajectory)
+    if 2.0 * _G * star.M / (_C2 * star.R) >= 1.0:
+        raise HorizonError(f"2Gm/(c^2 r) >= 1 at r={star.R!r} cm, "
+                           f"m={star.M!r} g", star.trajectory)
+    return star
 
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden section of a unit segment
@@ -337,10 +347,9 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
                 f"the mass peak is not bracketed: no probe lies between "
                 f"the heaviest star, at P_c = {best.P_central:.6g} "
                 f"erg/cm^3, and {name} = {end:.6g} erg/cm^3")
-    if two_fidelity:
-        return SieveResult(star=integrate_star(best.P_central, config),
-                           history=history, evaluations=len(history) + 1)
-    return SieveResult(star=best, history=history, evaluations=len(history))
+    star = integrate_star(best.P_central, config) if two_fidelity else best
+    return SieveResult(star=star, history=history,
+                       evaluations=len(history) + two_fidelity)
 
 
 @dataclass(frozen=True)

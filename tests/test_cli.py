@@ -406,6 +406,17 @@ def test_tov_json_summary(capsys):
     assert summary["n_evals"] == 2 * 149 + 1
 
 
+def test_tov_table_flags_floored_capped_and_surface_steps(capsys):
+    # the opening steps sit on the 10 cm floor, the next ones grow by
+    # the cap, and the last one crosses the surface
+    assert main(["tov", "--pc", P_CENTRAL, "--order", "4",
+                 "--tol", "1e-2"]) == 0
+    flags = [line.split(",")[6]
+             for line in capsys.readouterr().out.splitlines()[1:]]
+    assert flags == (["floor"] * 2 + ["cap"] * 6 + [""] * 22
+                     + ["surface"])
+
+
 def test_tov_manifest_records_stellar_config(tmp_path):
     out_path = tmp_path / "star.csv"
     assert main(FAST_TOV + ["--out", str(out_path)]) == 0
@@ -432,6 +443,26 @@ def test_tov_integration_failure_exits_one(capsys):
     assert out.splitlines()[0].startswith("i,")
     assert len(out.splitlines()) == 1  # no accepted steps to report
     assert "non-finite" in err
+
+
+@pytest.mark.parametrize("pc, tag, steps", [("1e46", "horizon", 1),
+                                            ("1e308", "non-finite", 0)])
+def test_tov_failure_json_summarizes_the_partial_star(capsys, pc, tag, steps):
+    assert main(["tov", "--pc", pc, "--order", "4", "--tol", "1e-6",
+                 "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    check_against_schema(payload)
+    summary = payload["summary"]
+    assert summary["status"].startswith(f"failed ({tag}): ")
+    assert summary["steps"] == len(payload["rows"]) == steps
+    # the star read off the partial run: its last accepted row, or the
+    # center when no step was accepted
+    last = payload["rows"][-1] if steps else [0, 0.0, 0.0, 0.0]
+    assert summary["R_cm"] == last[1]
+    assert summary["M_g"] == last[3]
+    assert summary["M_msun"] == last[3] / CONSTANTS.M_sun
+    assert summary["R_km"] == last[1] / 1e5
+    assert summary["n_evals"] == 3
 
 
 # --- sieve -------------------------------------------------------------

@@ -396,6 +396,24 @@ def test_max_steps_carries_partial_trajectory():
     assert excinfo.value.tag == "max-steps"
 
 
+def test_last_allowed_step_landing_on_x_end_returns():
+    # the step budget runs out on the very step that reaches x_end: the
+    # run has ended, so it returns rather than raises; one step fewer
+    # leaves x short of x_end
+    def run(max_steps):
+        config = IntegratorConfig(order_ab=2, dx_initial=0.25,
+                                  mode=Mode.ABM_FIXED, max_steps=max_steps)
+        return integrate_floats(lambda x, y: [1.0], [0.0], 0.0, config,
+                                x_end=1.0)
+
+    trajectory = run(4)
+    assert len(trajectory) == 4
+    assert trajectory.final_x == 1.0
+    with pytest.raises(MaxStepsExceeded) as excinfo:
+        run(3)
+    assert len(excinfo.value.trajectory) == 3
+
+
 def test_non_finite_state_raises_with_context():
     def blow_up(x, y):
         return np.array([1.0 / (0.5 - x) if x < 0.5 else np.inf])

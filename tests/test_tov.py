@@ -528,8 +528,7 @@ def test_sieve_tie_goes_to_the_later_probe(monkeypatch):
 
     def capped(P_c, config):
         M = min(1.0 - math.log(P_c / P_CENTRAL) ** 2, top)
-        stars.append(StarSolution(P_central=P_c, M=M, R=1.0, steps=0,
-                                  trajectory=None))
+        stars.append(StarSolution(P_c, Trajectory(1.0, [M, 0.0])))
         return stars[-1]
 
     monkeypatch.setattr(tov, "integrate_star", capped)
