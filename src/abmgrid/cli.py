@@ -134,7 +134,7 @@ def _manifest(args, config) -> dict:
         "command": args.command,
         "flags": flags,
         "config": config,
-        "constants": CONSTANTS.as_dict(),
+        "constants": CONSTANTS._asdict(),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

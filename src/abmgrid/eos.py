@@ -5,7 +5,8 @@ Everything is parameterized by the dimensionless relativity parameter
     x = (h / 2 m_n c) * (3 n / pi)^(1/3),
 
 the neutron Fermi momentum in units of m_n c.  With the pressure scale
-K = pi m_n^4 c^5 / 3 h^3, the degenerate-Fermi-gas pressure is
+K = pi m_n^4 c^5 / 3 h^3 (``PRESSURE_SCALE``, from the fixed CGS values
+in ``CONSTANTS``), the degenerate-Fermi-gas pressure is
 
     P = K * F(x),   F(x) = x (2x^2 - 3) sqrt(x^2 + 1) + 3 asinh(x).
 
@@ -28,40 +29,24 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, asdict
-from functools import cached_property
+from collections import namedtuple
 
-__all__ = ["PhysicalConstants", "CONSTANTS", "pressure_from_x",
+__all__ = ["CONSTANTS", "PRESSURE_SCALE", "pressure_from_x",
            "energy_density_from_x", "invert_pressure_to_x"]
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CGS constants pinned in one place; every output records them."""
-
-    m_n: float = 1.67492749804e-24   # neutron mass, g
-    c: float = 2.99792458e10         # speed of light, cm/s
-    h: float = 6.62607015e-27        # Planck constant, erg s
-    G: float = 6.67430e-8            # gravitational constant, cm^3 g^-1 s^-2
-    M_sun: float = 1.98892e33        # solar mass, g
-
-    def __post_init__(self):
-        if min(self.m_n, self.c, self.h, self.G, self.M_sun) <= 0.0:
-            raise ValueError("all physical constants must be positive")
-
-    @cached_property
-    def pressure_scale(self) -> float:
-        """K = pi m_n^4 c^5 / 3 h^3, erg/cm^3; derived, so not a field."""
-        return math.pi * self.m_n ** 4 * self.c ** 5 / (3.0 * self.h ** 3)
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-CONSTANTS = PhysicalConstants()
-# K read once: each read of the cached property is an attribute lookup,
-# and every derivative of a star reads it twice
-_PRESSURE_SCALE = CONSTANTS.pressure_scale
+# CGS constants of the gas, fixed for the package; every manifest
+# records them
+CONSTANTS = namedtuple("PhysicalConstants", "m_n c h G M_sun")(
+    m_n=1.67492749804e-24,   # neutron mass, g
+    c=2.99792458e10,         # speed of light, cm/s
+    h=6.62607015e-27,        # Planck constant, erg s
+    G=6.67430e-8,            # gravitational constant, cm^3 g^-1 s^-2
+    M_sun=1.98892e33,        # solar mass, g
+)
+# K = pi m_n^4 c^5 / 3 h^3, erg/cm^3
+PRESSURE_SCALE = (math.pi * CONSTANTS.m_n ** 4 * CONSTANTS.c ** 5
+                  / (3.0 * CONSTANTS.h ** 3))
 
 
 # Below _SERIES_CUTOFF the closed form of the pressure bracket cancels
@@ -104,7 +89,7 @@ def _pressure_bracket(x: float) -> float:
 
 def pressure_from_x(x: float) -> float:
     """Pressure at relativity parameter x."""
-    return _PRESSURE_SCALE * _pressure_bracket(x)
+    return PRESSURE_SCALE * _pressure_bracket(x)
 
 
 def energy_density_from_x(x: float) -> float:
@@ -112,7 +97,7 @@ def energy_density_from_x(x: float) -> float:
     if not x >= 0.0:
         raise ValueError("relativity parameter must be non-negative")
     square = x * x
-    return _PRESSURE_SCALE * (
+    return PRESSURE_SCALE * (
         8.0 * x * square * math.sqrt(square + 1.0) - _pressure_bracket(x))
 
 
@@ -134,7 +119,7 @@ def invert_pressure_to_x(P: float) -> float:
         raise ValueError("pressure must be finite and non-negative")
     if P == 0.0:
         return 0.0
-    target = P / _PRESSURE_SCALE
+    target = P / PRESSURE_SCALE
     if target < sys.float_info.min:
         # P / K underflows for x below ~1e-61, where F = 8x^5/5 to far
         # below an ulp, so x(P) = x(2^500 P) / 2^100 exactly

@@ -244,7 +244,8 @@ class NonFiniteState(IntegrationError):
 
 
 class CallbackFailure(IntegrationError):
-    """The derivative callback raised or returned a malformed derivative."""
+    """The derivative callback raised on a finite state, or returned a
+    malformed derivative."""
 
 
 def _legendre(count, x):
@@ -546,9 +547,10 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
 
     Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState` (when
     f(x0, y0), or a step's prediction, corrected state or derivative,
-    is not finite; the step is not kept), or
-    :class:`CallbackFailure` (``system`` raised or returned anything
-    else); an :class:`IntegrationError` raised by ``system`` propagates
+    is not finite, also when ``system`` raises on a non-finite state;
+    the step is not kept), or :class:`CallbackFailure` (``system``
+    raised on a finite state or returned anything else); an
+    :class:`IntegrationError` raised by ``system`` propagates
     as is.  A plain :class:`IntegrationError` is raised before
     evaluating a step that would not advance x, as when the controller
     shrinks dx below the spacing of floats at x with no ``dx_min`` to
@@ -574,6 +576,10 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
             exc.trajectory = trajectory
             raise
         except Exception as exc:
+            # a step's state is evaluated before the engine checks it
+            if not all(map(math.isfinite, yq)):
+                raise NonFiniteState(f"non-finite state at x={xq!r}",
+                                     trajectory) from exc
             raise CallbackFailure(
                 f"derivative callback failed at x={xq!r}: {exc}",
                 trajectory) from exc

@@ -26,7 +26,7 @@ and their difference is printed as the error estimate.  ``--taylor``
 checks the reference star with mpmath's Taylor-series ``odefun``
 instead (about two minutes).
 
-The EOS is written from ``PhysicalConstants``' literal values, and rho
+The EOS is written from ``eos.CONSTANTS``' literal values, and rho
 is rest mass plus the kinetic bracket (m_n c^2 n + K U), as in
 gen_eos_oracle.py, not the package's 8 K x^3 sqrt(1 + x^2) - P.  The
 peak of M over ln P_c is found by two rounds of a parabola through

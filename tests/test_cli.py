@@ -287,7 +287,7 @@ def test_poly_manifest_records_the_whole_run(tmp_path):
                              "version", "timestamp"}
     assert manifest["command"] == "poly"
     assert manifest["version"] == __version__
-    assert manifest["constants"] == CONSTANTS.as_dict()
+    assert manifest["constants"] == CONSTANTS._asdict()
     flags = manifest["flags"]
     assert flags["order"] == 3
     assert flags["tol"] == 1e-6
@@ -463,6 +463,20 @@ def test_tov_failure_json_summarizes_the_partial_star(capsys, pc, tag, steps):
     assert summary["M_msun"] == last[3] / CONSTANTS.M_sun
     assert summary["R_km"] == last[1] / 1e5
     assert summary["n_evals"] == 3
+
+
+def test_tov_failure_on_an_overflowed_state_is_non_finite(capsys):
+    # at P_c = 1e-300 a prediction of the surface dive overflows, and
+    # tov_derivatives refuses it: the run is reported as non-finite
+    assert main(["tov", "--pc", "1e-300", "--order", "6", "--tol", "1e-5",
+                 "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    summary = json.loads(out)["summary"]
+    assert summary["status"] == ("failed (non-finite): non-finite state "
+                                 "at x=3.927583605639469e+44")
+    assert "failed (non-finite) after 93 accepted steps" in err
+    assert summary["steps"] == 93
+    assert summary["n_evals"] == 188
 
 
 # --- sieve -------------------------------------------------------------

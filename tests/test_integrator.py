@@ -1037,6 +1037,27 @@ def test_an_overflowing_prediction_stops_the_run(mode):
     assert trajectory.n_evals == 3
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_callback_refusing_a_non_finite_state_stops_as_non_finite(mode):
+    # the first prediction, 1e308 + 1e308, overflows, and the callback
+    # refuses it before the engine checks it: the run stops as
+    # non-finite, not as a failed callback, with nothing accepted
+    def refuse(x, y):
+        if not math.isfinite(y[0]):
+            raise ValueError("state must be finite")
+        return [1e308]
+
+    config = IntegratorConfig(order_ab=1, dx_initial=1.0, mode=mode)
+    with pytest.raises(NonFiniteState) as excinfo:
+        integrate_floats(refuse, [1e308], 0.0, config, x_end=3.0)
+    failure = excinfo.value
+    assert failure.tag == "non-finite"
+    assert str(failure) == "non-finite state at x=1.0"
+    assert len(failure.trajectory) == 0
+    assert failure.trajectory.n_evals == 1
+    assert isinstance(failure.__cause__, ValueError)
+
+
 # --- the full-stencil kernels ------------------------------------------
 
 def hexed(states):

@@ -24,6 +24,7 @@ from abmgrid import (
     IntegrationError,
     MaxStepsExceeded,
     Mode,
+    PRESSURE_SCALE,
     SieveResult,
     StarSolution,
     Trajectory,
@@ -43,10 +44,10 @@ X_COEFFICIENT = (CONSTANTS.h / (2.0 * CONSTANTS.m_n * CONSTANTS.c)
                  * (3.0 / math.pi) ** (1.0 / 3.0))
 
 # oracle state at x = 0.5 (clean double-precision regime)
-P_X05 = CONSTANTS.pressure_scale * 0.046092989241441782238
+P_X05 = PRESSURE_SCALE * 0.046092989241441782238
 RHO_X05 = (CONSTANTS.m_n * CONSTANTS.c ** 2
            * (0.5 / X_COEFFICIENT) ** 3
-           + CONSTANTS.pressure_scale * 0.071940999508453065967)
+           + PRESSURE_SCALE * 0.071940999508453065967)
 
 # oracle state at x = 1e-3 (Newtonian-limit probe)
 P_NEWT = 1.097660212593822725e+21
