@@ -70,6 +70,7 @@ __all__ = [
     "MaxStepsExceeded",
     "NonFiniteState",
     "CallbackFailure",
+    "StalledStep",
     "adams_update",
     "fractional_correction",
     "next_step_size",
@@ -223,8 +224,8 @@ class IntegrationError(RuntimeError):
 
     ``tag`` names the kind of failure in one short word, as a sweep cell
     reports it.  A derivative callback may raise an IntegrationError
-    of its own; :func:`integrate` attaches the trajectory and lets it
-    through unwrapped.
+    of its own; :func:`integrate_floats` attaches the trajectory and
+    lets it through unwrapped.
     """
 
     tag = "failed"
@@ -246,6 +247,14 @@ class NonFiniteState(IntegrationError):
 class CallbackFailure(IntegrationError):
     """The derivative callback raised on a finite state, or returned a
     malformed derivative."""
+
+    tag = "callback"
+
+
+class StalledStep(IntegrationError):
+    """The next step would not advance x."""
+
+    tag = "stalled"
 
 
 def _legendre(count, x):
@@ -550,12 +559,11 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
     is not finite, also when ``system`` raises on a non-finite state;
     the step is not kept), or :class:`CallbackFailure` (``system``
     raised on a finite state or returned anything else); an
-    :class:`IntegrationError` raised by ``system`` propagates
-    as is.  A plain :class:`IntegrationError` is raised before
-    evaluating a step that would not advance x, as when the controller
-    shrinks dx below the spacing of floats at x with no ``dx_min`` to
-    stop it.  Each carries the partial trajectory in its
-    ``trajectory`` attribute.
+    :class:`IntegrationError` raised by ``system`` propagates as is.
+    :class:`StalledStep` is raised before evaluating a step that would
+    not advance x, as when the controller shrinks dx below the spacing
+    of floats at x with no ``dx_min`` to stop it.  Each carries the
+    partial trajectory in its ``trajectory`` attribute.
     """
     if x_end is None and halt is None:
         raise ValueError("provide x_end, halt, or both")
@@ -606,16 +614,20 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
     dx = config.dx_initial
     end_tol = 0.0 if x_end is None else 1e-14 * max(abs(x), abs(x_end))
 
-    for step in range(config.max_steps):
+    for step in range(config.max_steps + 1):
         if x_end is not None and x >= x_end - end_tol:
             return trajectory
+        if step == config.max_steps:
+            raise MaxStepsExceeded(
+                f"stop condition not reached within {config.max_steps} steps",
+                trajectory)
         clamped = x_end is not None and x + dx >= x_end
         if clamped:
             dx = x_end - x
         effective_order = len(table.nodes)
         x_next = x_end if clamped else x + dx
         if not x_next > x:
-            raise IntegrationError(
+            raise StalledStep(
                 f"step dx={dx!r} does not advance x={x!r}", trajectory)
         # the table holds order nodes from this step on: swap in the
         # compiled pair, here so that a run ending sooner compiles none
@@ -643,12 +655,6 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
         if halt is not None and halt(x, state[:]):
             trajectory.halted = True
             return trajectory
-
-    if x_end is not None and x >= x_end - end_tol:
-        return trajectory
-    raise MaxStepsExceeded(
-        f"stop condition not reached within {config.max_steps} steps",
-        trajectory)
 
 
 def integrate(system: Callable[[float, np.ndarray], Sequence[float]],

@@ -24,24 +24,9 @@ Lagrange-form weight API, checked against an exact-rational oracle by
 ``tests/test_quadrature.py`` and timed by ``perfbench/micro.py``; the
 integrator's step uses the Newton form in ``integrator.adams_update``.
 """
-from functools import lru_cache
-
 from .integrator import _gauss_rule
 
 __all__ = ["quadrature_weights"]
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre_unit(count):
-    """Gauss-Legendre points and weights on [0, 1]: the engine's rule.
-
-    The arrays are cached and shared, so they are made read-only.
-    """
-    import numpy as np
-    rule = tuple(np.array(column) for column in zip(*_gauss_rule(count)))
-    for array in rule:
-        array.setflags(write=False)
-    return rule
 
 
 def quadrature_weights(offsets, dx):
@@ -70,7 +55,7 @@ def quadrature_weights(offsets, dx):
     if (offsets[1:] <= offsets[:-1]).any():
         raise ValueError("offsets must be strictly increasing")
     count = offsets.size
-    points, gauss_weights = _gauss_legendre_unit((count + 1) // 2)
+    points, gauss_weights = map(np.array, zip(*_gauss_rule((count + 1) // 2)))
     # ratios[i, j, k] = (g_i - t_k) / (t_j - t_k) at the Gauss point
     # g_i = dx * points[i]; the k = j factor is set to 1 (its gap too,
     # before dividing), so nothing divides by zero.  Both arrays are

@@ -278,6 +278,18 @@ def test_poly_failure_reports_its_tag_as_tov_does(capsys, fmt):
             "failed (non-finite): ")
 
 
+def test_poly_stalled_step_reports_its_own_tag(capsys):
+    # at E = 1e-300 the controller's second step is far below the float
+    # spacing at x = 0.75, and the engine stops before evaluating it
+    assert main(["poly", "--order", "3", "--tol", "1e-300"]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 + 1
+    assert err.splitlines() == [
+        "failed (stalled) after 1 accepted steps",
+        "error (stalled): step dx=5.555859961218947e-151 does not advance "
+        "x=0.75"]
+
+
 def test_poly_manifest_records_the_whole_run(tmp_path):
     out_path = tmp_path / "run.csv"
     assert main(["poly", "--order", "3", "--tol", "1e-6",

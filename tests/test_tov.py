@@ -660,6 +660,18 @@ def test_sweep_reports_steps_and_agreement(reference_star):
         assert cell.rel_dR < 1e-3
 
 
+def test_sweep_mass_converges_on_the_tov_oracle():
+    # against the oracle star, each order's global error in M falls as
+    # E tightens; R is not held, since it follows the last surface step
+    reference = (ORACLE_M_MSUN * CONSTANTS.M_sun, ORACLE_R_KM * 1e5)
+    tolerances = [1e-2, 1e-5, 1e-8]
+    cells = parameter_sweep(range(3, 11), tolerances, P_CENTRAL, reference)
+    assert all(cell.ok for cell in cells)
+    for start in range(0, len(cells), len(tolerances)):
+        errors = [cell.rel_dM for cell in cells[start:start + len(tolerances)]]
+        assert errors[0] > errors[1] > errors[2] <= 5e-9
+
+
 def test_sweep_continues_past_failed_cells():
     # a central pressure beyond float range for the EOS overflows the
     # density on the first evaluation and is reported, not raised
