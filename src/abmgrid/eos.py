@@ -23,7 +23,10 @@ its series, so neither P nor rho cancels at any x.
 Pressure inversion is done in x (P spans tens of decades while x spans
 a few) by Newton's method started below the root from the low- and
 high-density limits; x comes out within ~1e-14 relative for every
-finite P.
+finite P.  The loop's last bracket value is F at the x it returns, so
+``gas_at_pressure`` reads rho off it, bit for bit what
+``energy_density_from_x`` gives at that x, and the star's derivative
+evaluates the bracket once per Newton step and no more.
 """
 from __future__ import annotations
 
@@ -32,7 +35,8 @@ import sys
 from collections import namedtuple
 
 __all__ = ["CONSTANTS", "PRESSURE_SCALE", "pressure_from_x",
-           "energy_density_from_x", "invert_pressure_to_x"]
+           "energy_density_from_x", "invert_pressure_to_x",
+           "gas_at_pressure"]
 
 
 # CGS constants of the gas, fixed for the package; every manifest
@@ -113,26 +117,44 @@ def invert_pressure_to_x(P: float) -> float:
     the iteration stops at the first step that does not decrease x,
     which is where rounding takes over.  P spans tens of decades, x
     only a few, and x F'/F stays between 4 and 5, so x is as accurate
-    as the bracket itself.
+    as the bracket itself.  The loop's last bracket value is F at the
+    x it returns; ``gas_at_pressure``, which runs the loop, reads the
+    star's rho off it.
+    """
+    return gas_at_pressure(P)[0]
+
+
+def gas_at_pressure(P: float):
+    """(x, rho) of the gas at pressure P.
+
+    x is ``invert_pressure_to_x(P)``, and rho is
+    ``energy_density_from_x(x)`` bit for bit: where the Newton loop
+    stops, it has just evaluated F at the x it returns, so rho is built
+    from that value instead of a second evaluation of F.
     """
     if not (P >= 0.0 and math.isfinite(P)):
         raise ValueError("pressure must be finite and non-negative")
     if P == 0.0:
-        return 0.0
+        return 0.0, energy_density_from_x(0.0)
     target = P / PRESSURE_SCALE
     if target < sys.float_info.min:
         # P / K underflows for x below ~1e-61, where F = 8x^5/5 to far
-        # below an ulp, so x(P) = x(2^500 P) / 2^100 exactly
-        return invert_pressure_to_x(P * 2.0 ** 500) * 2.0 ** -100
+        # below an ulp, so x(P) = x(2^500 P) / 2^100 exactly; F was
+        # never evaluated at this x
+        x = gas_at_pressure(P * 2.0 ** 500)[0] * 2.0 ** -100
+        return x, energy_density_from_x(x)
     x = max((0.625 * target) ** 0.2, (0.5 * target) ** 0.25)
     upper = math.inf
     sqrt = math.sqrt
     while True:
         square = x * x
+        root = sqrt(square + 1.0)
+        bracket = _pressure_bracket(x)
         # excess / F'(x); excess * sqrt(1 + x^2) would overflow at the
         # largest pressures
-        x -= (_pressure_bracket(x) - target) / (
-            8.0 * square * square / sqrt(square + 1.0))
-        if not x < upper:
-            return upper
-        upper = x
+        lower = x - (bracket - target) / (8.0 * square * square / root)
+        if not lower < upper:
+            # F was last evaluated at this x: rho as
+            # energy_density_from_x builds it
+            return x, PRESSURE_SCALE * (8.0 * x * square * root - bracket)
+        upper = x = lower

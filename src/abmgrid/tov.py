@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .eos import CONSTANTS, energy_density_from_x, invert_pressure_to_x
+from .eos import CONSTANTS, gas_at_pressure
 from .integrator import IntegrationError, IntegratorConfig, Mode, Trajectory
 # bound as ``integrate``, the name that perfbench/tracing.py replaces to
 # trace this module's integrations
@@ -70,8 +70,7 @@ def tov_derivatives(r: float, m: float, P: float):
     if metric <= 0.0:
         raise HorizonError(
             f"2Gm/(c^2 r) >= 1 at r={float(r)!r} cm, m={float(m)!r} g")
-    x = invert_pressure_to_x(P)
-    rho = energy_density_from_x(x)
+    rho = gas_at_pressure(P)[1]
     dm_dr = _FOUR_PI_C2 * r * r * rho
     dP_dr = (-(_G / (_C2 * r * r)) * (rho + P)
              * (m + _FOUR_PI_C2 * r ** 3 * P) / metric)

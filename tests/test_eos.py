@@ -14,11 +14,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abmgrid import (
     CONSTANTS,
     PRESSURE_SCALE,
     energy_density_from_x,
+    gas_at_pressure,
     invert_pressure_to_x,
     pressure_from_x,
 )
@@ -262,12 +264,31 @@ def test_inversion_roundtrip_across_twenty_decades():
 def test_inversion_handles_edge_inputs():
     assert invert_pressure_to_x(0.0) == 0.0
     assert number_density(invert_pressure_to_x(0.0)) == 0.0
-    with pytest.raises(ValueError):
-        invert_pressure_to_x(-1.0)
-    with pytest.raises(ValueError):
-        invert_pressure_to_x(math.nan)
-    with pytest.raises(ValueError):
-        invert_pressure_to_x(math.inf)
+    for invert in (invert_pressure_to_x, gas_at_pressure):
+        for P in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                invert(P)
+
+
+def composed_gas(P):
+    """(x, rho) as two calls compute it, bits as hex strings."""
+    x = invert_pressure_to_x(P)
+    return x.hex(), energy_density_from_x(x).hex()
+
+
+def test_gas_at_pressure_is_the_composition_bit_for_bit(gas_pressures):
+    # rho read off the inversion's last bracket value, and the fallback
+    # below the underflow edge and at P = 0, against the two calls
+    for P in gas_pressures:
+        x, rho = gas_at_pressure(P)
+        assert (x.hex(), rho.hex()) == composed_gas(P), P
+
+
+@settings(derandomize=True, max_examples=300, database=None)
+@given(st.floats(0.0, 1.7976931348623157e308))
+def test_gas_at_pressure_composition_property(P):
+    x, rho = gas_at_pressure(P)
+    assert (x.hex(), rho.hex()) == composed_gas(P)
 
 
 def test_parameter_validation():

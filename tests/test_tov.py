@@ -123,6 +123,23 @@ def test_relativistic_correction_factor():
     assert dP / newtonian == pytest.approx(RATIO_GR_ORACLE, rel=1e-9)
 
 
+def test_derivatives_keep_the_two_call_gas_bit_for_bit(gas_pressures,
+                                                       monkeypatch):
+    # tov_derivatives reads rho off gas_at_pressure; with x and rho
+    # composed from the two EOS calls instead, not a bit may differ
+    points = [(1e5, 1e30, P) for P in gas_pressures]
+    derivatives = [tov_derivatives(*point) for point in points]
+
+    def composed_gas(P):
+        x = invert_pressure_to_x(P)
+        return x, energy_density_from_x(x)
+
+    monkeypatch.setattr(tov, "gas_at_pressure", composed_gas)
+    for point, pair in zip(points, derivatives):
+        composed = tov_derivatives(*point)
+        assert [v.hex() for v in pair] == [v.hex() for v in composed], point
+
+
 def test_gravity_pulls_inward():
     dm, dP = tov_derivatives(2e5, 5e32, 1e33)
     assert dm > 0.0
