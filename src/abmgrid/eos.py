@@ -124,7 +124,7 @@ def invert_pressure_to_x(P: float) -> float:
     return gas_at_pressure(P)[0]
 
 
-def gas_at_pressure(P: float):
+def gas_at_pressure(P: float) -> tuple[float, float]:
     """(x, rho) of the gas at pressure P.
 
     x is ``invert_pressure_to_x(P)``, and rho is
