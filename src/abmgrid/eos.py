@@ -91,15 +91,22 @@ def _pressure_bracket(x: float) -> float:
             + 3.0 * math.asinh(x))
 
 
+def _check_x(x: float) -> None:
+    """Refuse a relativity parameter outside [0, inf), NaN included."""
+    if not 0.0 <= x < math.inf:
+        raise ValueError(
+            "relativity parameter must be non-negative and finite")
+
+
 def pressure_from_x(x: float) -> float:
     """Pressure at relativity parameter x."""
+    _check_x(x)
     return PRESSURE_SCALE * _pressure_bracket(x)
 
 
 def energy_density_from_x(x: float) -> float:
     """Mass-energy density (rest plus kinetic) at relativity parameter x."""
-    if not x >= 0.0:
-        raise ValueError("relativity parameter must be non-negative")
+    _check_x(x)
     square = x * x
     return PRESSURE_SCALE * (
         8.0 * x * square * math.sqrt(square + 1.0) - _pressure_bracket(x))

@@ -33,13 +33,12 @@ do the same float operations in the same order, so no bit depends on
 which ran.
 :func:`integrate_floats` runs the whole loop on Python floats: its
 callbacks receive the state as a list and what they return is read as a
-list of ``float``, so no numpy enters a run.  :func:`integrate` is the
-same loop for callbacks written on numpy arrays.  The step-size
-controller exploits the free grid by scaling dx against the fractional
-correction |y_AM - y_AB| relative to a target correction E.  Growth is
-capped at GROWTH_CAP per step; shrinking is uncapped down to an optional
-floor.  Steps are never rejected: the correction always ships and only
-the *next* step size responds.
+list of ``float``, so a run needs nothing beyond the standard library.
+The step-size controller exploits the free grid by scaling dx against
+the fractional correction |y_AM - y_AB| relative to a target correction
+E.  Growth is capped at GROWTH_CAP per step; shrinking is uncapped down
+to an optional floor.  Steps are never rejected: the correction always
+ships and only the *next* step size responds.
 
 Bootstrapping: the table starts as f(x0, y0) alone and grows by one
 entry per step, so the first step runs at order 1, the second at order
@@ -51,13 +50,11 @@ from __future__ import annotations
 import decimal
 import enum
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable, Optional, Sequence
 
 __all__ = [
     "GROWTH_CAP",
@@ -75,7 +72,6 @@ __all__ = [
     "fractional_correction",
     "next_step_size",
     "integrate_floats",
-    "integrate",
 ]
 
 
@@ -112,8 +108,14 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.order_ab < 1:
-            raise ValueError("order_ab must be >= 1")
+        # operator.index takes ints, numpy's included, and nothing else
+        for name in ("order_ab", "max_steps"):
+            try:
+                count = operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.target_correction < math.inf:
             raise ValueError("target_correction must be positive and finite")
         if not 0.0 < self.dx_initial < math.inf:
@@ -122,8 +124,6 @@ class IntegratorConfig:
             raise ValueError("dx_min must be non-negative and finite")
         if self.dx_initial < self.dx_min:
             raise ValueError("dx_initial must be >= dx_min")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -163,10 +163,11 @@ class Trajectory:
 
     ``x``, ``dx`` and ``epsilon_max`` return a new ``array("d")`` with
     one entry per step, and ``y`` a list of n such columns, ``y[j]``
-    being component j (``np.asarray(trajectory.y).T`` is the
-    (steps, n) array).  ``final_x`` and ``final_state`` read the last
+    being component j (``zip(*trajectory.y)`` yields the rows, one
+    tuple per step).  ``final_x`` and ``final_state`` read the last
     point, the start point at 0 steps; iteration yields a
-    :class:`StepRecord` per step.  No read imports numpy.
+    :class:`StepRecord` per step.  No read needs more than the standard
+    library.
     """
 
     def __init__(self, x0: float, y0: Sequence[float]):
@@ -553,6 +554,8 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
     1e-14 max(|x0|, |x_end|) of it counts as there); ``halt`` stops
     after the first accepted step whose corrected state satisfies the
     predicate.  When both are given, whichever fires first ends the run.
+    A non-finite ``y0``, ``x0`` or ``x_end`` raises ``ValueError``
+    before ``system`` is called.
 
     Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState` (when
     f(x0, y0), or a step's prediction, corrected state or derivative,
@@ -571,8 +574,10 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
     if not all(map(math.isfinite, state)):
         raise ValueError("y0 must be finite")
     x = float(x0)
-    if x_end is not None and not x_end > x:
-        raise ValueError("x_end must exceed x0")
+    if not math.isfinite(x):
+        raise ValueError("x0 must be finite")
+    if x_end is not None and not x < x_end < math.inf:
+        raise ValueError("x_end must be finite and exceed x0")
 
     trajectory = Trajectory(x, state)
     size = len(state)
@@ -655,31 +660,3 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
         if halt is not None and halt(x, state[:]):
             trajectory.halted = True
             return trajectory
-
-
-def integrate(system: Callable[[float, np.ndarray], Sequence[float]],
-              y0, x0: float, config: IntegratorConfig, *,
-              x_end: Optional[float] = None,
-              halt: Optional[Callable[[float, np.ndarray], bool]] = None
-              ) -> Trajectory:
-    """Integrate y' = system(x, y) from (x0, y0), with array callbacks.
-
-    ``y0`` is a scalar or a 1-D array_like of real numbers.  ``system``
-    and ``halt`` receive the state y as a float64 array, a new array
-    each call; ``system`` returns a sequence of len(y0) real numbers.
-    Otherwise this is :func:`integrate_floats`, whose loop it runs:
-    the same stop conditions, errors and trajectory, bit for bit.
-    """
-    import numpy as np
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
-    if y.ndim != 1:
-        raise ValueError("y0 must be a scalar or 1-D vector")
-
-    def on_array(x, state):
-        return system(x, np.array(state))
-
-    def halt_on_array(x, state):
-        return halt(x, np.array(state))
-
-    return integrate_floats(on_array, y.tolist(), x0, config, x_end=x_end,
-                            halt=None if halt is None else halt_on_array)

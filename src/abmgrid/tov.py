@@ -314,12 +314,16 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     Otherwise the probes run at ``config``, and the best probe's star
     is the result's.
 
-    Raises ValueError, naming the end, when no probe lies between the
-    best probe and ``P_lo`` or ``P_hi``: the final bracket then still
-    reaches that end, so the peak may lie outside [P_lo, P_hi].
+    Raises ValueError before any star unless 0 < P_lo < P_hi < inf and
+    0 < bracket_tolerance < inf.  Raises ValueError, naming the end,
+    when no probe lies between the best probe and ``P_lo`` or ``P_hi``:
+    the final bracket then still reaches that end, so the peak may lie
+    outside [P_lo, P_hi].
     """
-    if not 0.0 < P_lo < P_hi:
-        raise ValueError("need 0 < P_lo < P_hi")
+    if not 0.0 < P_lo < P_hi < math.inf:
+        raise ValueError("need 0 < P_lo < P_hi < inf")
+    if not 0.0 < bracket_tolerance < math.inf:
+        raise ValueError("need 0 < bracket_tolerance < inf")
     if jobs != 1:
         raise ValueError("the sieve runs serially; jobs must be 1")
     probe_tolerance = min(1e-5, 10.0 * bracket_tolerance * bracket_tolerance)
@@ -390,14 +394,16 @@ def parameter_sweep(orders, tolerances, P_central: float, reference,
                     jobs: int = 1) -> list[SweepCell]:
     """Steps-and-accuracy table over an order x tolerance grid.
 
-    ``reference`` is (M_ref grams, R_ref cm), normally from a
-    high-order, tight-tolerance run.  Cells that fail to integrate are
-    reported with a failure status; the sweep continues.  The cells run
-    one after another, orders outermost: ``jobs`` accepts only 1.
+    ``reference`` is (M_ref grams, R_ref cm), each positive and
+    finite, normally from a high-order, tight-tolerance run.  Cells
+    that fail to integrate are reported with a failure status; the
+    sweep continues.  The cells run one after another, orders
+    outermost: ``jobs`` accepts only 1.
     """
     M_ref, R_ref = reference
-    if not (M_ref > 0.0 and R_ref > 0.0):
-        raise ValueError("reference mass and radius must be positive")
+    if not (0.0 < M_ref < math.inf and 0.0 < R_ref < math.inf):
+        raise ValueError("reference mass and radius must be positive "
+                         "and finite")
     if jobs != 1:
         raise ValueError("the sweep runs serially; jobs must be 1")
     cells = [_sweep_cell(order, tolerance, P_central, M_ref, R_ref)

@@ -14,7 +14,7 @@ import pytest
 import abmgrid
 import abmgrid.cli as cli
 from abmgrid import CONSTANTS, IntegrationError, IntegratorConfig, Mode, \
-    __version__, integrate, integrate_star
+    __version__, integrate_floats, integrate_star
 from abmgrid.cli import main
 
 P_CENTRAL = "3.631382e35"
@@ -241,11 +241,10 @@ def test_poly_json_passes_schema(capsys):
 def test_poly_failure_emits_partial_rows_and_exits_one(
         tmp_path, capsys, monkeypatch):
     # a synthetic step-budget failure carrying a real partial trajectory
-    import numpy as np
     config = IntegratorConfig(order_ab=2, dx_initial=0.25,
                               mode=Mode.ABM_FIXED)
-    partial = integrate(lambda x, y: np.array([1.0]), [1.0], 0.5, config,
-                        x_end=1.5)
+    partial = integrate_floats(lambda x, y: [1.0], [1.0], 0.5, config,
+                               x_end=1.5)
 
     def blow_up(case):
         raise IntegrationError("synthetic failure", partial)

@@ -292,10 +292,11 @@ def test_gas_at_pressure_composition_property(P):
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        energy_density_from_x(-1.0)
-    with pytest.raises(ValueError):
-        energy_density_from_x(math.nan)
+    # both gas functions refuse x outside [0, inf) with one message
+    for gas in (pressure_from_x, energy_density_from_x):
+        for x in (-1.0, -5e-324, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                gas(x)
 
 
 def test_eos_point_is_self_consistent():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import abmgrid
 from abmgrid import (
@@ -27,7 +28,6 @@ from abmgrid import (
     PolyCase,
     adams_update,
     fractional_correction,
-    integrate,
     integrate_floats,
     next_step_size,
     poly_rhs,
@@ -283,14 +283,24 @@ def test_config_validation():
             IntegratorConfig(order_ab=4, dx_initial=bad)
         with pytest.raises(ValueError):
             IntegratorConfig(order_ab=4, dx_min=bad)
+    # the two counts are integers: numpy's are taken, anything else is
+    # refused here rather than failing inside a run
+    for name in ("order_ab", "max_steps"):
+        for bad in (2.5, 4.0, np.float64(3.0), "4", None):
+            with pytest.raises(ValueError, match=name):
+                IntegratorConfig(**{"order_ab": 4, name: bad})
+        config = IntegratorConfig(**{"order_ab": 4, "dx_initial": 0.5,
+                                     name: np.int64(3)})
+        assert integrate_floats(lambda x, y: [1.0], [0.0], 0.0, config,
+                                x_end=1.0).final_x == 1.0
 
 
 # --- whole integrations ----------------------------------------------
 
 def test_constant_derivative_is_exact_and_rides_the_cap():
     config = IntegratorConfig(order_ab=3, dx_initial=0.01)
-    trajectory = integrate(lambda x, y: np.array([2.0, -1.0]),
-                           [0.0, 10.0], 0.0, config, x_end=3.0)
+    trajectory = integrate_floats(lambda x, y: np.array([2.0, -1.0]),
+                                  [0.0, 10.0], 0.0, config, x_end=3.0)
     np.testing.assert_allclose(trajectory.final_state, [6.0, 7.0],
                                rtol=1e-12)
     assert trajectory.final_x == 3.0
@@ -304,8 +314,8 @@ def test_linear_derivative_exact_after_trapezoid_correction():
     # two-node correction integrates a linear derivative exactly
     config = IntegratorConfig(order_ab=2, dx_initial=0.25,
                               mode=Mode.ABM_FIXED)
-    trajectory = integrate(lambda x, y: np.array([x]), [0.0], 0.0,
-                           config, x_end=2.0)
+    trajectory = integrate_floats(lambda x, y: np.array([x]), [0.0], 0.0,
+                                  config, x_end=2.0)
     for record in trajectory:
         assert record.y_am[0] == pytest.approx(record.x_next ** 2 / 2,
                                                rel=1e-13, abs=1e-15)
@@ -314,8 +324,8 @@ def test_linear_derivative_exact_after_trapezoid_correction():
 def test_bootstrap_ramps_effective_order():
     config = IntegratorConfig(order_ab=4, dx_initial=0.1,
                               mode=Mode.ABM_FIXED)
-    trajectory = integrate(lambda x, y: np.array([np.cos(x)]), [0.0],
-                           0.0, config, x_end=1.0)
+    trajectory = integrate_floats(lambda x, y: np.array([np.cos(x)]), [0.0],
+                                  0.0, config, x_end=1.0)
     orders = [r.effective_order for r in trajectory]
     assert orders[:4] == [1, 2, 3, 4]
     assert all(order == 4 for order in orders[3:])
@@ -323,16 +333,16 @@ def test_bootstrap_ramps_effective_order():
 
 def test_pece_costs_two_evaluations_per_step_plus_seed():
     config = IntegratorConfig(order_ab=4, dx_initial=0.1)
-    trajectory = integrate(lambda x, y: np.array([np.cos(x)]), [0.0],
-                           0.0, config, x_end=1.0)
+    trajectory = integrate_floats(lambda x, y: np.array([np.cos(x)]), [0.0],
+                                  0.0, config, x_end=1.0)
     assert trajectory.n_evals == 2 * len(trajectory) + 1
 
 
 def test_ab_fixed_costs_one_evaluation_per_step():
     config = IntegratorConfig(order_ab=4, dx_initial=0.1,
                               mode=Mode.AB_FIXED)
-    trajectory = integrate(lambda x, y: np.array([np.cos(x)]), [0.0],
-                           0.0, config, x_end=1.0)
+    trajectory = integrate_floats(lambda x, y: np.array([np.cos(x)]), [0.0],
+                                  0.0, config, x_end=1.0)
     assert trajectory.n_evals == len(trajectory) + 1
     assert all(r.epsilon_max == 0.0 for r in trajectory)
     np.testing.assert_array_equal(trajectory.dx, 0.1)
@@ -341,8 +351,8 @@ def test_ab_fixed_costs_one_evaluation_per_step():
 def test_abm_fixed_keeps_dx_constant_but_reports_epsilon():
     config = IntegratorConfig(order_ab=3, dx_initial=0.1,
                               mode=Mode.ABM_FIXED)
-    trajectory = integrate(lambda x, y: np.array([np.exp(-x)]), [0.0],
-                           0.0, config, x_end=0.95)
+    trajectory = integrate_floats(lambda x, y: np.array([np.exp(-x)]), [0.0],
+                                  0.0, config, x_end=0.95)
     assert np.max(trajectory.epsilon_max) > 0.0
     np.testing.assert_allclose(trajectory.dx[:-1], 0.1, rtol=1e-15)
     assert trajectory.dx[-1] == pytest.approx(0.05, rel=1e-12)
@@ -350,16 +360,17 @@ def test_abm_fixed_keeps_dx_constant_but_reports_epsilon():
 
 def test_endpoint_clamp_lands_exactly():
     config = IntegratorConfig(order_ab=4, dx_initial=0.013)
-    trajectory = integrate(lambda x, y: np.array([np.sin(x)]), [1.0],
-                           0.0, config, x_end=2.0)
+    trajectory = integrate_floats(lambda x, y: np.array([np.sin(x)]), [1.0],
+                                  0.0, config, x_end=2.0)
     assert trajectory.final_x == 2.0  # bitwise, not approximately
 
 
 def test_growth_never_exceeds_the_cap():
     config = IntegratorConfig(order_ab=4, dx_initial=1e-3,
                               target_correction=1e-6)
-    trajectory = integrate(lambda x, y: np.array([np.cos(3 * x) * y[0]]),
-                           [1.0], 0.0, config, x_end=4.0)
+    trajectory = integrate_floats(
+        lambda x, y: np.array([np.cos(3 * x) * y[0]]), [1.0], 0.0, config,
+        x_end=4.0)
     dx = np.asarray(trajectory.dx)
     ratios = dx[1:] / dx[:-1]
     assert np.all(ratios <= GROWTH_CAP + 1e-12)
@@ -368,8 +379,8 @@ def test_growth_never_exceeds_the_cap():
 def test_halt_predicate_stops_and_flags():
     config = IntegratorConfig(order_ab=2, dx_initial=0.1,
                               mode=Mode.ABM_FIXED)
-    trajectory = integrate(lambda x, y: np.array([-1.0]), [1.0], 0.0,
-                           config, halt=lambda x, y: y[0] <= 0.0)
+    trajectory = integrate_floats(lambda x, y: np.array([-1.0]), [1.0], 0.0,
+                                  config, halt=lambda x, y: y[0] <= 0.0)
     assert trajectory.halted
     assert trajectory.final_state[0] <= 0.0
     # the state crossed zero on the final accepted step only
@@ -379,9 +390,9 @@ def test_halt_predicate_stops_and_flags():
 def test_halt_beats_x_end_when_it_fires_first():
     config = IntegratorConfig(order_ab=2, dx_initial=0.1,
                               mode=Mode.ABM_FIXED)
-    trajectory = integrate(lambda x, y: np.array([-1.0]), [0.35], 0.0,
-                           config, x_end=100.0,
-                           halt=lambda x, y: y[0] <= 0.0)
+    trajectory = integrate_floats(lambda x, y: np.array([-1.0]), [0.35], 0.0,
+                                  config, x_end=100.0,
+                                  halt=lambda x, y: y[0] <= 0.0)
     assert trajectory.halted
     assert trajectory.final_x < 1.0
 
@@ -390,8 +401,8 @@ def test_max_steps_carries_partial_trajectory():
     config = IntegratorConfig(order_ab=2, dx_initial=1e-4,
                               mode=Mode.ABM_FIXED, max_steps=7)
     with pytest.raises(MaxStepsExceeded) as excinfo:
-        integrate(lambda x, y: np.array([1.0]), [0.0], 0.0, config,
-                  x_end=10.0)
+        integrate_floats(lambda x, y: np.array([1.0]), [0.0], 0.0, config,
+                         x_end=10.0)
     assert len(excinfo.value.trajectory) == 7
     assert excinfo.value.tag == "max-steps"
 
@@ -421,7 +432,7 @@ def test_non_finite_state_raises_with_context():
     config = IntegratorConfig(order_ab=2, dx_initial=0.2,
                               mode=Mode.ABM_FIXED)
     with pytest.raises(NonFiniteState) as excinfo:
-        integrate(blow_up, [0.0], 0.0, config, x_end=2.0)
+        integrate_floats(blow_up, [0.0], 0.0, config, x_end=2.0)
     assert len(excinfo.value.trajectory) >= 1
     assert excinfo.value.tag == "non-finite"
 
@@ -437,7 +448,7 @@ def test_non_finite_first_derivative_raises_at_x0(mode):
                               x_end=1.0)
     assert expected == ([], 1, True)
     with pytest.raises(NonFiniteState, match=r"at x=0\.0$") as excinfo:
-        integrate(infinite_at_start, [0.0], 0.0, config, x_end=1.0)
+        integrate_floats(infinite_at_start, [0.0], 0.0, config, x_end=1.0)
     assert len(excinfo.value.trajectory) == 0
     assert excinfo.value.trajectory.n_evals == 1
     assert excinfo.value.tag == "non-finite"
@@ -452,7 +463,7 @@ def test_callback_exception_is_wrapped_with_cause():
     config = IntegratorConfig(order_ab=2, dx_initial=0.2,
                               mode=Mode.ABM_FIXED)
     with pytest.raises(CallbackFailure) as excinfo:
-        integrate(fragile, [0.0], 0.0, config, x_end=2.0)
+        integrate_floats(fragile, [0.0], 0.0, config, x_end=2.0)
     assert isinstance(excinfo.value.__cause__, ZeroDivisionError)
     assert len(excinfo.value.trajectory) >= 1
     assert excinfo.value.tag == "callback"
@@ -475,7 +486,7 @@ def test_callback_integration_error_propagates_with_trajectory():
     config = IntegratorConfig(order_ab=2, dx_initial=0.2,
                               mode=Mode.ABM_FIXED)
     with pytest.raises(Trapped) as excinfo:
-        integrate(trapping, [0.0], 0.0, config, x_end=2.0)
+        integrate_floats(trapping, [0.0], 0.0, config, x_end=2.0)
     assert excinfo.value is raised[0]
     assert excinfo.value.tag == "trapped"
     assert len(excinfo.value.trajectory) == 1
@@ -493,7 +504,7 @@ def test_step_that_does_not_advance_x_is_an_integration_error():
 
     config = IntegratorConfig(order_ab=3, dx_initial=0.05)
     with pytest.raises(IntegrationError) as excinfo:
-        integrate(pole, [0.0, 0.0], 0.0, config, x_end=2.0)
+        integrate_floats(pole, [0.0, 0.0], 0.0, config, x_end=2.0)
     failure = excinfo.value
     assert type(failure) is StalledStep and failure.tag == "stalled"
     assert "does not advance" in str(failure)
@@ -507,8 +518,8 @@ def test_step_that_does_not_advance_x_is_an_integration_error():
 def test_derivative_shape_mismatch_is_a_callback_failure():
     config = IntegratorConfig(order_ab=2, dx_initial=0.2)
     with pytest.raises(CallbackFailure):
-        integrate(lambda x, y: np.array([1.0, 2.0]), [0.0], 0.0, config,
-                  x_end=1.0)
+        integrate_floats(lambda x, y: np.array([1.0, 2.0]), [0.0], 0.0, config,
+                         x_end=1.0)
 
 
 @pytest.mark.parametrize("returned", [
@@ -520,7 +531,7 @@ def test_malformed_derivative_is_a_callback_failure(returned):
     # first evaluation at x0 fails before it is counted
     config = IntegratorConfig(order_ab=2, dx_initial=0.2)
     with pytest.raises(CallbackFailure) as excinfo:
-        integrate(lambda x, y: returned, [0.0], 0.0, config, x_end=1.0)
+        integrate_floats(lambda x, y: returned, [0.0], 0.0, config, x_end=1.0)
     assert excinfo.value.tag == "callback"
     assert len(excinfo.value.trajectory) == 0
     assert excinfo.value.trajectory.n_evals == 0
@@ -536,7 +547,7 @@ def test_short_interval_lands_on_x_end(x0, x_end):
         return np.array([1.0])
 
     config = IntegratorConfig(order_ab=4, dx_initial=1e-16)
-    trajectory = integrate(unit_slope, [0.0], x0, config, x_end=x_end)
+    trajectory = integrate_floats(unit_slope, [0.0], x0, config, x_end=x_end)
     assert trajectory.final_x == x_end
     assert trajectory.final_state[0] == pytest.approx(x_end - x0,
                                                       rel=1e-15, abs=0.0)
@@ -547,31 +558,50 @@ def test_short_interval_lands_on_x_end(x0, x_end):
 def test_stop_condition_is_required():
     config = IntegratorConfig(order_ab=2)
     with pytest.raises(ValueError):
-        integrate(lambda x, y: np.array([1.0]), [0.0], 0.0, config)
+        integrate_floats(lambda x, y: np.array([1.0]), [0.0], 0.0, config)
 
 
 def test_x_end_must_exceed_x0():
     config = IntegratorConfig(order_ab=2)
     with pytest.raises(ValueError):
-        integrate(lambda x, y: np.array([1.0]), [0.0], 1.0, config,
-                  x_end=1.0)
+        integrate_floats(lambda x, y: np.array([1.0]), [0.0], 1.0, config,
+                         x_end=1.0)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(derandomize=True, max_examples=100, database=None)
+@given(st.one_of(
+    st.tuples(NON_FINITE, st.none() | st.floats()),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), NON_FINITE)))
+def test_non_finite_ends_are_refused_before_any_evaluation(ends):
+    # a NaN start cannot advance and an infinite end cannot be reached:
+    # both are refused before the derivative is ever called
+    x0, x_end = ends
+    calls = []
+
+    def system(x, y):
+        calls.append(x)
+        return [1.0]
+
+    config = IntegratorConfig(order_ab=2, max_steps=3)
+    with pytest.raises(ValueError):
+        integrate_floats(system, [0.0], x0, config, x_end=x_end,
+                         halt=lambda x, y: False)
+    assert calls == []
 
 
 def test_bad_initial_state_rejected():
+    # y0 is a sequence of real numbers: a scalar or a nested sequence is
+    # not one, and a non-finite entry is refused
     config = IntegratorConfig(order_ab=2)
+    with pytest.raises(TypeError):
+        integrate_floats(lambda x, y: y, 3.0, 0.0, config, x_end=1.0)
+    with pytest.raises(TypeError):
+        integrate_floats(lambda x, y: y, [[1.0, 2.0]], 0.0, config, x_end=1.0)
     with pytest.raises(ValueError):
-        integrate(lambda x, y: y, [[1.0, 2.0]], 0.0, config, x_end=1.0)
-    with pytest.raises(ValueError):
-        integrate(lambda x, y: y, [np.nan], 0.0, config, x_end=1.0)
-
-
-def test_scalar_initial_state_promoted_to_vector():
-    config = IntegratorConfig(order_ab=2, dx_initial=0.5,
-                              mode=Mode.ABM_FIXED)
-    trajectory = integrate(lambda x, y: np.array([1.0]), 3.0, 0.0,
-                           config, x_end=1.0)
-    assert np.shape(trajectory.final_state) == (1,)
-    assert trajectory.final_state[0] == pytest.approx(4.0, rel=1e-13)
+        integrate_floats(lambda x, y: y, [np.nan], 0.0, config, x_end=1.0)
 
 
 def test_empty_trajectory_reports_initial_point():
@@ -596,7 +626,8 @@ def test_trajectory_reads_are_fresh_float_arrays(components, steps):
     if steps:
         config = IntegratorConfig(order_ab=3, dx_initial=1.0 / steps,
                                   mode=Mode.ABM_FIXED)
-        trajectory = integrate(lambda x, y: -y, y0, 0.0, config, x_end=1.0)
+        trajectory = integrate_floats(lambda x, y: [-v for v in y], y0,
+                                      0.0, config, x_end=1.0)
     else:
         trajectory = Trajectory(0.0, np.array(y0))
     assert len(trajectory) == steps
@@ -689,7 +720,7 @@ def newton_column(column, nodes):
 
 
 def reference_pece(system, y0, x0, config, x_end=None, halt=None):
-    """integrate() written out plainly, on lists of Python floats.
+    """integrate_floats() written out plainly, on lists of Python floats.
 
     Each step builds the Newton form afresh from the stored
     derivatives, carrying nothing from the step before: newest-first
@@ -795,8 +826,8 @@ def test_quartic_run_matches_the_plain_loop_bit_for_bit(mode, order):
         expected = reference_pece(quartic, [case.y0], case.x0,
                                   case.config(), x_end=case.x_end)
         assert not expected[2]
-        trajectory = integrate(quartic, [case.y0], case.x0, case.config(),
-                               x_end=case.x_end)
+        trajectory = integrate_floats(quartic, [case.y0], case.x0,
+                                      case.config(), x_end=case.x_end)
         assert_same_run(trajectory, expected)
 
 
@@ -815,7 +846,7 @@ def test_callback_reusing_one_buffer_gives_the_same_run():
     config = IntegratorConfig(order_ab=4, dx_initial=0.01,
                               target_correction=1e-6)
     expected = reference_pece(fresh, [1.0, 0.5], 0.0, config, x_end=6.0)
-    trajectory = integrate(in_place, [1.0, 0.5], 0.0, config, x_end=6.0)
+    trajectory = integrate_floats(in_place, [1.0, 0.5], 0.0, config, x_end=6.0)
     assert len(trajectory) > 64
     assert_same_run(trajectory, expected)
 
@@ -823,8 +854,8 @@ def test_callback_reusing_one_buffer_gives_the_same_run():
 def test_writing_into_column_reads_leaves_the_trajectory_unchanged():
     config = IntegratorConfig(order_ab=3, dx_initial=0.1,
                               mode=Mode.ABM_FIXED)
-    trajectory = integrate(lambda x, y: np.array([np.cos(x), x]),
-                           [0.0, 1.0], 0.0, config, x_end=1.0)
+    trajectory = integrate_floats(lambda x, y: np.array([np.cos(x), x]),
+                                  [0.0, 1.0], 0.0, config, x_end=1.0)
 
     def reads():
         return [trajectory.x, trajectory.dx, *trajectory.y,
@@ -839,8 +870,8 @@ def test_writing_into_column_reads_leaves_the_trajectory_unchanged():
 
 
 def test_star_run_matches_the_plain_loop_bit_for_bit():
-    def star(r, state):
-        return np.array(tov_derivatives(r, *state.tolist()))
+    def star(r, state):  # a list here, an array in reference_pece
+        return np.array(tov_derivatives(r, *map(float, state)))
 
     def surface(r, state):
         return state[1] <= 0.0
@@ -848,16 +879,16 @@ def test_star_run_matches_the_plain_loop_bit_for_bit():
     config = star_config(6, 1e-8)
     expected = reference_pece(star, [0.0, 3.631382e35], 0.0, config,
                               halt=surface)
-    trajectory = integrate(star, [0.0, 3.631382e35], 0.0, config,
-                           halt=surface)
+    trajectory = integrate_floats(star, [0.0, 3.631382e35], 0.0, config,
+                                  halt=surface)
     assert trajectory.halted and not expected[2]
     assert_same_run(trajectory, expected)
     assert any(record.floored for record in trajectory)
 
 
 def test_order_10_star_matches_the_plain_loop_bit_for_bit():
-    def star(r, state):
-        return np.array(tov_derivatives(r, *state.tolist()))
+    def star(r, state):  # a list here, an array in reference_pece
+        return np.array(tov_derivatives(r, *map(float, state)))
 
     def surface(r, state):
         return state[1] <= 0.0
@@ -865,8 +896,8 @@ def test_order_10_star_matches_the_plain_loop_bit_for_bit():
     config = star_config(10, 1e-8)
     expected = reference_pece(star, [0.0, 3.631382e35], 0.0, config,
                               halt=surface)
-    trajectory = integrate(star, [0.0, 3.631382e35], 0.0, config,
-                           halt=surface)
+    trajectory = integrate_floats(star, [0.0, 3.631382e35], 0.0, config,
+                                  halt=surface)
     assert trajectory.halted and not expected[2]
     assert_same_run(trajectory, expected)
     assert max(record.effective_order for record in trajectory) == 10
@@ -887,9 +918,10 @@ def star_rhs(r, state):
 
 
 @pytest.mark.parametrize("problem", ["quartic", "star"])
-def test_array_and_list_callbacks_run_alike(problem):
-    # integrate hands its callbacks a new float64 array each call, and
-    # integrate_floats a new list; both run one loop, bit for bit
+def test_callbacks_receive_a_fresh_float_list_each_call(problem):
+    # integrate_floats hands its callbacks a new list of floats each
+    # call, so a callback that spoils the list it was given runs like
+    # one that leaves it alone, bit for bit
     if problem == "quartic":
         case = PolyCase()
         system, y0, x0, config = quartic, [case.y0], case.x0, case.config()
@@ -898,27 +930,22 @@ def test_array_and_list_callbacks_run_alike(problem):
         system, y0, x0 = star_rhs, [0.0, 3.631382e35], 0.0
         config = star_config(6, 1e-8)
         stops = {"halt": lambda r, state: state[1] <= 0.0}
-    runs = {}
-    for engine, kind in ((integrate, np.ndarray), (integrate_floats, list)):
-        seen = []
-        runs[kind] = engine(
-            spoiling(system, seen), y0, x0, config,
-            **{name: spoiling(stop, seen) if callable(stop) else stop
-               for name, stop in stops.items()})
-        assert len(seen) >= runs[kind].n_evals > 100
-        assert len({id(state) for state in seen}) == len(seen)
-        for state in seen:
-            assert type(state) is kind and len(state) == len(y0)
-            if kind is list:
-                assert all(type(value) is float for value in state)
-            else:
-                assert state.dtype == np.float64 and state.ndim == 1
-    arrays, floats = runs[np.ndarray], runs[list]
-    assert arrays.halted == floats.halted == (problem == "star")
-    assert_same_run(arrays, ([(record.x_next, record.dx, record.y_am,
-                               record.epsilon_max, record.effective_order,
-                               record.capped, record.floored)
-                              for record in floats], floats.n_evals, False))
+    seen = []
+    spoiled = integrate_floats(
+        spoiling(system, seen), y0, x0, config,
+        **{name: spoiling(stop, seen) if callable(stop) else stop
+           for name, stop in stops.items()})
+    assert len(seen) >= spoiled.n_evals > 100
+    assert len({id(state) for state in seen}) == len(seen)
+    for state in seen:
+        assert type(state) is list and len(state) == len(y0)
+        assert all(type(value) is float for value in state)
+    plain = integrate_floats(system, y0, x0, config, **stops)
+    assert spoiled.halted == plain.halted == (problem == "star")
+    assert_same_run(spoiled, ([(record.x_next, record.dx, record.y_am,
+                                record.epsilon_max, record.effective_order,
+                                record.capped, record.floored)
+                               for record in plain], plain.n_evals, False))
 
 
 def binade_crossing(x, y):
@@ -937,14 +964,15 @@ def test_carried_table_rescales_exactly_across_binades(power):
     # alone
     config = IntegratorConfig(order_ab=6, dx_initial=1e-3,
                               target_correction=1e-4)
-    plain = integrate(binade_crossing, [1.0, 1.0], 0.0, config, x_end=0.2)
+    plain = integrate_floats(binade_crossing, [1.0, 1.0], 0.0, config,
+                             x_end=0.2)
     assert_same_run(plain, reference_pece(binade_crossing, [1.0, 1.0], 0.0,
                                           config, x_end=0.2))
     slopes = np.abs(binade_crossing(0.2, plain.final_state))
     assert slopes[0] > 2.0 ** 40 and slopes[1] < 2.0 ** -20
     factor = 2.0 ** power
-    scaled = integrate(binade_crossing, [factor, factor], 0.0, config,
-                       x_end=0.2)
+    scaled = integrate_floats(binade_crossing, [factor, factor], 0.0, config,
+                              x_end=0.2)
     assert len(scaled) == len(plain)
     for a, b in zip(plain, scaled):
         assert (b.x_next, b.dx, b.epsilon_max, b.effective_order,
@@ -959,8 +987,9 @@ def test_effective_order_ramps_to_the_order_and_holds(mode):
     for order in range(1, 11):
         config = IntegratorConfig(order_ab=order, dx_initial=0.05,
                                   target_correction=1e-6, mode=mode)
-        trajectory = integrate(lambda x, y: np.array([np.cos(x) * y[0]]),
-                               [1.0], 0.0, config, x_end=3.0)
+        trajectory = integrate_floats(
+            lambda x, y: np.array([np.cos(x) * y[0]]), [1.0], 0.0, config,
+            x_end=3.0)
         orders = [record.effective_order for record in trajectory]
         assert len(orders) > order
         assert orders == list(range(1, order)) + [order] * (
@@ -979,7 +1008,7 @@ def test_non_finite_state_stops_where_the_plain_loop_does(mode):
     expected = reference_pece(pole, [0.0, 0.0], 0.0, config, x_end=2.0)
     assert expected[2]
     with pytest.raises(NonFiniteState) as excinfo:
-        integrate(pole, [0.0, 0.0], 0.0, config, x_end=2.0)
+        integrate_floats(pole, [0.0, 0.0], 0.0, config, x_end=2.0)
     assert_same_run(excinfo.value.trajectory, expected)
 
 
@@ -995,7 +1024,7 @@ def test_derivatives_beyond_the_float_range_stop_the_run():
     config = IntegratorConfig(order_ab=2, dx_initial=1.0,
                               mode=Mode.ABM_FIXED)
     with pytest.raises(NonFiniteState, match="at x=1.0") as excinfo:
-        integrate(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
+        integrate_floats(swing, [0.0, 1.0], 0.0, config, x_end=4.0)
     trajectory = excinfo.value.trajectory
     assert len(trajectory) == 0
     assert trajectory.n_evals == 3

@@ -653,14 +653,26 @@ def test_sieve_runs_serially():
         trinary_sieve(1e35, 1e36, star_config(4, 1e-6), jobs=2)
 
 
-def test_sieve_rejects_bad_bracket():
+def test_sieve_rejects_bad_bracket(monkeypatch):
+    # each is refused in the sieve's own terms before any star runs
+    stars = []
+    monkeypatch.setattr(tov, "integrate_star",
+                        lambda *args: stars.append(args))
     config = star_config(4, 1e-6)
-    with pytest.raises(ValueError):
-        trinary_sieve(0.0, 1e36, config)
-    with pytest.raises(ValueError):
-        trinary_sieve(1e36, 1e35, config)
-    with pytest.raises(ValueError):
-        trinary_sieve(1e35, 1e36, config, bracket_tolerance=0.0)
+    for P_lo, P_hi, bracket_tolerance, message in [
+            (0.0, 1e36, 1e-3, "P_lo < P_hi"),
+            (1e36, 1e35, 1e-3, "P_lo < P_hi"),
+            (math.nan, 1e36, 1e-3, "P_lo < P_hi"),
+            (1e35, math.inf, 1e-3, "P_hi < inf"),
+            (1e35, 1e36, 0.0, "bracket_tolerance"),
+            (1e35, 1e36, -1.0, "bracket_tolerance"),
+            (1e35, 1e36, -0.5, "bracket_tolerance"),
+            (1e35, 1e36, math.nan, "bracket_tolerance"),
+            (1e35, 1e36, math.inf, "bracket_tolerance")]:
+        with pytest.raises(ValueError, match=message):
+            trinary_sieve(P_lo, P_hi, config,
+                          bracket_tolerance=bracket_tolerance)
+    assert stars == []
 
 
 # --- order/tolerance sweep --------------------------------------------
@@ -715,11 +727,17 @@ def test_sweep_tags_horizon_and_step_budget(monkeypatch):
     assert cells[0].status == "max-steps"
 
 
-def test_sweep_validates_inputs():
-    with pytest.raises(ValueError):
-        parameter_sweep([4], [1e-6], P_CENTRAL, (0.0, 1.0))
+def test_sweep_validates_inputs(monkeypatch):
+    stars = []
+    monkeypatch.setattr(tov, "integrate_star",
+                        lambda *args: stars.append(args))
+    for reference in ((0.0, 1.0), (1.0, -1.0), (math.inf, 1.0),
+                      (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="reference mass and radius"):
+            parameter_sweep([4], [1e-6], P_CENTRAL, reference)
     with pytest.raises(ValueError):
         parameter_sweep([], [1e-6], P_CENTRAL, (1.0, 1.0))
+    assert stars == []
 
 
 def test_sweep_runs_serially():
