@@ -21,6 +21,7 @@ joining two flags are checked at the top of their command, via its parser.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -305,7 +306,16 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``abmgrid`` parser, built on the first call and then shared.
+
+    One parser serves the whole process: every later call, and so every
+    ``main`` call, returns the same object, so do not mutate it.  It
+    keeps no state between parses: each ``parse_args`` makes a fresh
+    namespace, and ``--version``, help and usage errors read
+    ``sys.stdout``, ``sys.stderr`` and the terminal width when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="abmgrid",
         description="Adams-Bashforth-Moulton integration studies: "

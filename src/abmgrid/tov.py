@@ -27,6 +27,7 @@ and one star at the asked tolerance is integrated at the best probe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .eos import CONSTANTS, gas_at_pressure
@@ -394,11 +395,13 @@ def parameter_sweep(orders, tolerances, P_central: float, reference,
                     jobs: int = 1) -> list[SweepCell]:
     """Steps-and-accuracy table over an order x tolerance grid.
 
-    ``reference`` is (M_ref grams, R_ref cm), each positive and
-    finite, normally from a high-order, tight-tolerance run.  Cells
-    that fail to integrate are reported with a failure status; the
-    sweep continues.  The cells run one after another, orders
-    outermost: ``jobs`` accepts only 1.
+    ``orders`` and ``tolerances`` may be any iterables; each is read
+    once, and every order (an integer >= 1) and tolerance (positive and
+    finite) is checked before the first star.  ``reference`` is (M_ref
+    grams, R_ref cm), each positive and finite, normally from a
+    high-order, tight-tolerance run.  Cells that fail to integrate are
+    reported with a failure status; the sweep continues.  The cells run
+    one after another, orders outermost: ``jobs`` accepts only 1.
     """
     M_ref, R_ref = reference
     if not (0.0 < M_ref < math.inf and 0.0 < R_ref < math.inf):
@@ -406,6 +409,18 @@ def parameter_sweep(orders, tolerances, P_central: float, reference,
                          "and finite")
     if jobs != 1:
         raise ValueError("the sweep runs serially; jobs must be 1")
+    orders, tolerances = tuple(orders), tuple(tolerances)
+    for order in orders:
+        try:
+            valid = operator.index(order) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"orders must be integers >= 1, not {order!r}")
+    for tolerance in tolerances:
+        if not 0.0 < tolerance < math.inf:
+            raise ValueError(f"tolerances must be positive and finite, "
+                             f"not {tolerance!r}")
     cells = [_sweep_cell(order, tolerance, P_central, M_ref, R_ref)
              for order in orders for tolerance in tolerances]
     if not cells:

@@ -1,4 +1,5 @@
 """Command-line interface: formats, manifests, exit codes, schema."""
+import contextlib
 import io
 import json
 import math
@@ -6,10 +7,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import abmgrid
 import abmgrid.cli as cli
@@ -624,6 +627,84 @@ def test_sweep_reference_star_failure_exits_one(capsys):
     assert out == ""
     assert err.startswith("error: reference star failed (non-finite): ")
     assert "Traceback" not in err
+
+
+# --- one parser per process ---------------------------------------------
+
+def _run_outputs(out: Path, code, stdout, stderr):
+    """A run's (exit code, stdout, stderr, table bytes, manifest less its
+    timestamp); the table ``out`` and its manifest are removed."""
+    manifest_path = out.with_name(out.name + ".manifest.json")
+    table = manifest = None
+    if out.exists():
+        table = out.read_bytes()
+        out.unlink()
+    if manifest_path.exists():
+        manifest = json.loads(manifest_path.read_text())
+        manifest.pop("timestamp")
+        manifest_path.unlink()
+    return code, stdout, stderr, table, manifest
+
+
+def test_the_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # help and usage lines wrap at the terminal width: fix it for both
+    monkeypatch.setenv("COLUMNS", "80")
+    out = tmp_path / "table.csv"
+    usage_error = ["poly", "--order", "4", "--x0", "1", "--xend", "0",
+                   "--out", str(out)]
+    argvs = [usage_error,
+             ["poly", "--order", "4", "--mode", "abm-fixed", "--out",
+              str(out)],
+             ["--version"],
+             ["sweep", "--orders", "3..4", "--tols", "1e-2", "--pc",
+              P_CENTRAL, "--ref-mass", "1.412e33", "--ref-radius", "9.16e5",
+              "--out", str(out)],
+             usage_error]
+    env = dict(fresh_interpreter_env(), COLUMNS="80")
+
+    def fresh(argv):
+        done = subprocess.run([sys.executable, "-m", "abmgrid.cli", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=env)
+        return done.returncode, done.stdout, done.stderr
+
+    def in_process(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    expected = [_run_outputs(out, *fresh(argv)) for argv in argvs]
+    assert [outputs[0] for outputs in expected] == [2, 0, 0, 0, 2]
+    assert expected[0][3] is None and expected[1][3] is not None
+    for argv, outputs in zip(argvs, expected):
+        assert _run_outputs(out, *in_process(argv)) == outputs, argv
+    assert cli.build_parser() is cli.build_parser()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(order=st.integers(1, 10),
+       mode=st.sampled_from([mode.value for mode in Mode]),
+       dx=st.floats(1e-3, 1.0), tol=st.floats(1e-10, 1e-1),
+       x0=st.floats(-2.0, 2.0), span=st.floats(-0.1, 1.0))
+def test_poly_exit_codes_through_one_parser(order, mode, dx, tol, x0, span):
+    # many runs through one process's main: each exits 0, 1 or 2, with
+    # no traceback, and a usage error (an --xend not past --x0) exits 2
+    # before it writes a table
+    xend = x0 + span
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "poly.csv"
+        argv = ["poly", "--order", str(order), "--mode", mode,
+                "--dx", repr(dx), "--tol", repr(tol), "--x0", repr(x0),
+                "--xend", repr(xend), "--out", str(out)]
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        written = out.exists()
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    assert (code == 2) == (xend <= x0)
+    assert written == (code != 2)
 
 
 # --- installed entry point ----------------------------------------------

@@ -37,7 +37,8 @@ def _load_tool(name):
     return module
 
 
-verdict = _load_tool("bench_pairs").verdict
+bench_pairs = _load_tool("bench_pairs")
+verdict = bench_pairs.verdict
 # ten pairs of a lower-is-better time; A's quartiles are 1.0 and 1.1
 PARENT = [1.0, 1.1, 1.0, 1.1, 1.0, 1.1, 1.0, 1.1, 1.05, 1.05]
 
@@ -67,3 +68,19 @@ def test_bench_verdict_on_a_higher_is_better_metric():
                    "higher", 0.01) == "worse"
     assert verdict([1.0] * 10, [1.0] * 10, "higher", 0.01) == "within bound"
     assert verdict([1.0] * 10, [0.995] * 10, "higher", 0.01) == "within bound"
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("poly", ["poly"]),
+    ("poly,sieve,sweep", ["poly", "sieve", "sweep"]),
+    (" sieve , poly ", ["sieve", "poly"]),
+])
+def test_bench_workload_list(text, expected):
+    assert bench_pairs.workload_list(text) == expected
+
+
+@pytest.mark.parametrize("text", ["", "poly,", ",poly", "poly,,sieve",
+                                  "poly,poly", "sieve, sieve"])
+def test_bench_workload_list_refuses_blank_and_repeated_names(text):
+    with pytest.raises(bench_pairs.argparse.ArgumentTypeError):
+        bench_pairs.workload_list(text)

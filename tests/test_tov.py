@@ -737,7 +737,26 @@ def test_sweep_validates_inputs(monkeypatch):
             parameter_sweep([4], [1e-6], P_CENTRAL, reference)
     with pytest.raises(ValueError):
         parameter_sweep([], [1e-6], P_CENTRAL, (1.0, 1.0))
+    # the whole grid is checked before the first star, in the sweep's terms
+    for order in (0, -1, 2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match="orders must be integers"):
+            parameter_sweep([4, order], [1e-6], P_CENTRAL, (1.0, 1.0))
+    for tolerance in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            parameter_sweep([4], [1e-6, tolerance], P_CENTRAL, (1.0, 1.0))
     assert stars == []
+
+
+def test_sweep_reads_each_axis_once(monkeypatch):
+    # one-shot iterables give the full grid, orders outermost, and numpy
+    # integers count as orders
+    cells = []
+    monkeypatch.setattr(tov, "_sweep_cell",
+                        lambda order, tolerance, *rest: cells.append(
+                            (order, tolerance)))
+    parameter_sweep((order for order in [3, np.int64(4)]),
+                    iter([1e-2, 1e-5]), P_CENTRAL, (1.0, 1.0))
+    assert cells == [(3, 1e-2), (3, 1e-5), (4, 1e-2), (4, 1e-5)]
 
 
 def test_sweep_runs_serially():

@@ -1,16 +1,16 @@
 """Alternating benchmark pairs of two source trees.
 
-Usage:  python tools/bench_pairs.py TREE_A TREE_B --workload W \
+Usage:  python tools/bench_pairs.py TREE_A TREE_B --workload W[,W...] \
             --pairs N --seconds S --seed K
 
-Runs each tree's own ``perfbench/run.py --trace 0`` on one workload, one
-child process at a time.  Pair i runs both trees with seed K + i; the
-first tree of a pair alternates (A B, B A, A B, ...), so a drift of the
-host's speed over the runs falls on both sides alike.  From the
-JSON object on the last line of each run it prints, per end-to-end
-metric, the median and quartiles [q1, q3] of each side, how many
-pairs B won, that is, where B's value was strictly better than A's, and
-a verdict on B:
+Runs each tree's own ``perfbench/run.py --trace 0`` on each listed
+workload, one child process at a time.  Pair i runs both trees on every
+workload with seed K + i; the first tree of a pair alternates (A B,
+B A, A B, ...), so a drift of the host's speed over the runs falls on
+both sides alike.  From the JSON object on the last line of each run it
+prints, per workload and end-to-end metric, the median and quartiles
+[q1, q3] of each side, how many pairs B won, that is, where B's value
+was strictly better than A's, and a verdict on B:
 
   gain          B won at least 9 pairs in 10, and B's median is better
                 than A's by more than the distance between A's quartiles;
@@ -88,44 +88,18 @@ def verdict(a, b, better: str = "lower", bound: float = 0.0) -> str:
     return "within bound"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("tree_a", type=Path)
-    parser.add_argument("tree_b", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be >= 1 and --seconds positive")
-    trees = {"A": args.tree_a.resolve(), "B": args.tree_b.resolve()}
-    for side, tree in trees.items():
-        if not (tree / "perfbench" / "run.py").is_file():
-            parser.error(f"{side}: no perfbench/run.py under {tree}")
+def workload_list(text: str) -> list[str]:
+    """``--workload``: a comma list of distinct names, at least one."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma list of distinct workload names")
+    return names
 
-    results = {"A": [], "B": []}
-    ok = True
-    for pair in range(args.pairs):
-        seed = args.seed + pair
-        order = "AB" if pair % 2 == 0 else "BA"
-        for side in order:
-            try:
-                result = run_once(trees[side], args.workload, args.seconds,
-                                  seed)
-            except RuntimeError as failure:
-                print(f"error: {failure}", file=sys.stderr)
-                return 1
-            ok = ok and result["correct"]
-            results[side].append(result)
-        values = {side: results[side][-1]["metrics"]["wall_ref_s"]["value"]
-                  for side in "AB"}
-        print(f"pair {pair + 1}/{args.pairs} seed {seed} ({order}): "
-              f"wall_ref_s A {values['A']:.4f}  B {values['B']:.4f}",
-              flush=True)
 
-    rules = declared(trees["A"])
-    print(f"\n{args.workload}: {args.pairs} pairs, {args.seconds:g} s each, "
+def report(workload: str, results: dict, rules: dict, args, trees: dict):
+    """Print one workload's verdict block: a line per end-to-end metric."""
+    print(f"\n{workload}: {args.pairs} pairs, {args.seconds:g} s each, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"  A = {trees['A']}\n  B = {trees['B']}")
     for name in results["A"][0]["metrics"]:
@@ -140,6 +114,50 @@ def main(argv=None) -> int:
         print(f"  {name:<12} {unit:<5} {'   '.join(cells)}   "
               f"B won {wins(sides['A'], sides['B'], better)}/{args.pairs}   "
               f"{verdict(sides['A'], sides['B'], better, bound)}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", type=workload_list, required=True,
+                        help="a workload, or a comma list of them")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0:
+        parser.error("--pairs must be >= 1 and --seconds positive")
+    trees = {"A": args.tree_a.resolve(), "B": args.tree_b.resolve()}
+    for side, tree in trees.items():
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"{side}: no perfbench/run.py under {tree}")
+
+    results = {workload: {"A": [], "B": []} for workload in args.workload}
+    ok = True
+    for pair in range(args.pairs):
+        seed = args.seed + pair
+        order = "AB" if pair % 2 == 0 else "BA"
+        for workload, runs in results.items():
+            for side in order:
+                try:
+                    result = run_once(trees[side], workload, args.seconds,
+                                      seed)
+                except RuntimeError as failure:
+                    print(f"error: {failure}", file=sys.stderr)
+                    return 1
+                ok = ok and result["correct"]
+                runs[side].append(result)
+            values = {side: runs[side][-1]["metrics"]["wall_ref_s"]["value"]
+                      for side in "AB"}
+            named = f" {workload}" if len(results) > 1 else ""
+            print(f"pair {pair + 1}/{args.pairs}{named} seed {seed} "
+                  f"({order}): wall_ref_s A {values['A']:.4f}  "
+                  f"B {values['B']:.4f}", flush=True)
+
+    rules = declared(trees["A"])
+    for workload, runs in results.items():
+        report(workload, runs, rules, args, trees)
     if not ok:
         print("error: a run reported correct: false", file=sys.stderr)
         return 1
