@@ -257,7 +257,10 @@ def cmd_sieve(args) -> int:
     try:
         result = trinary_sieve(args.lo, args.hi, config,
                                bracket_tolerance=args.bracket_tol)
-    except (IntegrationError, ValueError) as exc:
+    except IntegrationError as exc:
+        print(f"error ({exc.tag}): {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # the mass peak is not bracketed
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"P_c* = {result.P_c:.17g} erg/cm^3")

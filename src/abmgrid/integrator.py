@@ -518,10 +518,14 @@ def next_step_size(epsilon_max: float, config: IntegratorConfig,
     The scaling ratio is (E / epsilon_max)^(1/effective_am_order),
     clipped at GROWTH_CAP (taken outright when epsilon_max is 0) and
     floored at dx_min.  Returns (dx_next, capped, floored), the flags
-    telling whether the cap or the floor decided dx_next.
+    telling whether the cap or the floor decided dx_next.  An infinite
+    epsilon_max shrinks dx to the floor; a NaN or negative one, or a
+    dx_current outside (0, inf), raises ValueError.
     """
-    if dx_current <= 0.0:
-        raise ValueError("dx_current must be positive")
+    if not epsilon_max >= 0.0:
+        raise ValueError("epsilon_max must be non-negative")
+    if not 0.0 < dx_current < math.inf:
+        raise ValueError("dx_current must be positive and finite")
     if effective_am_order < 2:
         raise ValueError("effective_am_order must be >= 2")
     if epsilon_max == 0.0:

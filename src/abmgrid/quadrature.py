@@ -18,12 +18,15 @@ SIAM Rev. 46, 2004).  Every factor is accurate to a few units of
 roundoff, and on an Adams stencil no node lies inside (0, dx), so the
 basis keeps one sign across the Gauss points and their sum cannot
 cancel: each weight is accurate to roundoff however stretched the node
-spacing.  The k = j factor is left out by masking, not by division, so
-nothing breaks if a Gauss point lands on a node.  This is the
+spacing.  The weights are built on Python floats, with the Gauss terms
+summed in a fixed order, so no BLAS kernel enters them.  This is the
 Lagrange-form weight API, checked against an exact-rational oracle by
 ``tests/test_quadrature.py`` and timed by ``perfbench/micro.py``; the
 integrator's step uses the Newton form in ``integrator.adams_update``.
 """
+import math
+from array import array
+
 from .integrator import _gauss_rule
 
 __all__ = ["quadrature_weights"]
@@ -34,35 +37,50 @@ def quadrature_weights(offsets, dx):
 
     Parameters
     ----------
-    offsets : array_like
-        Node positions relative to the current point, strictly
-        increasing.  An explicit (predictor) stencil ends at 0; an
-        implicit (corrector) stencil ends at ``dx``.
+    offsets : sequence of float
+        Node positions relative to the current point, finite and
+        strictly increasing.  An explicit (predictor) stencil ends at 0;
+        an implicit (corrector) stencil ends at ``dx``.
     dx : float
-        Upper integration limit; the step being taken.
+        Upper integration limit, finite; the step being taken.
 
     Returns
     -------
-    numpy.ndarray
-        One weight per node, in node order.  The weights reproduce the
-        integral of any polynomial of degree < len(offsets) exactly, so
-        they always sum to dx (the integral of 1).
+    array.array
+        One weight per node, in node order, as an ``array("d")``.  The
+        weights reproduce the integral of any polynomial of degree
+        < len(offsets) exactly, so they always sum to dx (the integral
+        of 1).
+
+    Raises
+    ------
+    ValueError
+        If ``offsets`` is empty, not one-dimensional, not finite or not
+        strictly increasing, or if ``dx`` is not finite.
     """
-    import numpy as np
-    offsets = np.asarray(offsets, dtype=float)
-    if offsets.ndim != 1 or offsets.size == 0:
+    try:
+        nodes = [float(t) for t in offsets]
+    except TypeError:
+        nodes = []
+    if not nodes or isinstance(offsets, (str, bytes)):
         raise ValueError("offsets must be a non-empty 1-D array")
-    if (offsets[1:] <= offsets[:-1]).any():
+    if not all(map(math.isfinite, nodes)):
+        raise ValueError("offsets must be finite")
+    if any(later <= earlier for earlier, later in zip(nodes, nodes[1:])):
         raise ValueError("offsets must be strictly increasing")
-    count = offsets.size
-    points, gauss_weights = map(np.array, zip(*_gauss_rule((count + 1) // 2)))
-    # ratios[i, j, k] = (g_i - t_k) / (t_j - t_k) at the Gauss point
-    # g_i = dx * points[i]; the k = j factor is set to 1 (its gap too,
-    # before dividing), so nothing divides by zero.  Both arrays are
-    # fresh and C-ordered, so the flat and reshaped views write in place.
-    diagonal = slice(None, None, count + 1)
-    gaps = offsets[:, None] - offsets
-    gaps.flat[diagonal] = 1.0
-    ratios = (dx * points[:, None, None] - offsets) / gaps
-    ratios.reshape(points.size, -1)[:, diagonal] = 1.0
-    return dx * (gauss_weights @ ratios.prod(axis=2))
+    dx = float(dx)
+    if not math.isfinite(dx):
+        raise ValueError("dx must be finite")
+    rule = [(dx * point, weight)
+            for point, weight in _gauss_rule((len(nodes) + 1) // 2)]
+    weights = array("d")
+    for j, t_j in enumerate(nodes):
+        total = 0.0
+        for g, weight in rule:
+            product = 1.0
+            for k, t_k in enumerate(nodes):
+                if k != j:
+                    product *= (g - t_k) / (t_j - t_k)
+            total += weight * product
+        weights.append(dx * total)
+    return weights

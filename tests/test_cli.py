@@ -498,7 +498,8 @@ def test_tov_failure_on_an_overflowed_state_is_non_finite(capsys):
 def test_sieve_horizon_failure_reports_plain_numbers(capsys):
     assert main(["sieve", "--lo", "1e45", "--hi", "1e47"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: 2Gm/(c^2 r) >= 1 at r=10.0 cm, m=")
+    assert err.startswith(
+        "error (horizon): 2Gm/(c^2 r) >= 1 at r=10.0 cm, m=")
     assert "np.float64" not in err
 
 
@@ -707,6 +708,44 @@ def test_poly_exit_codes_through_one_parser(order, mode, dx, tol, x0, span):
     assert written == (code != 2)
 
 
+def _package_tags():
+    """The tag of every IntegrationError class the package defines."""
+    classes, tags = [IntegrationError], set()
+    while classes:
+        cls = classes.pop()
+        if cls.__module__.startswith("abmgrid."):
+            tags.add(cls.tag)
+        classes.extend(cls.__subclasses__())
+    return tags
+
+
+PACKAGE_TAGS = _package_tags()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(order=st.integers(1, 10), log_tol=st.floats(-5.0, -1.0),
+       log_pc=st.floats(30.0, 47.0))
+def test_tov_exit_codes_through_one_parser(order, log_tol, log_pc):
+    # many stars through one process's main: each exits 0 with a real
+    # star or 1 with a tagged failure, never with a traceback
+    argv = ["tov", "--pc", repr(10.0 ** log_pc), "--order", str(order),
+            "--tol", repr(10.0 ** log_tol), "--format", "json"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    summary = json.loads(stdout.getvalue())["summary"]
+    event(f"exit {code}: {summary['status'].partition(':')[0]}")
+    assert code in (0, 1)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 1:
+        assert any(summary["status"].startswith(f"failed ({tag})")
+                   for tag in PACKAGE_TAGS), summary["status"]
+    else:
+        assert 0.0 < summary["M_g"] < math.inf
+        assert 0.0 < summary["R_cm"] < math.inf
+
+
 # --- installed entry point ----------------------------------------------
 
 def fresh_interpreter_env():
@@ -770,6 +809,37 @@ def test_star_path_never_imports_numpy():
                             env=fresh_interpreter_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_the_package_runs_without_numpy(tmp_path):
+    # numpy is a test dependency only: with it blocked, the import, the
+    # weights and every command run on the standard library alone
+    runs = [["poly", "--order", "4", "--out", str(tmp_path / "poly.csv")],
+            ["tov", "--pc", P_CENTRAL, "--order", "3", "--tol", "1e-2",
+             "--out", str(tmp_path / "tov.csv")],
+            ["sieve", "--tol", "1e-2", "--bracket-tol", "0.02"],
+            ["sweep", "--orders", "3", "--tols", "1e-2", "--pc", P_CENTRAL,
+             "--out", str(tmp_path / "sweep.csv")]]
+    probe = "\n".join([
+        "import json, sys",
+        "sys.modules['numpy'] = None",
+        "before = set(sys.modules)",
+        "import abmgrid, abmgrid.cli",
+        "from array import array",
+        "weights = abmgrid.quadrature_weights([-1.0, 0.0], 1.0)",
+        "assert weights == array('d', [-0.5, 1.5]), weights",
+        "codes = [abmgrid.cli.main(argv) for argv in json.loads(sys.argv[1])]",
+        "loaded = {name.partition('.')[0]"
+        " for name in set(sys.modules) - before}",
+        "print(json.dumps([codes,"
+        " sorted(loaded - set(sys.stdlib_module_names))]))"])
+    result = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
+                            capture_output=True, text=True, timeout=60,
+                            env=fresh_interpreter_env())
+    assert result.returncode == 0, result.stderr
+    codes, outside_stdlib = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert outside_stdlib == ["abmgrid"]
 
 
 def test_tov_and_poly_commands_never_import_numpy(tmp_path):

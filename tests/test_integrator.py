@@ -262,6 +262,18 @@ def test_controller_rejects_bad_arguments():
         next_step_size(1e-6, CONTROL, 5, 0.0)
     with pytest.raises(ValueError):
         next_step_size(1e-6, CONTROL, 1, 0.1)
+    # a NaN used to pass through as dx = NaN, and a negative epsilon
+    # raised to a fractional power made a complex ratio (TypeError)
+    for epsilon in (np.nan, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="epsilon_max"):
+            next_step_size(epsilon, CONTROL, 5, 1.0)
+    for dx in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="dx_current"):
+            next_step_size(1e-9, CONTROL, 5, dx)
+    # an infinite correction is still a step: it shrinks dx to the floor
+    floored = IntegratorConfig(order_ab=4, target_correction=1e-6,
+                               dx_initial=1.0, dx_min=1e-3)
+    assert next_step_size(np.inf, floored, 5, 1.0) == (1e-3, False, True)
 
 
 def test_config_validation():

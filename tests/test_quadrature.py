@@ -6,6 +6,7 @@ arithmetic, independently of the package implementation; the
 stretched-grid test calls that oracle directly on random stencils.
 """
 import importlib.util
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,7 +59,7 @@ NONUNIFORM_CASES = [
 @pytest.mark.parametrize("offsets,dx,expected",
                          AB_CASES + AM_CASES + NONUNIFORM_CASES)
 def test_weights_match_exact_rational_oracle(offsets, dx, expected):
-    weights = quadrature_weights(offsets, dx)
+    weights = np.asarray(quadrature_weights(offsets, dx))
     np.testing.assert_allclose(weights, expected, rtol=1e-12)
 
 
@@ -66,7 +67,7 @@ def test_weights_scale_linearly_with_h():
     # the classical rules are quoted per unit h; offsets and dx in
     # units of h scale every weight by h
     h = 0.37
-    weights = quadrature_weights([-3 * h, -2 * h, -h, 0.0], h)
+    weights = np.asarray(quadrature_weights([-3 * h, -2 * h, -h, 0.0], h))
     expected = h * np.array([-3.0 / 8.0, 37.0 / 24.0, -59.0 / 24.0,
                              55.0 / 24.0])
     np.testing.assert_allclose(weights, expected, rtol=1e-12)
@@ -91,7 +92,7 @@ def test_weight_sum_equals_dx_on_settled_grids():
         offsets = _random_history(rng, count, dx, spread=1.25)
         if rng.random() < 0.5:
             offsets = np.append(offsets, dx)  # implicit stencil
-        weights = quadrature_weights(offsets, dx)
+        weights = np.asarray(quadrature_weights(offsets, dx))
         budget = 1e-7 * max(abs(dx), np.sum(np.abs(weights)))
         assert abs(weights.sum() - dx) <= budget
 
@@ -108,7 +109,7 @@ def test_weight_sum_degrades_gracefully_on_stretched_grids():
         offsets = _random_history(rng, count, dx, spread=3.0)
         if rng.random() < 0.5:
             offsets = np.append(offsets, dx)
-        weights = quadrature_weights(offsets, dx)
+        weights = np.asarray(quadrature_weights(offsets, dx))
         exact = exact_weights([Fraction(float(t)) for t in offsets],
                               Fraction(dx))
         scale = float(sum(abs(w) for w in exact))
@@ -130,7 +131,7 @@ def test_polynomial_exactness_up_to_node_count():
             offsets = np.append(offsets, dx)
         n = offsets.size
         coeffs = rng.uniform(-2.0, 2.0, n)  # degree n-1
-        weights = quadrature_weights(offsets, dx)
+        weights = np.asarray(quadrature_weights(offsets, dx))
         values = np.polyval(coeffs[::-1], offsets)
         approx = np.sum(weights * values)
         k = np.arange(1, n + 1)
@@ -144,7 +145,7 @@ def test_weights_scale_spans_stellar_magnitudes():
     # cleanly; the sum rule is the canary for conditioning trouble
     offsets = np.array([-4.0e4, -2.5e4, -1.1e4, 0.0, 0.7e4])
     dx = 0.7e4
-    weights = quadrature_weights(offsets, dx)
+    weights = np.asarray(quadrature_weights(offsets, dx))
     assert abs(weights.sum() - dx) <= 1e-12 * dx
 
 
@@ -161,3 +162,22 @@ def test_unsorted_nodes_rejected():
 def test_empty_nodes_rejected():
     with pytest.raises(ValueError):
         quadrature_weights([], 1.0)
+
+
+@pytest.mark.parametrize("offsets,dx,message", [
+    ([math.nan, 0.0], 1.0, "finite"),
+    ([-1.0, math.nan], 1.0, "finite"),
+    ([-math.inf, 0.0], 1.0, "finite"),
+    ([-1.0, 0.0, math.inf], 1.0, "finite"),
+    ([-1.0, 0.0], math.nan, "dx must be finite"),
+    ([-1.0, 0.0], math.inf, "dx must be finite"),
+    ([[-1.0], [0.0]], 1.0, "non-empty 1-D"),
+    (np.zeros((2, 1)), 1.0, "non-empty 1-D"),
+    (1.0, 1.0, "non-empty 1-D"),
+    ("01", 1.0, "non-empty 1-D"),
+], ids=["nan-first", "nan-last", "-inf", "+inf", "nan-dx", "inf-dx",
+        "nested-list", "2-D-array", "scalar", "string"])
+def test_non_finite_and_non_flat_inputs_rejected(offsets, dx, message):
+    # NaN and inf nodes or steps used to give NaN weights silently
+    with pytest.raises(ValueError, match=message):
+        quadrature_weights(offsets, dx)
