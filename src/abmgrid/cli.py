@@ -26,7 +26,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -124,7 +123,7 @@ def _write_table(stream, fmt: str, kind: str, rows, summary):
 
 
 def _config_dict(config: IntegratorConfig) -> dict:
-    return {**asdict(config), "mode": config.mode.value,
+    return {**config._asdict(), "mode": config.mode.value,
             "growth_cap": GROWTH_CAP}
 
 
@@ -260,7 +259,7 @@ def cmd_sieve(args) -> int:
     except IntegrationError as exc:
         print(f"error ({exc.tag}): {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # the mass peak is not bracketed
+    except ValueError as exc:  # ends too close, or the peak not bracketed
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"P_c* = {result.P_c:.17g} erg/cm^3")

@@ -52,9 +52,8 @@ import enum
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "GROWTH_CAP",
@@ -89,17 +88,7 @@ class Mode(enum.Enum):
     ABM_ADAPTIVE = "abm-adaptive"  # predictor-corrector, controlled dx
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Immutable knobs for one integration.
-
-    ``order_ab`` is the number of history nodes the explicit prediction
-    uses once bootstrapping has finished; the implicit correction always
-    uses one node more (the N and N+1 tandem).  ``target_correction``
-    is the dimensionless fractional correction E the adaptive
-    controller steers toward.
-    """
-
+class _ConfigFields(NamedTuple):
     order_ab: int
     target_correction: float = 1e-8
     dx_initial: float = 0.01
@@ -107,7 +96,22 @@ class IntegratorConfig:
     mode: Mode = Mode.ABM_ADAPTIVE
     max_steps: int = 1_000_000
 
-    def __post_init__(self):
+
+class IntegratorConfig(_ConfigFields):
+    """Immutable knobs for one integration.
+
+    ``order_ab`` is the number of history nodes the explicit prediction
+    uses once bootstrapping has finished; the implicit correction always
+    uses one node more (the N and N+1 tandem).  ``target_correction``
+    is the dimensionless fractional correction E the adaptive
+    controller steers toward.  Each config is checked as it is made,
+    by ``_replace`` too: a bad knob raises ``ValueError`` naming it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # operator.index takes ints, numpy's included, and nothing else
         for name in ("order_ab", "max_steps"):
             try:
@@ -124,10 +128,17 @@ class IntegratorConfig:
             raise ValueError("dx_min must be non-negative and finite")
         if self.dx_initial < self.dx_min:
             raise ValueError("dx_initial must be >= dx_min")
+        # the engine tells the modes apart by identity
+        if not isinstance(self.mode, Mode):
+            raise ValueError("mode must be a Mode member")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # _replace makes its config here
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One accepted step, as iterating a :class:`Trajectory` yields it.
 
     ``y_am`` is the corrected state, a tuple of floats.  ``epsilon_max``

@@ -16,8 +16,7 @@ controller's behavior are all measurable against the analytic curve.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .integrator import IntegratorConfig, Mode, Trajectory
 # bound as ``integrate``, the name that perfbench/tracing.py replaces to
@@ -44,12 +43,12 @@ def poly_exact(x):
             + 24.0) * x - 727.0 / 120.0
 
 
-@dataclass(frozen=True)
-class PolyCase:
+class PolyCase(NamedTuple):
     """One configured run of the test problem.
 
     The fixed-grid default of h = 0.25 is deliberately coarse so the
-    per-order error curves are visible well above roundoff.
+    per-order error curves are visible well above roundoff.  An
+    ``x_end`` at or below ``x0`` is refused when the case runs.
     """
 
     mode: Mode = Mode.ABM_ADAPTIVE
@@ -60,23 +59,13 @@ class PolyCase:
     y0: float = 1.0
     x_end: float = 5.0
 
-    def __post_init__(self):
-        if not self.x_end > self.x0:
-            raise ValueError("x_end must exceed x0")
-
-    @cached_property
-    def _offset(self) -> float:
-        """y0 minus poly_exact(x0), once per case; not a field, so repr,
-        == and hash see only the case's settings."""
-        return self.y0 - poly_exact(self.x0)
-
     def exact(self, x):
         """The closed-form solution through (x0, y0): poly_exact shifted.
 
         poly_exact(0.5) is exactly 1, so the default case's curve is
         poly_exact itself, bit for bit.
         """
-        return poly_exact(x) + self._offset
+        return poly_exact(x) + (self.y0 - poly_exact(self.x0))
 
     def config(self) -> IntegratorConfig:
         return IntegratorConfig(order_ab=self.order,
@@ -84,8 +73,7 @@ class PolyCase:
                                 dx_initial=self.dx, mode=self.mode)
 
 
-@dataclass(frozen=True)
-class PolyResult:
+class PolyResult(NamedTuple):
     """A case's trajectory; its exact curve and error are read off it.
 
     ``y_exact`` (case.exact at each accepted x) and ``error`` (y minus
@@ -98,7 +86,9 @@ class PolyResult:
 
     @property
     def y_exact(self) -> array:
-        return array("d", map(self.case.exact, self.trajectory.x))
+        case = self.case
+        offset = case.y0 - poly_exact(case.x0)  # case.exact's shift, once
+        return array("d", [poly_exact(x) + offset for x in self.trajectory.x])
 
     @property
     def error(self) -> array:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .eos import CONSTANTS, gas_at_pressure
 from .integrator import IntegrationError, IntegratorConfig, Mode, Trajectory
@@ -78,8 +78,7 @@ def tov_derivatives(r: float, m: float, P: float):
     return dm_dr, dP_dr
 
 
-@dataclass(frozen=True)
-class StarSolution:
+class StarSolution(NamedTuple):
     """One star: its central pressure and the run from its center.
 
     M, R and steps are read off the trajectory: the mass and radius of
@@ -255,8 +254,7 @@ def stable_plateau(trajectory: Trajectory, tolerance: float,
     return slice(start, suffix)
 
 
-@dataclass(frozen=True)
-class SieveResult:
+class SieveResult(NamedTuple):
     """Outcome of the maximum-mass hunt.
 
     The search runs on ln P_c, but P_c and the history's pressures are
@@ -315,7 +313,8 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     Otherwise the probes run at ``config``, and the best probe's star
     is the result's.
 
-    Raises ValueError before any star unless 0 < P_lo < P_hi < inf and
+    Raises ValueError before any star unless 0 < P_lo < P_hi < inf,
+    ln P_lo < ln P_hi (ends close enough round to one logarithm) and
     0 < bracket_tolerance < inf.  Raises ValueError, naming the end,
     when no probe lies between the best probe and ``P_lo`` or ``P_hi``:
     the final bracket then still reaches that end, so the peak may lie
@@ -323,6 +322,10 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     """
     if not 0.0 < P_lo < P_hi < math.inf:
         raise ValueError("need 0 < P_lo < P_hi < inf")
+    u_lo, u_hi = math.log(P_lo), math.log(P_hi)
+    if not u_lo < u_hi:
+        raise ValueError("need ln P_lo < ln P_hi: P_lo and P_hi are too "
+                         "close to search between")
     if not 0.0 < bracket_tolerance < math.inf:
         raise ValueError("need 0 < bracket_tolerance < inf")
     if jobs != 1:
@@ -330,7 +333,7 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
     probe_tolerance = min(1e-5, 10.0 * bracket_tolerance * bracket_tolerance)
     two_fidelity = (config.mode is Mode.ABM_ADAPTIVE
                     and probe_tolerance >= 100.0 * config.target_correction)
-    probe_config = (replace(config, target_correction=probe_tolerance)
+    probe_config = (config._replace(target_correction=probe_tolerance)
                     if two_fidelity else config)
     stars = {}  # each probe's star, by its u
 
@@ -338,7 +341,7 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
         stars[u] = integrate_star(math.exp(u), probe_config)
         return stars[u].M
 
-    u, probes = _brent_maximize(mass, math.log(P_lo), math.log(P_hi),
+    u, probes = _brent_maximize(mass, u_lo, u_hi,
                                 math.log1p(bracket_tolerance))
     best = stars[u]
     history = tuple((math.exp(u), M, kind) for u, M, kind in probes)
@@ -356,8 +359,7 @@ def trinary_sieve(P_lo: float, P_hi: float, config: IntegratorConfig,
                        evaluations=len(history) + two_fidelity)
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     """One (order, tolerance) cell of the efficiency sweep."""
 
     order: int

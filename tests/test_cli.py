@@ -832,14 +832,18 @@ def test_the_package_runs_without_numpy(tmp_path):
         "loaded = {name.partition('.')[0]"
         " for name in set(sys.modules) - before}",
         "print(json.dumps([codes,"
-        " sorted(loaded - set(sys.stdlib_module_names))]))"])
+        " sorted(loaded - set(sys.stdlib_module_names)),"
+        " sorted({'dataclasses', 'inspect'} & set(sys.modules))]))"])
     result = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                             capture_output=True, text=True, timeout=60,
                             env=fresh_interpreter_env())
     assert result.returncode == 0, result.stderr
-    codes, outside_stdlib = json.loads(result.stdout.splitlines()[-1])
+    codes, outside_stdlib, machinery = json.loads(
+        result.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
     assert outside_stdlib == ["abmgrid"]
+    # the records are named tuples: no run loads dataclasses or inspect
+    assert machinery == []
 
 
 def test_tov_and_poly_commands_never_import_numpy(tmp_path):

@@ -305,6 +305,16 @@ def test_config_validation():
                                      name: np.int64(3)})
         assert integrate_floats(lambda x, y: [1.0], [0.0], 0.0, config,
                                 x_end=1.0).final_x == 1.0
+    # a mode's value, or no mode, would run another discipline unnoticed
+    for bad in ("ab-fixed", "abm-adaptive", None):
+        with pytest.raises(ValueError, match="mode"):
+            IntegratorConfig(order_ab=4, dx_initial=0.25, mode=bad)
+    # a config made by _replace is checked as one made by hand
+    asked = star_config(6, 1e-8)
+    for name, bad in (("order_ab", 0), ("mode", "abm-fixed")):
+        with pytest.raises(ValueError, match=name):
+            asked._replace(**{name: bad})
+    assert asked._replace(target_correction=1e-5) == star_config(6, 1e-5)
 
 
 # --- whole integrations ----------------------------------------------

@@ -70,8 +70,8 @@ def test_exact_solution_on_an_array_has_the_bits_of_floats():
 
 
 def test_case_validation_and_config():
-    with pytest.raises(ValueError):
-        PolyCase(x_end=0.5)
+    with pytest.raises(ValueError, match="x_end"):
+        run_poly_case(PolyCase(x_end=0.5))
     config = PolyCase(order=3, tolerance=1e-6, dx=0.125).config()
     assert config.order_ab == 3
     assert config.target_correction == 1e-6

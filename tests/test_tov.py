@@ -6,7 +6,6 @@ peak from the TOV oracle (tests/oracles/gen_tov_oracle.py); the other
 star-level numbers were measured once with this package and frozen as
 regression pins.
 """
-import dataclasses
 import math
 import os
 import subprocess
@@ -593,7 +592,7 @@ def test_sieve_probes_at_a_loose_tolerance_then_integrates_its_answer(
     asked = star_config(6, 1e-8)
     *probes, (final_P_c, final_config) = calls
     assert [config for _, config in probes] == (
-        [dataclasses.replace(asked, target_correction=1e-5)] * len(probes))
+        [asked._replace(target_correction=1e-5)] * len(probes))
     assert [P_c for P_c, _ in probes] == [P_c for P_c, _, _ in result.history]
     assert final_config == asked
     assert final_P_c == result.P_c
@@ -627,8 +626,8 @@ def test_sieve_star_is_the_asked_star_at_its_answer(default_sieve):
     # E_probe = 1e-5 is 10 E, under the 100 E the final star costs
     (star_config(6, 1e-6), 1e-3),
     # a fixed step ignores E
-    (dataclasses.replace(star_config(6, 1e-8, dx_initial=5000.0,
-                                     dx_min=5000.0), mode=Mode.ABM_FIXED),
+    (star_config(6, 1e-8, dx_initial=5000.0,
+                 dx_min=5000.0)._replace(mode=Mode.ABM_FIXED),
      0.02),
 ], ids=["E=1e-2", "E=1e-6", "abm-fixed"])
 def test_sieve_integrates_each_star_once_when_loose_probes_do_not_pay(
@@ -664,6 +663,8 @@ def test_sieve_rejects_bad_bracket(monkeypatch):
             (1e36, 1e35, 1e-3, "P_lo < P_hi"),
             (math.nan, 1e36, 1e-3, "P_lo < P_hi"),
             (1e35, math.inf, 1e-3, "P_hi < inf"),
+            # adjacent doubles, which share one logarithm
+            (1e35, 1.0000000000000002e35, 1e-3, "ln P_lo < ln P_hi"),
             (1e35, 1e36, 0.0, "bracket_tolerance"),
             (1e35, 1e36, -1.0, "bracket_tolerance"),
             (1e35, 1e36, -0.5, "bracket_tolerance"),
