@@ -250,8 +250,8 @@ def cmd_tov(args) -> int:
 # ---------------------------------------------------------------- sieve
 
 def cmd_sieve(args) -> int:
-    if not args.lo < args.hi:
-        args.parser.error("--lo must be below --hi")
+    if not math.log(args.lo) < math.log(args.hi):  # the sieve searches ln P_c
+        args.parser.error("ln --lo must be below ln --hi")
     config = star_config(args.order, args.tol)
     try:
         result = trinary_sieve(args.lo, args.hi, config,
@@ -259,7 +259,7 @@ def cmd_sieve(args) -> int:
     except IntegrationError as exc:
         print(f"error ({exc.tag}): {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # ends too close, or the peak not bracketed
+    except ValueError as exc:  # the peak not bracketed
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"P_c* = {result.P_c:.17g} erg/cm^3")

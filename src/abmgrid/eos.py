@@ -21,12 +21,14 @@ x.  Below x = 0.3, where the closed form of F cancels, F is summed from
 its series, so neither P nor rho cancels at any x.
 
 Pressure inversion is done in x (P spans tens of decades while x spans
-a few) by Newton's method started below the root from the low- and
-high-density limits; x comes out within ~1e-14 relative for every
-finite P.  The loop's last bracket value is F at the x it returns, so
-``gas_at_pressure`` reads rho off it, bit for bit what
+a few) by Newton's method, started within 3e-10 of the root up to
+x = 1.2 by a polynomial built at import, and from the low- and
+high-density limits beyond; x comes out within ~1e-14 relative for
+every finite P.  The loop's last bracket value is F at the x it
+returns, so ``gas_at_pressure`` reads rho off it, bit for bit what
 ``energy_density_from_x`` gives at that x, and the star's derivative
-evaluates the bracket once per Newton step and no more.
+evaluates the bracket once per Newton step and no more: two or three
+times a call in the star's range.
 """
 from __future__ import annotations
 
@@ -66,21 +68,23 @@ _SERIES = tuple(8.0 * (-1) ** k * math.comb(2 * k, k) / 4 ** k / (2 * k + 5)
                 for k in reversed(range(17)))  # Horner order
 
 
-def _horner_source(coefficients) -> str:
-    """Horner's rule in ``square`` as one expression, from total = 0.0.
+def _nested_sum(terms, name: str):
+    """A function of ``square`` summing a polynomial in nested form.
 
-    Each coefficient is a literal, written by its ``repr``, so the sum
-    takes the steps total = total * square + c of a loop, bit for bit,
-    without reading a tuple.
+    ``terms`` are (factor, coefficient) pairs, innermost first, and the
+    sum takes the steps total = total * factor + coefficient of a loop
+    from total = 0.0, bit for bit, written out once as one expression:
+    each coefficient is a literal, written by its ``repr``, so the sum
+    runs without a loop's per-term overhead or reading a tuple.
     """
     total = "0.0"
-    for coefficient in coefficients:
-        total = f"({total} * square + {coefficient!r})"
-    return total
+    for factor, coefficient in terms:
+        total = f"({total} * {factor} + {coefficient!r})"
+    return eval(compile(f"lambda square: {total}", f"<abmgrid {name}>",
+                        "eval"))
 
 
-_series_sum = eval(compile(f"lambda square: {_horner_source(_SERIES)}",
-                           "<abmgrid series>", "eval"))
+_series_sum = _nested_sum((("square", c) for c in _SERIES), "series")
 
 
 def _pressure_bracket(x: float) -> float:
@@ -89,6 +93,41 @@ def _pressure_bracket(x: float) -> float:
         return _series_sum(square) * square * square * x
     return (x * (2.0 * square - 3.0) * math.sqrt(square + 1.0)
             + 3.0 * math.asinh(x))
+
+
+# Newton's start.  With x_lo = (5F/8)^(1/5), the low-density root, the
+# ratio x / x_lo is a smooth function of square = x_lo^2.  On x in
+# (0, 1.2] one degree-8 polynomial in square is within 2.7e-10 of it:
+# the interpolant through 9 Chebyshev nodes in x^2 on [0, 1.44], built
+# at import from 9 bracket values and no inversion, and written out in
+# Newton's nested form as one expression, as the series is.  Beyond
+# _START_TOP, x_lo^2 at x = 1.2, the start is the larger of the two
+# limits' roots.
+_START_SQUARE = 1.44
+
+
+def _interpolate_start_ratio():
+    count, half = 9, 0.5 * _START_SQUARE
+    squares, differences = [], []
+    for k in range(count):
+        x = math.sqrt(half + half * math.cos((2 * k + 1) * math.pi
+                                             / (2 * count)))
+        low = (0.625 * _pressure_bracket(x)) ** 0.2
+        squares.append(low * low)
+        differences.append(x / low)
+    for width in range(1, count):  # divided differences, in place
+        for i in reversed(range(width, count)):
+            differences[i] = ((differences[i] - differences[i - 1])
+                              / (squares[i] - squares[i - width]))
+    return _nested_sum(((f"(square - {node!r})", difference)
+                        for difference, node in zip(reversed(differences),
+                                                    reversed(squares))),
+                       "start")
+
+
+_start_ratio = _interpolate_start_ratio()
+_START_TOP = ((0.625 * _pressure_bracket(math.sqrt(_START_SQUARE)))
+              ** 0.2) ** 2
 
 
 def _check_x(x: float) -> None:
@@ -116,17 +155,21 @@ def invert_pressure_to_x(P: float) -> float:
     """x at which the gas exerts pressure P.
 
     Newton's method on F(x) = P / K, F the pressure bracket, with the
-    analytic slope F'(x) = 8 x^4 / sqrt(1 + x^2).  As F' <= 8 x^4 and
-    F' <= 8 x^3, the non-relativistic and ultra-relativistic roots
-    (5F/8)^(1/5) and (F/2)^(1/4) are both lower bounds on x; Newton
-    starts from the larger.  F is increasing and convex, so the first
-    step lands above the root and each later one moves down toward it;
-    the iteration stops at the first step that does not decrease x,
-    which is where rounding takes over.  P spans tens of decades, x
-    only a few, and x F'/F stays between 4 and 5, so x is as accurate
-    as the bracket itself.  The loop's last bracket value is F at the
-    x it returns; ``gas_at_pressure``, which runs the loop, reads the
-    star's rho off it.
+    analytic slope F'(x) = 8 x^4 / sqrt(1 + x^2).  Up to x = 1.2 Newton
+    starts from a polynomial in the low-density root (5F/8)^(1/5),
+    built at import, within 3e-10 of the root on either side of it.
+    Beyond, as F' <= 8 x^4 and F' <= 8 x^3, the non-relativistic and
+    ultra-relativistic roots (5F/8)^(1/5) and (F/2)^(1/4) are both
+    lower bounds on x, and Newton starts from the larger.  F is
+    increasing and convex, so from either start the first step lands
+    at or above the root and each later one moves down toward it; the
+    iteration stops at the first step that does not decrease x, which
+    is where rounding takes over, two or three brackets from the
+    polynomial's start.  P spans tens of decades, x only a few, and
+    x F'/F stays between 4 and 5, so x is as accurate as the bracket
+    itself.  The loop's last bracket value is F at the x it returns;
+    ``gas_at_pressure``, which runs the loop, reads the star's rho off
+    it.
     """
     return gas_at_pressure(P)[0]
 
@@ -150,7 +193,12 @@ def gas_at_pressure(P: float) -> tuple[float, float]:
         # never evaluated at this x
         x = gas_at_pressure(P * 2.0 ** 500)[0] * 2.0 ** -100
         return x, energy_density_from_x(x)
-    x = max((0.625 * target) ** 0.2, (0.5 * target) ** 0.25)
+    low = (0.625 * target) ** 0.2
+    square = low * low
+    if square <= _START_TOP:
+        x = low * _start_ratio(square)
+    else:
+        x = max(low, (0.5 * target) ** 0.25)
     upper = math.inf
     sqrt = math.sqrt
     while True:

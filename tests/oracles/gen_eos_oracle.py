@@ -94,6 +94,12 @@ if __name__ == "__main__":
                   "1e36", "1e40", "1e100", "1e200", "1e300", "1.7e308"):
         print(f"P={p_str}: x={mp.nstr(invert(mp.mpf(p_str)), 20)}")
     print()
+    # inversions on both sides of P(x = 1.2) = 1.93667409801...e36, where
+    # the package's Newton start switches from its polynomial to the
+    # low- and high-density roots
+    for p_str in ("1.9e36", "1.936674098e36", "1.936674099e36", "2e36"):
+        print(f"P={p_str}: x={mp.nstr(invert(mp.mpf(p_str)), 20)}")
+    print()
     # mass-energy density, rest plus kinetic, from x = 1e-8, where the
     # kinetic part is 3e-17 of the rest mass, to the ultrarelativistic gas
     for xs in ("1e-8", "1e-7", "1e-6", "1e-4", "1e-2", "0.29", "0.31", "1",

@@ -138,15 +138,19 @@ CROSS_FLAG_RULES = [
     (["poly", "--order", "4", "--xend", "0.1"], "--xend must exceed --x0"),
     (["tov", "--pc", P_CENTRAL, "--order", "4", "--dx0", "1",
       "--dxmin", "10"], "--dx0 must be >= --dxmin"),
-    (["sieve", "--lo", "2e35", "--hi", "1e35"], "--lo must be below --hi"),
+    (["sieve", "--lo", "2e35", "--hi", "1e35"],
+     "ln --lo must be below ln --hi"),
     (["sweep", "--orders", "4", "--tols", "1e-4", "--pc", P_CENTRAL,
       "--ref-mass", "1e33"],
      "give both --ref-mass and --ref-radius or neither"),
+    # ends one ulp apart share one logarithm, so no search lies between
+    (["sieve", "--lo", "1e35", "--hi", "1.0000000000000002e35"],
+     "ln --lo must be below ln --hi"),
 ]
 
 
 @pytest.mark.parametrize("argv, rule", CROSS_FLAG_RULES,
-                         ids=[argv[0] for argv, _ in CROSS_FLAG_RULES])
+                         ids=["poly", "tov", "sieve", "sweep", "sieve-ulp"])
 def test_cross_flag_rules_are_usage_errors_of_their_command(
         tmp_path, capsys, argv, rule):
     command = argv[0]

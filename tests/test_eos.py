@@ -24,7 +24,8 @@ from abmgrid import (
     invert_pressure_to_x,
     pressure_from_x,
 )
-from abmgrid.eos import _SERIES, _SERIES_CUTOFF, _pressure_bracket
+from abmgrid.eos import (_SERIES, _SERIES_CUTOFF, _START_TOP,
+                         _pressure_bracket, _start_ratio)
 
 K_ORACLE = 6.8603787788452409455e+35      # pressure scale, erg/cm^3
 N_AT_X1 = 3.6458656708489567942e+39       # number density at x = 1
@@ -88,6 +89,15 @@ WIDE_INVERSIONS = [
     (1e200, 9.2396490853405892136e+40),
     (1e300, 9.2396490853405892136e+65),
     (1.7e308, 1.0550370416990956831e+68),
+]
+
+# pressure -> x on both sides of P(x = 1.2), where Newton's start
+# switches from the polynomial (True) to the limits' roots (False)
+SWITCH_INVERSIONS = [
+    (1.9e36, 1.1949298478172040269, True),
+    (1.936674098e36, 1.1999999999979625104, True),
+    (1.936674099e36, 1.2000000001352186712, False),
+    (2e36, 1.2085865510718191555, False),
 ]
 
 # pressure -> (x, number density, mass-energy density)
@@ -233,6 +243,42 @@ def test_inversion_is_monotone():
     pressures = np.sort(10.0 ** rng.uniform(-10.0, math.log10(1.7e308),
                                              100_000))
     xs = np.array([invert_pressure_to_x(float(P)) for P in pressures])
+    assert np.all(np.diff(xs) >= 0.0)
+
+
+def starts_from_the_polynomial(P):
+    low = (0.625 * (P / PRESSURE_SCALE)) ** 0.2
+    return low * low <= _START_TOP
+
+
+def test_newton_start_is_within_1e_9_of_x():
+    # the polynomial start, from F(x), over x in (0, 1.2]: evenly spaced
+    # across the star's range and log-spaced down to 1e-8
+    xs = ([1.2 * k / 100_000 for k in range(1, 100_001)]
+          + [10.0 ** (k / 10) for k in range(-80, 0)])
+    for x in xs:
+        low = (0.625 * _pressure_bracket(x)) ** 0.2
+        square = low * low
+        assert square <= _START_TOP, x
+        assert abs(low * _start_ratio(square) - x) <= 1e-9 * x, x
+
+
+@pytest.mark.parametrize("P,x_ref,from_polynomial", SWITCH_INVERSIONS)
+def test_inversion_matches_oracle_across_the_start_switch(P, x_ref,
+                                                          from_polynomial):
+    assert starts_from_the_polynomial(P) == from_polynomial
+    assert invert_pressure_to_x(P) == pytest.approx(x_ref, rel=1e-13,
+                                                    abs=0.0)
+
+
+@pytest.mark.parametrize("width", [1e-9, 1e-3])
+def test_inversion_is_monotone_across_the_start_switch(width):
+    switch = PRESSURE_SCALE * _pressure_bracket(1.2)
+    pressures = np.linspace(switch * (1.0 - width), switch * (1.0 + width),
+                            10_001).tolist()
+    sides = [starts_from_the_polynomial(P) for P in pressures]
+    assert any(sides) and not all(sides)
+    xs = np.array([invert_pressure_to_x(P) for P in pressures])
     assert np.all(np.diff(xs) >= 0.0)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import abmgrid
+import abmgrid.eos as eos
 import abmgrid.tov as tov
 from abmgrid import (
     CONSTANTS,
@@ -180,6 +181,28 @@ def test_reference_star_regression(reference_star):
     assert star.P_central == P_CENTRAL
     assert star.R == star.trajectory.final_x
     assert star.M == star.trajectory.final_state[0]
+
+
+def test_reference_star_brackets_per_inversion(monkeypatch):
+    # Newton starts within 3e-10 of the root on the star's range, so an
+    # inversion takes one step and the step that confirms it, now and
+    # then one more: at most 2.6 pressure brackets a call on average,
+    # counted, not timed (the limits' roots as the start took 4.5)
+    counts = {"brackets": 0, "inversions": 0}
+    bracket, gas = eos._pressure_bracket, tov.gas_at_pressure
+
+    def counted_bracket(x):
+        counts["brackets"] += 1
+        return bracket(x)
+
+    def counted_gas(P):
+        counts["inversions"] += 1
+        return gas(P)
+
+    monkeypatch.setattr(eos, "_pressure_bracket", counted_bracket)
+    monkeypatch.setattr(tov, "gas_at_pressure", counted_gas)
+    assert integrate_star(P_CENTRAL, star_config(4, 1e-8)).steps == 519
+    assert counts["brackets"] <= 2.6 * counts["inversions"], counts
 
 
 @pytest.mark.parametrize("order", [10, 6])
