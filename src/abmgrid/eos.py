@@ -24,11 +24,10 @@ Pressure inversion is done in x (P spans tens of decades while x spans
 a few) by Newton's method, started within 3e-10 of the root up to
 x = 1.2 by a polynomial built at import, and from the low- and
 high-density limits beyond; x comes out within ~1e-14 relative for
-every finite P.  The loop's last bracket value is F at the x it
-returns, so ``gas_at_pressure`` reads rho off it, bit for bit what
-``energy_density_from_x`` gives at that x, and the star's derivative
-evaluates the bracket once per Newton step and no more: two or three
-times a call in the star's range.
+every finite P.  ``gas_at_pressure`` builds rho from the identity at
+the asked P instead of from F at the x it returns, so the star's
+derivative evaluates the bracket once per Newton step and no more:
+once a call in the star's range.
 """
 from __future__ import annotations
 
@@ -160,16 +159,13 @@ def invert_pressure_to_x(P: float) -> float:
     built at import, within 3e-10 of the root on either side of it.
     Beyond, as F' <= 8 x^4 and F' <= 8 x^3, the non-relativistic and
     ultra-relativistic roots (5F/8)^(1/5) and (F/2)^(1/4) are both
-    lower bounds on x, and Newton starts from the larger.  F is
-    increasing and convex, so from either start the first step lands
-    at or above the root and each later one moves down toward it; the
-    iteration stops at the first step that does not decrease x, which
-    is where rounding takes over, two or three brackets from the
-    polynomial's start.  P spans tens of decades, x only a few, and
-    x F'/F stays between 4 and 5, so x is as accurate as the bracket
-    itself.  The loop's last bracket value is F at the x it returns;
-    ``gas_at_pressure``, which runs the loop, reads the star's rho off
-    it.
+    lower bounds on x, and Newton starts from the larger.  The
+    iteration stops after the first step of at most 1e-9 x: as x F''/F'
+    lies in (3, 4], the error such a step leaves is at most
+    2 (1e-9)^2 = 2e-18 relative, below rounding.  From the polynomial's
+    start that is the first step.  P spans tens of decades, x only a
+    few, and x F'/F stays between 4 and 5, so x is as accurate as the
+    bracket itself.
     """
     return gas_at_pressure(P)[0]
 
@@ -177,39 +173,39 @@ def invert_pressure_to_x(P: float) -> float:
 def gas_at_pressure(P: float) -> tuple[float, float]:
     """(x, rho) of the gas at pressure P.
 
-    x is ``invert_pressure_to_x(P)``, and rho is
-    ``energy_density_from_x(x)`` bit for bit: where the Newton loop
-    stops, it has just evaluated F at the x it returns, so rho is built
-    from that value instead of a second evaluation of F.
+    x is ``invert_pressure_to_x(P)``, and rho comes from rho + P = n mu
+    at the asked P: rho = K (8 x^3 sqrt(1 + x^2) - P / K), grouped so
+    that it stays finite up to P = 6e307, as ``energy_density_from_x``
+    does.  It needs no bracket at the returned x, so a call evaluates F
+    once per Newton step; rho is not bit for bit
+    ``energy_density_from_x(x)``, but within 2e-15 relative of it.
     """
     if not (P >= 0.0 and math.isfinite(P)):
         raise ValueError("pressure must be finite and non-negative")
     if P == 0.0:
-        return 0.0, energy_density_from_x(0.0)
+        return 0.0, 0.0
     target = P / PRESSURE_SCALE
+    sqrt = math.sqrt
     if target < sys.float_info.min:
         # P / K underflows for x below ~1e-61, where F = 8x^5/5 to far
-        # below an ulp, so x(P) = x(2^500 P) / 2^100 exactly; F was
-        # never evaluated at this x
+        # below an ulp, so x(P) = x(2^500 P) / 2^100 exactly
         x = gas_at_pressure(P * 2.0 ** 500)[0] * 2.0 ** -100
-        return x, energy_density_from_x(x)
-    low = (0.625 * target) ** 0.2
-    square = low * low
-    if square <= _START_TOP:
-        x = low * _start_ratio(square)
     else:
-        x = max(low, (0.5 * target) ** 0.25)
-    upper = math.inf
-    sqrt = math.sqrt
-    while True:
-        square = x * x
-        root = sqrt(square + 1.0)
-        bracket = _pressure_bracket(x)
-        # excess / F'(x); excess * sqrt(1 + x^2) would overflow at the
-        # largest pressures
-        lower = x - (bracket - target) / (8.0 * square * square / root)
-        if not lower < upper:
-            # F was last evaluated at this x: rho as
-            # energy_density_from_x builds it
-            return x, PRESSURE_SCALE * (8.0 * x * square * root - bracket)
-        upper = x = lower
+        low = (0.625 * target) ** 0.2
+        square = low * low
+        if square <= _START_TOP:
+            x = low * _start_ratio(square)
+        else:
+            x = max(low, (0.5 * target) ** 0.25)
+        while True:
+            square = x * x
+            # excess / F'(x); excess * sqrt(1 + x^2) would overflow at
+            # the largest pressures
+            step = ((_pressure_bracket(x) - target)
+                    / (8.0 * square * square / sqrt(square + 1.0)))
+            x -= step
+            if abs(step) <= 1e-9 * x:
+                break
+    square = x * x
+    return x, PRESSURE_SCALE * (8.0 * x * square * sqrt(square + 1.0)
+                                - target)

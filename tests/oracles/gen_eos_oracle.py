@@ -89,16 +89,18 @@ if __name__ == "__main__":
     for xs in ("1e-6", "1e-4", "0.2999999", "0.3000001"):
         print(f"x={xs}: P-bracket={mp.nstr(pressure_bracket(mp.mpf(xs)), 20)}")
     print()
-    # inversions over the whole double range of P
+    # inversions over the whole double range of P, with rho at each x
     for p_str in ("1e-10", "1", "1e5", "1e10", "1e20", "1e30", "1e33",
                   "1e36", "1e40", "1e100", "1e200", "1e300", "1.7e308"):
-        print(f"P={p_str}: x={mp.nstr(invert(mp.mpf(p_str)), 20)}")
+        x = invert(mp.mpf(p_str))
+        print(f"P={p_str}: x={mp.nstr(x, 20)} rho={mp.nstr(rho(x), 20)}")
     print()
     # inversions on both sides of P(x = 1.2) = 1.93667409801...e36, where
     # the package's Newton start switches from its polynomial to the
     # low- and high-density roots
     for p_str in ("1.9e36", "1.936674098e36", "1.936674099e36", "2e36"):
-        print(f"P={p_str}: x={mp.nstr(invert(mp.mpf(p_str)), 20)}")
+        x = invert(mp.mpf(p_str))
+        print(f"P={p_str}: x={mp.nstr(x, 20)} rho={mp.nstr(rho(x), 20)}")
     print()
     # mass-energy density, rest plus kinetic, from x = 1e-8, where the
     # kinetic part is 3e-17 of the rest mass, to the ultrarelativistic gas

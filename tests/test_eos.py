@@ -100,6 +100,27 @@ SWITCH_INVERSIONS = [
     (2e36, 1.2085865510718191555, False),
 ]
 
+# pressure -> mass-energy density at the x of WIDE_INVERSIONS and
+# SWITCH_INVERSIONS, where it is finite (at 1.7e308 it is 5.1e308)
+INVERSION_DENSITIES = [
+    (1e-10, 1303638672.4835809024),
+    (1.0, 1303638672483583.4736),
+    (1e5, 1303638672483838045.0),
+    (1e10, 1.3036386725092951879e+21),
+    (1e20, 1.3036389296264419587e+27),
+    (1e30, 1.3062104919699787646e+33),
+    (1e33, 8.4831558908058983445e+34),
+    (1e36, 7.8379051898864028188e+36),
+    (1e40, 3.0686818904304189637e+40),
+    (1e100, 3e100),
+    (1e200, 3e200),
+    (1e300, 3e300),
+    (1.9e36, 1.269072567429154748e+37),
+    (1.936674098e36, 1.2877475745058180768e+37),
+    (1.936674099e36, 1.2877475750141514101e+37),
+    (2e36, 1.3198441325659954415e+37),
+]
+
 # pressure -> (x, number density, mass-energy density)
 INVERSIONS = [
     (3.631382e35, 0.83384973779215497879,
@@ -316,25 +337,52 @@ def test_inversion_handles_edge_inputs():
                 invert(P)
 
 
-def composed_gas(P):
-    """(x, rho) as two calls compute it, bits as hex strings."""
+def identity_gas(P):
+    """(x, rho) from invert_pressure_to_x and rho + P = n mu at the asked
+    P, rho = K (8 x^3 sqrt(1 + x^2) - P / K), bits as hex strings."""
     x = invert_pressure_to_x(P)
-    return x.hex(), energy_density_from_x(x).hex()
+    square = x * x
+    rho = PRESSURE_SCALE * (8.0 * x * square * math.sqrt(square + 1.0)
+                            - P / PRESSURE_SCALE)
+    return x.hex(), rho.hex()
 
 
 def test_gas_at_pressure_is_the_composition_bit_for_bit(gas_pressures):
-    # rho read off the inversion's last bracket value, and the fallback
-    # below the underflow edge and at P = 0, against the two calls
+    # x from the inversion and rho from the identity at the asked P, on
+    # every branch: below the underflow edge, at P = 0 and the rest
     for P in gas_pressures:
         x, rho = gas_at_pressure(P)
-        assert (x.hex(), rho.hex()) == composed_gas(P), P
+        assert (x.hex(), rho.hex()) == identity_gas(P), P
 
 
 @settings(derandomize=True, max_examples=300, database=None)
 @given(st.floats(0.0, 1.7976931348623157e308))
 def test_gas_at_pressure_composition_property(P):
+    # bit for bit the identity, and within 1e-14 of rho built from F at
+    # the returned x, infinite exactly where that is
     x, rho = gas_at_pressure(P)
-    assert (x.hex(), rho.hex()) == composed_gas(P)
+    assert (x.hex(), rho.hex()) == identity_gas(P)
+    from_x = energy_density_from_x(x)
+    assert math.isinf(rho) == math.isinf(from_x), (rho, from_x)
+    if math.isfinite(from_x):
+        assert rho == pytest.approx(from_x, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "P,rho_ref",
+    INVERSION_DENSITIES + [(P, rho_ref) for P, _, _, rho_ref in INVERSIONS])
+def test_gas_density_matches_oracle(P, rho_ref):
+    assert gas_at_pressure(P)[1] == pytest.approx(rho_ref, rel=1e-13,
+                                                  abs=0.0)
+
+
+def test_gas_density_overflows_where_energy_density_does():
+    # K (8x^3 sqrt(1 + x^2) - P / K) is finite up to about 6e307, as
+    # energy_density_from_x is; K 8x^3 sqrt(1 + x^2) - P would overflow
+    # from 5e307
+    assert gas_at_pressure(5.9e307)[1] == pytest.approx(1.77e308,
+                                                        rel=1e-13)
+    assert gas_at_pressure(7e307)[1] == math.inf
 
 
 def test_parameter_validation():

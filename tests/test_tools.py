@@ -10,7 +10,7 @@ import abmgrid
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 GROUPS = ["stars", "failures", "trapped", "poly", "exact", "sweep", "sieve",
-          "sieves", "pressure", "density", "inversion"]
+          "sieves", "pressure", "density", "inversion", "gas"]
 # the groups that integrate; each must count steps and evaluations
 INTEGRATING = ["stars", "trapped", "poly", "sweep", "sieve", "sieves"]
 

@@ -123,18 +123,21 @@ def test_relativistic_correction_factor():
     assert dP / newtonian == pytest.approx(RATIO_GR_ORACLE, rel=1e-9)
 
 
-def test_derivatives_keep_the_two_call_gas_bit_for_bit(gas_pressures,
-                                                       monkeypatch):
-    # tov_derivatives reads rho off gas_at_pressure; with x and rho
-    # composed from the two EOS calls instead, not a bit may differ
+def test_derivatives_keep_the_identity_gas_bit_for_bit(gas_pressures,
+                                                      monkeypatch):
+    # tov_derivatives reads rho off gas_at_pressure; with x from
+    # invert_pressure_to_x and rho from rho + P = n mu at the asked P
+    # instead, not a bit may differ
     points = [(1e5, 1e30, P) for P in gas_pressures]
     derivatives = [tov_derivatives(*point) for point in points]
 
-    def composed_gas(P):
+    def identity_gas(P):
         x = invert_pressure_to_x(P)
-        return x, energy_density_from_x(x)
+        square = x * x
+        return x, PRESSURE_SCALE * (8.0 * x * square * math.sqrt(square + 1.0)
+                                    - P / PRESSURE_SCALE)
 
-    monkeypatch.setattr(tov, "gas_at_pressure", composed_gas)
+    monkeypatch.setattr(tov, "gas_at_pressure", identity_gas)
     for point, pair in zip(points, derivatives):
         composed = tov_derivatives(*point)
         assert [v.hex() for v in pair] == [v.hex() for v in composed], point
@@ -185,9 +188,9 @@ def test_reference_star_regression(reference_star):
 
 def test_reference_star_brackets_per_inversion(monkeypatch):
     # Newton starts within 3e-10 of the root on the star's range, so an
-    # inversion takes one step and the step that confirms it, now and
-    # then one more: at most 2.6 pressure brackets a call on average,
-    # counted, not timed (the limits' roots as the start took 4.5)
+    # inversion takes one step and stops, and rho needs no bracket at
+    # the returned x: exactly one pressure bracket a call, counted, not
+    # timed
     counts = {"brackets": 0, "inversions": 0}
     bracket, gas = eos._pressure_bracket, tov.gas_at_pressure
 
@@ -202,7 +205,7 @@ def test_reference_star_brackets_per_inversion(monkeypatch):
     monkeypatch.setattr(eos, "_pressure_bracket", counted_bracket)
     monkeypatch.setattr(tov, "gas_at_pressure", counted_gas)
     assert integrate_star(P_CENTRAL, star_config(4, 1e-8)).steps == 519
-    assert counts["brackets"] <= 2.6 * counts["inversions"], counts
+    assert counts["brackets"] == counts["inversions"], counts
 
 
 @pytest.mark.parametrize("order", [10, 6])

@@ -20,12 +20,16 @@ which the totals wrap: each of ``integrate`` and ``integrate_floats``
 that either module binds, whichever name a tree calls; the sieves group also reads
 ``SieveResult.history``, which every tree with Brent's sieve has, and
 the curve groups call only ``poly_exact``, ``pressure_from_x``,
-``energy_density_from_x`` and ``invert_pressure_to_x``, one float at a
-time.  So the script runs unchanged against an older checkout, and its
-output can be diffed line by line between two trees.  The curve groups
-integrate nothing: their count is the number of values hashed and their
-totals read 0.  The gas groups show which gas function a change moved
-when the star groups move; the exact group keeps the quartic's
+``energy_density_from_x``, ``invert_pressure_to_x`` and
+``gas_at_pressure``, one float at a time, and a tree that lacks one of
+them prints its group as ``absent``.  So the script runs unchanged
+against an older checkout, and its output can be diffed line by line
+between two trees.  The curve groups integrate nothing: their count is
+the number of values hashed and their totals read 0.  The gas groups
+show which gas function a change moved when the star groups move: the
+star's derivative reads rho from ``gas_at_pressure``, not from
+``energy_density_from_x``, so the density group does not hash the rho a
+star uses and the gas group does.  The exact group keeps the quartic's
 reference curve out of the poly group, so a change to that curve cannot
 look like a change to the integration.
 
@@ -49,6 +53,7 @@ Groups:
   pressure  P(x) at x = 10^(k/100), k = -800..300 (1e-8 to 1e3)
   density   rho(x) on the same grid of x
   inversion x(P) at P = 10^(k/10), k = -3230..3080 (1e-323 to 1e308)
+  gas       (x, rho) = gas_at_pressure(P) on the same grid of P
 """
 import contextlib
 import hashlib
@@ -216,9 +221,15 @@ GAS_P = [10.0 ** (k / 10) for k in range(-3230, 3081)]
 POLY_X = [k / 1000 for k in range(5001)]
 
 
+class Absent(Exception):
+    """The tree has no function of the name a curve group hashes."""
+
+
 def curve_group(digest, name, arguments):
     import abmgrid
-    function = getattr(abmgrid, name)
+    function = getattr(abmgrid, name, None)
+    if function is None:
+        raise Absent(name)
     digest.feed([function(argument) for argument in arguments])
     digest.items += len(arguments)
 
@@ -236,6 +247,7 @@ GROUPS = (
     ("pressure", lambda d: curve_group(d, "pressure_from_x", GAS_X)),
     ("density", lambda d: curve_group(d, "energy_density_from_x", GAS_X)),
     ("inversion", lambda d: curve_group(d, "invert_pressure_to_x", GAS_P)),
+    ("gas", lambda d: curve_group(d, "gas_at_pressure", GAS_P)),
 )
 
 
@@ -249,8 +261,12 @@ def main(argv):
     print(f"# abmgrid from {abmgrid.__file__}", file=sys.stderr)
     for name, run in GROUPS:
         digest = Digest()
-        with counting_integrations() as totals:
-            run(digest)
+        try:
+            with counting_integrations() as totals:
+                run(digest)
+        except Absent:
+            print(f"{name:<9} absent")
+            continue
         steps, evals = totals
         print(f"{name:<9} {digest.items:>3} steps {steps:>6} "
               f"evals {evals:>6} {digest.hexdigest()}")
