@@ -25,8 +25,9 @@ or NaN, and the run stops with :class:`NonFiniteState`.
 :func:`adams_update` integrates it over the new step on Gauss points:
 the polynomial the Lagrange weights of :mod:`abmgrid.quadrature`
 integrate, reached on Python floats with the correction as one extra
-term.  Each step calls one update and one push: :func:`adams_update`
-and :meth:`DividedDifferences.push` while the table grows, swapped once,
+term, and every sum added left to right in a fixed order.  Each step
+calls one update and one push: :func:`adams_update` and
+:meth:`DividedDifferences.push` while the table grows, swapped once,
 when it holds ``order_ab`` nodes, for their straight-line forms, written
 out and compiled once per stencil size and component count.  Both pairs
 do the same float operations in the same order, so no bit depends on
@@ -52,7 +53,7 @@ import enum
 import math
 import operator
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -308,14 +309,6 @@ def _gauss_rule(count):
     return tuple(rule)
 
 
-def _total(products):
-    """math.fsum, or the plain sum (inf or NaN) where fsum raises."""
-    try:
-        return math.fsum(products)
-    except (OverflowError, ValueError):  # a partial overflowed, or inf - inf
-        return sum(products)
-
-
 class DividedDifferences:
     """The stencil's interpolant of y' in Newton form, newest node first.
 
@@ -374,10 +367,11 @@ def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
     correction is formed as its own term, not as a difference:
     y_AM = y + (increment + weight (f - p(dx))).
 
-    Everything runs on Python floats in a fixed order (``math.fsum``
-    is correctly rounded), so no BLAS kernel enters the step.  A sum
-    beyond the overflow threshold becomes inf or NaN instead of
-    raising, and the caller stops on it.
+    Everything runs on Python floats in a fixed order: the increment
+    sum_i c_i g_i adds its products left to right from the first, so no
+    BLAS kernel and no version of Python enters its bits.  A sum beyond
+    the overflow threshold becomes inf or NaN, and the caller stops on
+    it.
 
     This is the step's readable definition.  :func:`integrate_floats`
     steps with it and :meth:`DividedDifferences.push` while the table
@@ -399,7 +393,8 @@ def adams_update(y: Sequence[float], table: DividedDifferences, dx: float,
         integrals[count] += term
 
     columns = table.columns
-    increments = [_total([c * g for c, g in zip(column, integrals)])
+    # sum_i c_i g_i, added left to right from the first product
+    increments = [reduce(operator.add, map(operator.mul, column, integrals))
                   for column in columns]
     y_ab = [y0 + increment for y0, increment in zip(y, increments)]
     if derivative_at is None:
@@ -433,8 +428,8 @@ def _update_source(count: int, size: int) -> str:
     locals: ``s`` the offsets, ``g`` the basis integrals, ``c{j}_`` the
     columns and ``d`` the factors dx - s_k.  Only the loop over the Gauss
     points (``_RULE`` in the namespace it runs in) stays a loop.  Each
-    Gauss term, product factor and Horner step is its own statement, so
-    no expression nests deeper as ``count`` grows.
+    Gauss term, increment term, product factor and Horner step is its
+    own statement, so no expression nests deeper as ``count`` grows.
     """
     nodes, components = range(count), range(size)
     lines = ["def update(y, table, dx, derivative_at):",
@@ -450,9 +445,10 @@ def _update_source(count: int, size: int) -> str:
               "    columns = table.columns",
               f"    {_listed('y', components)} = y"]
     for j in components:
-        products = ", ".join(f"c{j}_{i} * g{i}" for i in nodes)
         lines += [f"    {_listed(f'c{j}_', nodes)} = columns[{j}]",
-                  f"    increment{j} = _total([{products}])"]
+                  f"    increment{j} = c{j}_0 * g0",
+                  *(f"    increment{j} += c{j}_{i} * g{i}"
+                    for i in range(1, count))]
     sums = ", ".join(f"y{j} + increment{j}" for j in components)
     lines += [f"    y_ab = [{sums}]",
               "    if derivative_at is None:",
@@ -497,7 +493,7 @@ def _push_source(count: int, size: int) -> str:
 @lru_cache(maxsize=None)
 def _kernels(count: int, size: int):
     """The full stencil's (update, push), compiled once per shape."""
-    namespace = {"_RULE": _gauss_rule(count // 2 + 1), "_total": _total}
+    namespace = {"_RULE": _gauss_rule(count // 2 + 1)}
     exec(compile(_update_source(count, size),
                  f"<abmgrid update N={count} d={size}>", "exec"), namespace)
     exec(compile(_push_source(count, size),

@@ -2,6 +2,7 @@
 import functools
 import importlib.util
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -741,6 +742,45 @@ def newton_column(column, nodes):
     return scale, coefficients
 
 
+def basis_integrals(offsets, dx):
+    """integrals[i]: prod_{k<i} (t - s_k) over [0, dx], i = 0..n.
+
+    ``offsets`` are the n node offsets s_k, newest (0) first; the
+    integrals are summed over the n // 2 + 1 Gauss points in order.
+    """
+    n = len(offsets)
+    integrals = [0.0] * (n + 1)
+    for point, weight in gauss_rule(n // 2 + 1):
+        term = dx * weight
+        for i in range(n + 1):
+            integrals[i] += term
+            if i < n:
+                term *= dx * point - offsets[i]
+    return integrals
+
+
+def test_the_increment_adds_its_products_left_to_right():
+    # with y = 0, y_AB is the increment: the products c_i g_i added from
+    # i = 0 to N - 1, in both forms of the step, and not their correctly
+    # rounded sum, which differs on some stencils
+    rng = np.random.default_rng(39)
+    rounded_differently = 0
+    for _ in range(200):
+        count = int(rng.integers(2, 13))
+        dx = float(rng.uniform(0.01, 2.0))
+        table = pushed(_random_stencil(rng, count, dx),
+                       [rng.uniform(-1.0, 1.0, count)])
+        products = [c * g for c, g in zip(
+            table.columns[0], basis_integrals(table.nodes, dx))]
+        in_order = functools.reduce(operator.add, products)
+        update, _ = _kernels(count, 1)
+        for step in (adams_update, update):
+            (y_ab,), _ = step([0.0], table, dx, None)
+            assert y_ab.hex() == in_order.hex()
+        rounded_differently += in_order != math.fsum(products)
+    assert rounded_differently
+
+
 def reference_pece(system, y0, x0, config, x_end=None, halt=None):
     """integrate_floats() written out plainly, on lists of Python floats.
 
@@ -766,19 +806,13 @@ def reference_pece(system, y0, x0, config, x_end=None, halt=None):
         dx = x_end - x if clamped else dx
         x_next = x_end if clamped else x + dx
         offsets = [node - xs[-1] for node in xs[-n:][::-1]]
-        # integrals[i]: prod_{k<i} (t - s_k) over [0, dx], i = 0..n
-        integrals = [0.0] * (n + 1)
-        for point, weight in gauss_rule(n // 2 + 1):
-            term = dx * weight
-            for i in range(n + 1):
-                integrals[i] += term
-                if i < n:
-                    term *= dx * point - offsets[i]
+        integrals = basis_integrals(offsets, dx)
         columns = [newton_column([row[j] for row in dys[-n:]], xs[-n:])
                    for j in range(len(y))]
-        increments = [math.fsum([c * g for c, g in zip(coefficients,
-                                                         integrals)])
-                      for _, coefficients in columns]
+        increments = []  # each adds its products left to right
+        for _, coefficients in columns:
+            products = [c * g for c, g in zip(coefficients, integrals)]
+            increments.append(functools.reduce(operator.add, products))
         y_ab = [y0 + increment / scale for y0, increment, (scale, _)
                 in zip(y, increments, columns)]
         y_am, dy, eps = y_ab, system(x_next, np.array(y_ab)).tolist(), 0.0
@@ -1054,7 +1088,7 @@ def test_derivatives_beyond_the_float_range_stop_the_run():
 
 def test_an_overflowing_increment_stops_the_run():
     # y' jumps from 0 to 1.7e308 at x = 1; the second step's increment,
-    # 1.7e308 + 1.7e308 / 2, overflows inside the correctly rounded sum,
+    # 1.7e308 + 1.7e308 / 2, overflows as its second product is added,
     # and the run stops there with the first step kept
     def jump(x, y):
         return [1.7e308 if x == 1.0 else 0.0]
@@ -1156,9 +1190,9 @@ def test_kernels_are_the_readable_step_bit_for_bit(count):
 @pytest.mark.parametrize("count", [1, 2, 6, 12])
 def test_kernels_carry_inf_and_nan_like_the_readable_step(count, bad):
     # up to two entries of a column, and at times the new derivative,
-    # set to +-bad: inf - inf and overflowing partial sums make fsum
-    # raise, and the kernel must fall back to the plain sum where
-    # adams_update does
+    # set to +-bad: inf - inf and overflowing partial sums turn the
+    # increment into inf or NaN, and the kernel must carry the same bits
+    # as adams_update
     rng = np.random.default_rng(500 + count)
     for _ in range(20):
         dx = float(rng.uniform(0.01, 2.0))

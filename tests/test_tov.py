@@ -218,6 +218,26 @@ def test_star_matches_the_tov_oracle(order):
     assert abs(star.R_km - ORACLE_R_KM) <= FLOOR_STEP_KM
 
 
+def test_the_abstracts_step_counts_hold_against_the_oracle():
+    # the abstract: M within 1 % in 23 steps, M and R within 1 % in 27;
+    # each claim must hold for some cell of orders 2..8 x E =
+    # 10^(-1 - k/20), k = 0..60, judged against the oracle star, so one
+    # cell's surface step moving a count by 1 or 2 does not decide it
+    mass_only, mass_and_radius = [], []
+    for order in range(2, 9):
+        for k in range(61):
+            star = integrate_star(
+                P_CENTRAL, star_config(order, 10.0 ** (-1 - k / 20)))
+            mass = abs(star.M_msun / ORACLE_M_MSUN - 1.0) <= 0.01
+            radius = abs(star.R_km / ORACLE_R_KM - 1.0) <= 0.01
+            if mass and star.steps <= 23:
+                mass_only.append((order, k, star.steps))
+            if mass and radius and star.steps <= 27:
+                mass_and_radius.append((order, k, star.steps))
+    assert mass_only
+    assert mass_and_radius
+
+
 def _order_10_star_under(coretype):
     """steps, repr(R) and repr(M) of the order-10 star in a child process
     whose OpenBLAS runs the given kernel."""
