@@ -52,6 +52,8 @@ CONSTANTS = namedtuple("PhysicalConstants", "m_n c h G M_sun")(
 # K = pi m_n^4 c^5 / 3 h^3, erg/cm^3
 PRESSURE_SCALE = (math.pi * CONSTANTS.m_n ** 4 * CONSTANTS.c ** 5
                   / (3.0 * CONSTANTS.h ** 3))
+# the smallest normal float: below it P / K has lost bits to underflow
+_TINY = sys.float_info.min
 
 
 # Below _SERIES_CUTOFF the closed form of the pressure bracket cancels
@@ -186,7 +188,7 @@ def gas_at_pressure(P: float) -> tuple[float, float]:
         return 0.0, 0.0
     target = P / PRESSURE_SCALE
     sqrt = math.sqrt
-    if target < sys.float_info.min:
+    if target < _TINY:
         # P / K underflows for x below ~1e-61, where F = 8x^5/5 to far
         # below an ulp, so x(P) = x(2^500 P) / 2^100 exactly
         x = gas_at_pressure(P * 2.0 ** 500)[0] * 2.0 ** -100

@@ -52,6 +52,7 @@ import decimal
 import enum
 import math
 import operator
+import struct
 from array import array
 from functools import lru_cache, partial, reduce
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -168,9 +169,10 @@ class Trajectory:
     the start point: x0 and y0, a flat sequence of n numbers.  The rows
     share one growing buffer of doubles (``array("d")``): 8 bytes a
     value, read back as Python floats, and no heap fragmentation from a
-    buffer per column growing side by side.  The stencil's derivatives
-    are not kept here: the engine carries them as a
-    :class:`DividedDifferences` table.  ``n_evals`` counts derivative
+    buffer per column growing side by side.  :func:`integrate_floats`
+    packs each step's row to bytes and adds it in one call.  The
+    stencil's derivatives are not kept here: the engine carries them as
+    a :class:`DividedDifferences` table.  ``n_evals`` counts derivative
     evaluations, two per PECE step.
 
     ``x``, ``dx`` and ``epsilon_max`` return a new ``array("d")`` with
@@ -187,9 +189,6 @@ class Trajectory:
         self._rows = array("d", [x0, 0.0, 0.0, 0.0, 0.0, 0.0, *y0])
         self.n_evals = 0
         self.halted = False  # True when a state predicate stopped the run
-
-    def _append(self, x, dx, y, epsilon_max, order, capped, floored):
-        self._rows.extend((x, dx, epsilon_max, order, capped, floored, *y))
 
     def _column(self, offset: int) -> array:
         """The value at ``offset`` of every step's row, in a new array."""
@@ -518,6 +517,26 @@ def fractional_correction(y_ab, y_am) -> float:
     return largest
 
 
+def _scaled_step(epsilon_max, target, am_order, dx, dx_min):
+    """The controller's law: (dx_next, capped, floored), unchecked.
+
+    :func:`next_step_size` checks its arguments and calls this;
+    :func:`integrate_floats` calls it directly, on arguments the loop
+    keeps in range.
+    """
+    if epsilon_max == 0.0:
+        ratio = GROWTH_CAP
+        capped = True
+    else:
+        raw = (target / epsilon_max) ** (1.0 / am_order)
+        capped = raw >= GROWTH_CAP
+        ratio = min(raw, GROWTH_CAP)
+    dx_next = ratio * dx
+    if dx_next < dx_min:
+        return dx_min, capped, True
+    return dx_next, capped, False
+
+
 def next_step_size(epsilon_max: float, config: IntegratorConfig,
                    effective_am_order: int, dx_current: float):
     """Step size the adaptive controller selects for the next step.
@@ -535,19 +554,8 @@ def next_step_size(epsilon_max: float, config: IntegratorConfig,
         raise ValueError("dx_current must be positive and finite")
     if effective_am_order < 2:
         raise ValueError("effective_am_order must be >= 2")
-    if epsilon_max == 0.0:
-        ratio = GROWTH_CAP
-        capped = True
-    else:
-        raw = (config.target_correction / epsilon_max) ** (
-            1.0 / effective_am_order)
-        capped = raw >= GROWTH_CAP
-        ratio = min(raw, GROWTH_CAP)
-    dx_next = ratio * dx_current
-    floored = dx_next < config.dx_min
-    if floored:
-        dx_next = config.dx_min
-    return dx_next, capped, floored
+    return _scaled_step(epsilon_max, config.target_correction,
+                        effective_am_order, dx_current, config.dx_min)
 
 
 def integrate_floats(system: Callable[[float, list], Sequence[float]],
@@ -570,8 +578,9 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
 
     Raises :class:`MaxStepsExceeded`, :class:`NonFiniteState` (when
     f(x0, y0), or a step's prediction, corrected state or derivative,
-    is not finite, also when ``system`` raises on a non-finite state;
-    the step is not kept), or :class:`CallbackFailure` (``system``
+    is not finite, also when ``system`` raises on a non-finite state,
+    and before evaluating a step whose x would overflow to inf; the
+    step is not kept), or :class:`CallbackFailure` (``system``
     raised on a finite state or returned anything else); an
     :class:`IntegrationError` raised by ``system`` propagates as is.
     :class:`StalledStep` is raised before evaluating a step that would
@@ -595,7 +604,7 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
 
     def evaluate(xq: float, yq: list) -> list:
         try:
-            dy = [float(v) for v in system(xq, yq[:])]
+            dy = list(map(float, system(xq, yq[:])))
         except IntegrationError as exc:
             exc.trajectory = trajectory
             raise
@@ -617,34 +626,49 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
     def at_next(y_ab: list) -> list:
         return evaluate(x_next, y_ab)  # this step's x_next
 
+    # the config is read once, here: the loop runs on locals
+    mode, order, max_steps = config.mode, config.order_ab, config.max_steps
+    target, dx_min = float(config.target_correction), float(config.dx_min)
+    dx = float(config.dx_initial)
+    adaptive = mode is Mode.ABM_ADAPTIVE
     # evaluates f at the prediction for the corrector; AB_FIXED has none
-    corrector = None if config.mode is Mode.AB_FIXED else at_next
+    corrector = None if mode is Mode.AB_FIXED else at_next
     dy = evaluate(x, state)
     if not all(map(math.isfinite, dy)):
         raise NonFiniteState(f"non-finite derivative at x={x!r}", trajectory)
-    order = config.order_ab
     # the readable pair runs the bootstrap; every push is given keep=order
     update, push = adams_update, partial(DividedDifferences.push, keep=order)
     table = DividedDifferences(size)
     push(table, x, dy)
-    dx = config.dx_initial
-    end_tol = 0.0 if x_end is None else 1e-14 * max(abs(x), abs(x_end))
+    effective_order = 1  # the table's node count, the order of this step
+    # with no x_end the run has no end point: x + dx reaches it only by
+    # overflowing, a step the finite-x test below refuses
+    end = last = math.inf
+    if x_end is not None:
+        end = x_end
+        last = x_end - 1e-14 * max(abs(x), abs(x_end))  # counts as there
+    # a row, packed to bytes in one call, is what the trajectory keeps
+    add_row = trajectory._rows.frombytes
+    pack_row = struct.Struct(f"{trajectory._width}d").pack
+    finite = math.isfinite
 
-    for step in range(config.max_steps + 1):
-        if x_end is not None and x >= x_end - end_tol:
+    for step in range(max_steps + 1):
+        if x >= last:
             return trajectory
-        if step == config.max_steps:
+        if step == max_steps:
             raise MaxStepsExceeded(
-                f"stop condition not reached within {config.max_steps} steps",
+                f"stop condition not reached within {max_steps} steps",
                 trajectory)
-        clamped = x_end is not None and x + dx >= x_end
+        clamped = x + dx >= end
         if clamped:
-            dx = x_end - x
-        effective_order = len(table.nodes)
-        x_next = x_end if clamped else x + dx
+            dx = end - x
+        x_next = end if clamped else x + dx
         if not x_next > x:
             raise StalledStep(
                 f"step dx={dx!r} does not advance x={x!r}", trajectory)
+        if x_next == math.inf:
+            raise NonFiniteState(
+                f"the step from x={x!r} overflows x", trajectory)
         # the table holds order nodes from this step on: swap in the
         # compiled pair, here so that a run ending sooner compiles none
         if step == order - 1:
@@ -653,19 +677,21 @@ def integrate_floats(system: Callable[[float, list], Sequence[float]],
         dy_next = evaluate(x_next, y_am)
         epsilon_max = (0.0 if corrector is None
                        else fractional_correction(y_ab, y_am))
-        if not all(map(math.isfinite, y_ab + y_am + dy_next)):
+        if not all(map(finite, y_ab + y_am + dy_next)):
             raise NonFiniteState(
                 f"non-finite state or derivative at x={x_next!r}", trajectory)
 
         capped = floored = False
         dx_taken = dx
-        if config.mode is Mode.ABM_ADAPTIVE and not clamped:
-            dx, capped, floored = next_step_size(
-                epsilon_max, config, effective_order + 1, dx)
+        if adaptive and not clamped:
+            dx, capped, floored = _scaled_step(
+                epsilon_max, target, effective_order + 1, dx, dx_min)
 
-        trajectory._append(x_next, dx_taken, y_am, epsilon_max,
-                           effective_order, capped, floored)
+        add_row(pack_row(x_next, dx_taken, epsilon_max, effective_order,
+                         capped, floored, *y_am))
         push(table, x_next, dy_next)
+        if effective_order < order:
+            effective_order += 1
         x, state = x_next, y_am
 
         if halt is not None and halt(x, state[:]):

@@ -140,7 +140,9 @@ def integrate_star(P_central: float, config: IntegratorConfig) -> StarSolution:
         raise ValueError("central pressure must be positive and finite")
 
     def system(r, state):
-        return tov_derivatives(r, *state)
+        # tov_derivatives is looked up per call, so wrapping it counts
+        m, P = state
+        return tov_derivatives(r, m, P)
 
     star = StarSolution(P_central, integrate(
         system, [0.0, P_central], 0.0, config,

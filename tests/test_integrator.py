@@ -32,6 +32,7 @@ from abmgrid import (
     integrate_floats,
     next_step_size,
     poly_rhs,
+    run_poly_case,
     star_config,
     tov_derivatives,
 )
@@ -536,6 +537,46 @@ def test_step_that_does_not_advance_x_is_an_integration_error():
     assert calls[-1] == trajectory.final_x < 1.0
     assert trajectory.n_evals == len(calls) == 2 * len(trajectory) + 1
     assert np.all(np.diff(trajectory.x) > 0.0)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_step_that_overflows_x_is_refused_before_evaluating(mode):
+    # x0 + dx = inf: with no x_end to clamp it, AB_FIXED used to keep a
+    # row at x = inf, and the PECE modes stopped only on the corrector's
+    # overflowing weight
+    calls = []
+
+    def constant(x, y):
+        calls.append(x)
+        return [1.0]
+
+    config = IntegratorConfig(order_ab=2, dx_initial=1e308, mode=mode)
+    with pytest.raises(NonFiniteState, match="overflows x") as excinfo:
+        integrate_floats(constant, [0.0], 1e308, config,
+                         halt=lambda x, y: False)
+    assert calls == [1e308]
+    trajectory = excinfo.value.trajectory
+    assert len(trajectory) == 0 and trajectory.n_evals == 1
+    assert trajectory.final_x == 1e308
+
+
+@pytest.mark.parametrize("dx", [1, np.float64(1.0)], ids=["int", "float64"])
+def test_rows_keep_the_bits_of_a_non_float_step_knob(dx):
+    # each row is packed to doubles from whatever the config holds
+    def columns(trajectory):
+        return [[value.hex() for value in column] for column in
+                (trajectory.x, trajectory.dx, trajectory.epsilon_max,
+                 *trajectory.y)]
+
+    expected = run_poly_case(PolyCase(dx=1.0)).trajectory
+    trajectory = run_poly_case(PolyCase(dx=dx)).trajectory
+    assert columns(trajectory) == columns(expected)
+    flags = [(type(record.effective_order), type(record.capped),
+              type(record.floored)) for record in trajectory]
+    assert set(flags) == {(int, bool, bool)}
+    assert ([record[5:] for record in trajectory]
+            == [record[5:] for record in expected])
+    assert any(record.capped for record in expected)
 
 
 def test_derivative_shape_mismatch_is_a_callback_failure():

@@ -84,3 +84,25 @@ def test_bench_workload_list(text, expected):
 def test_bench_workload_list_refuses_blank_and_repeated_names(text):
     with pytest.raises(bench_pairs.argparse.ArgumentTypeError):
         bench_pairs.workload_list(text)
+
+
+def test_bench_refuses_a_tree_with_compiled_files(tmp_path, capsys):
+    # a stale __pycache__ would let one side skip compiling the package
+    trees = {}
+    for side in "ab":
+        tree = trees[side] = tmp_path / side
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "src" / "pkg").mkdir(parents=True)
+        # a run would leave this file behind
+        (tree / "perfbench" / "run.py").write_text(
+            "open('ran', 'w').close()\n")
+    (trees["b"] / "src" / "pkg" / "__pycache__").mkdir()
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main([str(trees["a"]), str(trees["b"]), "--workload",
+                          "poly", "--pairs", "1", "--seconds", "1",
+                          "--seed", "0"])
+    assert excinfo.value.code == 2
+    error = capsys.readouterr().err
+    assert f"B: {trees['b'].resolve()} holds" in error
+    assert "__pycache__" in error
+    assert not any((tree / "ran").exists() for tree in trees.values())

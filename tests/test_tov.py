@@ -357,6 +357,29 @@ def test_horizon_failure_carries_partial_trajectory(monkeypatch):
     assert excinfo.value.tag == "horizon"
 
 
+def test_star_derivatives_go_through_the_module_name(monkeypatch):
+    # the star looks integrate and tov_derivatives up in abmgrid.tov on
+    # every call, so a wrapper there (as the tracer and the test above
+    # install) sees the run and every derivative the engine evaluates
+    real, calls = tov.tov_derivatives, []
+    real_integrate, runs = tov.integrate, []
+
+    def counted(r, m, P):
+        calls.append(r)
+        return real(r, m, P)
+
+    def counted_integrate(*args, **kwargs):
+        runs.append(real_integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(tov, "tov_derivatives", counted)
+    monkeypatch.setattr(tov, "integrate", counted_integrate)
+    star = integrate_star(P_CENTRAL, star_config(4, 1e-2))
+    assert runs == [star.trajectory]
+    assert len(calls) == star.trajectory.n_evals == 2 * 31 + 1
+    assert star.steps == 31
+
+
 # --- plateau diagnostics ----------------------------------------------
 
 def test_plateau_of_loose_tolerance_star():

@@ -21,10 +21,16 @@ was strictly better than A's, and a verdict on B:
 Which direction is better, and each bound, come from ``BENCHMARK.json``
 in TREE_A (lower, and a bound of 0, when the file does not say).
 
+Every child runs with PYTHONDONTWRITEBYTECODE=1 and a tree that holds a
+``__pycache__`` under ``src/`` is refused before the first run, so each
+run compiles the package from source: ``setup_s`` includes compiling it,
+alike on both sides and in every pair.
+
 Exits 1 if a run fails or reports ``correct: false``.
 """
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -36,7 +42,8 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, capture_output=True, text=True, check=False,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: run.py exited {done.returncode}: "
@@ -132,6 +139,11 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "perfbench" / "run.py").is_file():
             parser.error(f"{side}: no perfbench/run.py under {tree}")
+        # a run would load these instead of compiling the package
+        cached = next((tree / "src").rglob("__pycache__"), None)
+        if cached is not None:
+            parser.error(f"{side}: {tree} holds {cached}; "
+                         f"bench a tree without compiled files")
 
     results = {workload: {"A": [], "B": []} for workload in args.workload}
     ok = True
